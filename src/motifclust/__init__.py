@@ -30,14 +30,7 @@ from .model import (
     update_factor,
 )
 from .motifs import Motif, MotifInstanceSet, enumerate_instances, parse_motif, transcribe
-from .tensors import (
-    SparseTensor,
-    dense_reconstruct,
-    gram_hadamard,
-    matricize,
-    mttkrp_sparse,
-    residual_fro_sq,
-)
+from .tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 __version__ = "0.1.0"
 
@@ -54,8 +47,6 @@ __all__ = [
     "mttkrp_sparse",
     "gram_hadamard",
     "residual_fro_sq",
-    "dense_reconstruct",
-    "matricize",
     "Hyperparameters",
     "ModelState",
     "FitResult",

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -69,20 +69,16 @@ class RunConfig:
         motifs = [base / p for p in raw.get("motifs", [])]
         if not motifs:
             raise ValueError(f"{path}: config lists no motifs")
-        hyper = Hyperparameters(
-            n_clusters=int(raw["clusters"]),
-            consensus_weight=float(raw.get("consensus_weight", 1.0)),
-            mask_penalty=float(raw.get("mask_penalty", 100.0)),
-            l1_weight=float(raw.get("l1_weight", 0.0001)),
-            pgd_step=float(raw.get("pgd_step", 0.1)),
-            inner_tol=float(raw.get("inner_tol", 1e-4)),
-            outer_tol=float(raw.get("outer_tol", 1e-6)),
-            max_inner_iters=int(raw.get("max_inner_iters", 50)),
-            max_outer_iters=int(raw.get("max_outer_iters", 100)),
-            eps_div=float(raw.get("eps_div", 1e-12)),
-            init_seed=int(raw.get("init_seed", 0)),
-            seed_boost=float(raw.get("seed_boost", 1.0)),
-        )
+        if "clusters" not in raw:
+            raise ValueError(f"{path}: missing config key 'clusters'")
+        # Every other Hyperparameters field is read under its own name, with
+        # the type of its default; absent keys keep the dataclass default.
+        knobs = {
+            f.name: type(f.default)(raw[f.name])
+            for f in fields(Hyperparameters)
+            if f.name != "n_clusters" and f.name in raw
+        }
+        hyper = Hyperparameters(n_clusters=int(raw["clusters"]), **knobs)
         cfg = cls(
             nodes=resolve("nodes"),
             edges=resolve("edges"),

@@ -218,15 +218,6 @@ def _all_intra_tuples(template, block_nodes):
     return tuples
 
 
-def sample_template_tuples(template, nodes_per_type, count, rng_seed):
-    """`count` distinct instance tuples of the template drawn uniformly over
-    the whole (block-free) node range. Used to densify benchmark tensors."""
-    rng = np.random.default_rng(rng_seed)
-    pools = [np.arange(nodes_per_type) for _ in template.node_types]
-    tuples = _sample_tuples(rng, template, pools, count)
-    return np.asarray(sorted(tuples), dtype=np.int32)
-
-
 def generate_planted_hin(config):
     """Build a typed graph with planted block structure.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class Hyperparameters:
         for name in ("inner_tol", "outer_tol", "eps_div", "pgd_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_inner_iters", "max_outer_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -103,6 +107,10 @@ class ModelState:
     motif_types[m][i] is the node-type id of motif m's i-th position and
     factors[m][i] the matching (C, |V_t|) factor. masks maps a type id to its
     (C, |V_t|) binary seed mask. hin is optional and only used for reporting.
+
+    layout[t] holds one (m, i, k) row per position of type t, in motif then
+    position order, where motif m has k positions of type t; position (m, i)
+    enters the consensus of type t with coefficient mu[m] / k.
     """
 
     motif_names: list[str]
@@ -114,6 +122,7 @@ class ModelState:
     hyper: Hyperparameters
     hin: object = None
     type_sizes: dict[int, int] = field(init=False)
+    layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
 
     def __post_init__(self):
         n = len(self.motif_names)
@@ -126,6 +135,7 @@ class ModelState:
         if self.mu.min() < 0 or abs(self.mu.sum() - 1.0) > 1e-9:
             raise ValueError("motif weights must lie on the standard simplex")
         self.type_sizes = {}
+        self.layout = {}
         for m in range(n):
             types = self.motif_types[m]
             if self.tensors[m].order != len(types) or len(self.factors[m]) != len(types):
@@ -142,6 +152,7 @@ class ModelState:
                     )
                 if f.min() < 0:
                     raise ValueError("factors must be non-negative")
+                self.layout.setdefault(t, []).append((m, i, types.count(t)))
         for t, mask in self.masks.items():
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
@@ -162,21 +173,7 @@ class ModelState:
 
     def contributors(self, t):
         """(motif, position) pairs whose factor feeds the consensus of type t."""
-        return [
-            (m, i)
-            for m in range(self.n_motifs())
-            for i, ti in enumerate(self.motif_types[m])
-            if ti == t
-        ]
-
-    def type_multiplicity(self, m, t):
-        return sum(1 for ti in self.motif_types[m] if ti == t)
-
-    def coeff(self, m, i, mu=None):
-        """Consensus coefficient of position (m, i): its motif weight divided
-        by how many positions of the same type that motif has."""
-        mu = self.mu if mu is None else mu
-        return float(mu[m]) / self.type_multiplicity(m, self.motif_types[m][i])
+        return [(m, i) for m, i, _ in self.layout.get(t, ())]
 
     def copy(self):
         return ModelState(
@@ -203,12 +200,12 @@ def neg_part(a):
 
 def consensus(state, t, mu=None):
     """Coefficient-weighted sum of all factors of type t."""
-    pairs = state.contributors(t)
-    if not pairs:
+    if t not in state.layout:
         raise ValueError(f"type {t} appears in no motif and cannot be clustered")
+    mu = state.mu if mu is None else mu
     out = np.zeros((state.hyper.n_clusters, state.type_sizes[t]))
-    for m, i in pairs:
-        out += state.coeff(m, i, mu) * state.factors[m][i]
+    for m, i, k in state.layout[t]:
+        out += float(mu[m]) / k * state.factors[m][i]
     return out
 
 
@@ -219,7 +216,7 @@ def _coupling_terms(state, mu):
     penalty = 0.0
     for t in state.clustered_types():
         cons = consensus(state, t, mu)
-        for m, i in state.contributors(t):
+        for m, i, _ in state.layout[t]:
             diff = state.factors[m][i] - cons
             gap += float(np.vdot(diff, diff))
         mask = state.masks.get(t)
@@ -247,7 +244,8 @@ def update_factor(state, m, i):
     objective and keeps exact zeros at zero. Returns the updated matrix."""
     h = state.hyper
     t = state.motif_types[m][i]
-    eta = state.coeff(m, i)
+    rows = state.layout[t]
+    eta = next(float(state.mu[m]) / k for m2, i2, k in rows if (m2, i2) == (m, i))
     v = state.factors[m][i]
     cons = consensus(state, t)
     theta = h.consensus_weight
@@ -259,7 +257,7 @@ def update_factor(state, m, i):
     mask = state.masks.get(t)
     if mask is not None:
         den += h.mask_penalty * eta * (mask * cons)
-    for m2, i2 in state.contributors(t):
+    for m2, i2, _ in rows:
         if (m2, i2) == (m, i):
             continue
         diff = state.factors[m2][i2] - cons + eta * v
@@ -282,27 +280,26 @@ def motif_weight_gradient(state):
     """Gradient of the coupling terms with respect to the motif weights.
 
     The consensus of type t is linear in the weights; the partial derivative
-    of it along motif l is the mean of l's type-t factors."""
+    of it along motif l is the mean of l's type-t factors. Types are visited
+    in ascending order, so each motif's entry sums its types in that order."""
     h = state.hyper
     grad = np.zeros(state.n_motifs())
-    cons = {t: consensus(state, t) for t in state.clustered_types()}
-    for l in range(state.n_motifs()):
-        total = 0.0
-        for t in sorted(set(state.motif_types[l])):
-            pairs = state.contributors(t)
-            slope = np.zeros_like(cons[t])
-            for m, i in pairs:
-                if m == l:
-                    slope += state.factors[l][i]
-            slope /= state.type_multiplicity(l, t)
-            spread = -len(pairs) * cons[t]
-            for m, i in pairs:
-                spread += state.factors[m][i]
-            total += -2.0 * h.consensus_weight * float(np.vdot(spread, slope))
-            mask = state.masks.get(t)
-            if mask is not None:
-                total += 2.0 * h.mask_penalty * float(np.vdot(mask * cons[t], slope))
-        grad[l] = total
+    for t in state.clustered_types():
+        rows = state.layout[t]
+        cons = consensus(state, t)
+        spread = -len(rows) * cons
+        for m, i, _ in rows:
+            spread += state.factors[m][i]
+        mask = state.masks.get(t)
+        masked = None if mask is None else mask * cons
+        for l, own in groupby(rows, key=lambda row: row[0]):
+            slope = np.zeros_like(cons)
+            for _, i, k in own:
+                slope += state.factors[l][i]
+            slope /= k  # every row of motif l carries its multiplicity
+            grad[l] += -2.0 * h.consensus_weight * float(np.vdot(spread, slope))
+            if masked is not None:
+                grad[l] += 2.0 * h.mask_penalty * float(np.vdot(masked, slope))
     return grad
 
 
@@ -356,14 +353,17 @@ def fit(state):
     objective change drops below outer_tol or the iteration cap is hit.
 
     The returned history holds one record per outer iteration; the objective
-    column is non-increasing by construction of both update types."""
+    column is non-increasing by construction of both update types. The loop
+    evaluates each state's objective once: a motif's sweeps start from the
+    last value computed before them."""
     h = state.hyper
     history = []
-    prev = objective(state).total
+    current = objective(state).total
     converged = False
     for outer in range(1, h.max_outer_iters + 1):
+        prev = current
         for m in range(state.n_motifs()):
-            inner_prev = objective(state).total
+            inner_prev = current
             for _ in range(h.max_inner_iters):
                 for i in range(len(state.motif_types[m])):
                     update_factor(state, m, i)
@@ -373,10 +373,11 @@ def fit(state):
                 inner_prev = current
         optimize_motif_weights(state)
         terms = objective(state)
+        current = terms.total
         history.append(
             IterationRecord(
                 outer,
-                terms.total,
+                current,
                 terms.residual,
                 terms.l1,
                 terms.consensus_gap,
@@ -384,10 +385,9 @@ def fit(state):
                 state.mu.copy(),
             )
         )
-        if abs(prev - terms.total) <= h.outer_tol * max(prev, 1e-300):
+        if abs(prev - current) <= h.outer_tol * max(prev, 1e-300):
             converged = True
             break
-        prev = terms.total
     return FitResult(state, history, converged)
 
 

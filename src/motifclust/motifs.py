@@ -50,12 +50,6 @@ class MotifInstanceSet:
     def __len__(self):
         return int(self.tuples.shape[0])
 
-    def write_tsv(self, path, dims):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("#dims " + " ".join(str(d) for d in dims) + "\n")
-            for row in self.tuples:
-                fh.write("\t".join(str(int(j)) for j in row) + "\n")
-
 
 def parse_motif(spec_text, hin):
     """Parse a motif spec (JSON) and validate it against the HIN's schema.

@@ -5,8 +5,6 @@ cluster count and column ``j`` holds the soft cluster membership of node ``j``.
 The three sparse kernels (`mttkrp_sparse`, `gram_hadamard`, `residual_fro_sq`)
 touch only the nonzero entries and small Gram matrices, so their cost is
 governed by ``nnz`` and the mode sizes rather than the full tensor volume.
-The dense helpers (`dense_reconstruct`, `matricize`) materialize full arrays
-and exist for small-scale verification only.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ import numpy as np
 
 # Indices are stored as int32; any mode larger than this cannot be addressed.
 MAX_INDEX = np.iinfo(np.int32).max
-
-_LETTERS = "abcdefghijklmnopqrstuvwxy"
 
 
 class SparseTensor:
@@ -187,21 +183,3 @@ def residual_fro_sq(x, factors):
     if res < -1e-6 * (1.0 + norm_x + recon):
         raise FloatingPointError(f"residual {res} is negative beyond roundoff")
     return max(res, 0.0)
-
-
-def dense_reconstruct(factors):
-    """Materialize the rank-C reconstruction sum_c outer(V_1[c], ..., V_N[c])."""
-    n = len(factors)
-    if n > len(_LETTERS):
-        raise ValueError("too many modes for dense reconstruction")
-    subs = ",".join(f"z{_LETTERS[i]}" for i in range(n))
-    return np.einsum(f"{subs}->{_LETTERS[:n]}", *factors)
-
-
-def matricize(dense, mode):
-    """Mode-k unfolding: shape (prod of other dims, d_mode); column j is the
-    slice with mode index j, remaining axes flattened in ascending order."""
-    dense = np.asarray(dense)
-    if not 0 <= mode < dense.ndim:
-        raise ValueError(f"mode {mode} out of range for order {dense.ndim}")
-    return np.moveaxis(dense, mode, -1).reshape(-1, dense.shape[mode])

@@ -16,7 +16,6 @@ from motifclust.metrics import (
     generate_planted_hin,
     macro_f1,
     nmi,
-    sample_template_tuples,
 )
 from motifclust.model import (
     Hyperparameters,
@@ -30,16 +29,10 @@ from motifclust.model import (
     update_factor,
 )
 from motifclust.motifs import enumerate_instances, parse_motif, transcribe
-from motifclust.tensors import (
-    SparseTensor,
-    dense_reconstruct,
-    gram_hadamard,
-    matricize,
-    mttkrp_sparse,
-    residual_fro_sq,
-)
+from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 from conftest import random_state
+from oracles import dense_reconstruct, matricize, sample_template_tuples
 from test_model import simplex_oracle
 from test_motifs import brute_force, random_hin, random_motif
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from motifclust.cli import main
+from motifclust.cli import RunConfig, main
+from motifclust.model import Hyperparameters
 
 
 def run_cli(capsys, *argv):
@@ -226,3 +227,51 @@ class TestErrors:
         code, _, err = run_cli(capsys, "transcribe", "--config", str(planted_dir / "run.json"))
         assert code == 1
         assert "line 1" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("key", ["max_outer_iters", "max_inner_iters"])
+    def test_iteration_cap_below_one_rejected(self, planted_dir, capsys, key):
+        cfg_path = planted_dir / "run.json"
+        config = json.loads(cfg_path.read_text())
+        config[key] = 0
+        cfg_path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "fit", "--config", str(cfg_path))
+        assert code == 1 and stdout == ""
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert key in diag["error"]
+
+    def test_missing_clusters_key(self, planted_dir, capsys):
+        cfg_path = planted_dir / "run.json"
+        config = json.loads(cfg_path.read_text())
+        del config["clusters"]
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "fit", "--config", str(cfg_path))
+        assert code == 1
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert "missing config key 'clusters'" in diag["error"]
+
+
+class TestRunConfig:
+    def _write(self, planted_dir, **hyper):
+        config = json.loads((planted_dir / "run.json").read_text())
+        for key in ("clusters", "init_seed", "seed_boost"):
+            del config[key]
+        config.update(hyper)
+        path = planted_dir / "run.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_only_clusters_gives_defaults(self, planted_dir):
+        path = self._write(planted_dir, clusters=4)
+        assert RunConfig.from_json(path).hyper == Hyperparameters(n_clusters=4)
+
+    def test_values_take_the_field_type(self, planted_dir):
+        path = self._write(
+            planted_dir, clusters=3, mask_penalty=5, max_outer_iters=7.0, init_seed=3
+        )
+        hyper = RunConfig.from_json(path).hyper
+        assert hyper == Hyperparameters(
+            n_clusters=3, mask_penalty=5.0, max_outer_iters=7, init_seed=3
+        )
+        assert type(hyper.mask_penalty) is float and type(hyper.max_outer_iters) is int

@@ -9,8 +9,9 @@ from motifclust.metrics import (
     generate_planted_hin,
     macro_f1,
     nmi,
-    sample_template_tuples,
 )
+
+from oracles import sample_template_tuples
 
 
 class TestAccuracy:

@@ -21,9 +21,10 @@ from motifclust.model import (
     update_factor,
 )
 from motifclust.motifs import enumerate_instances, parse_motif, transcribe
-from motifclust.tensors import SparseTensor, dense_reconstruct
+from motifclust.tensors import SparseTensor
 
 from conftest import random_state
+from oracles import dense_reconstruct
 
 
 def dense_objective_oracle(state):
@@ -73,6 +74,14 @@ def simplex_oracle(v):
         if d < best_d:
             best, best_d = np.maximum(x, 0.0), d
     return best
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("name", ["max_inner_iters", "max_outer_iters"])
+    def test_iteration_cap_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            Hyperparameters(n_clusters=2, **{name: 0})
+        assert getattr(Hyperparameters(n_clusters=2, **{name: 1}), name) == 1
 
 
 class TestParts:
@@ -151,13 +160,32 @@ class TestConsensus:
         rng = np.random.default_rng(4)
         state = random_state(rng, n_motifs=3)
         for t in state.clustered_types():
-            total = sum(state.coeff(m, i) for m, i in state.contributors(t))
+            total = sum(float(state.mu[m]) / k for m, _, k in state.layout[t])
             covering = sum(
                 state.mu[m]
                 for m in range(state.n_motifs())
                 if t in state.motif_types[m]
             )
             assert total == pytest.approx(covering, abs=1e-12)
+
+
+    def test_layout_lists_every_position_once(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            state = random_state(rng, n_motifs=3)
+            expected = {
+                t: [
+                    (m, i, ts.count(t))
+                    for m, ts in enumerate(state.motif_types)
+                    for i, tt in enumerate(ts)
+                    if tt == t
+                ]
+                for t in state.clustered_types()
+            }
+            assert state.layout == expected
+            for t in state.clustered_types():
+                assert state.contributors(t) == [(m, i) for m, i, _ in expected[t]]
+        assert state.contributors(99) == []
 
 
 class TestObjective:

@@ -333,12 +333,3 @@ class TestTranscribe:
             expected[combo] = 1.0
         np.testing.assert_array_equal(x.todense(), expected)
         assert x.nnz == len(inst)
-
-    def test_instance_tsv(self, toy_hin, tmp_path):
-        motif = parse_motif(AP_SPEC, toy_hin)
-        inst = enumerate_instances(toy_hin, motif)
-        path = tmp_path / "inst.tsv"
-        inst.write_tsv(path, (3, 4))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "#dims 3 4"
-        assert len(lines) - 1 == len(inst)

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from motifclust.tensors import (
-    SparseTensor,
-    dense_reconstruct,
-    gram_hadamard,
-    matricize,
-    mttkrp_sparse,
-    residual_fro_sq,
-)
+from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 from conftest import random_sparse_tensor
+from oracles import dense_reconstruct, matricize
 
 
 def kr_columns(factors, skip):
