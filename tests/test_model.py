@@ -168,7 +168,6 @@ class TestConsensus:
             )
             assert total == pytest.approx(covering, abs=1e-12)
 
-
     def test_layout_lists_every_position_once(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
