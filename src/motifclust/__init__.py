@@ -3,19 +3,13 @@
 Pipeline: load a typed graph (`hin`), declare motifs and enumerate their
 instances (`motifs`), transcribe the instance sets into binary sparse tensors
 (`tensors`), jointly factorize them under seed guidance (`model`), and score
-the resulting hard labels (`metrics`). `cli` wires the same steps into a
+the resulting hard labels (`metrics`). `planted` generates synthetic typed
+graphs with planted block structure, and `cli` wires the same steps into a
 batch command line.
 """
 
 from .hin import HIN, load_hin, write_hin
-from .metrics import (
-    MotifTemplate,
-    PlantedConfig,
-    accuracy_micro_f1,
-    generate_planted_hin,
-    macro_f1,
-    nmi,
-)
+from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import (
     FitResult,
     Hyperparameters,
@@ -30,6 +24,7 @@ from .model import (
     update_factor,
 )
 from .motifs import Motif, MotifInstanceSet, enumerate_instances, parse_motif, transcribe
+from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from .tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 __version__ = "0.1.0"

@@ -26,19 +26,16 @@ from pathlib import Path
 
 
 from .hin import load_hin, write_hin
-from .metrics import (
-    MotifTemplate,
-    PlantedConfig,
-    accuracy_micro_f1,
-    generate_planted_hin,
-    macro_f1,
-    nmi,
-)
+from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
+from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from .tensors import SparseTensor
 
 EXIT_MAX_ITERS = 3
+RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters", "threads")
+# gen-planted params named other than their PlantedConfig field.
+PARAM_KEYS = {"n_clusters": "clusters", "type_names": "types"}
 
 
 @dataclass
@@ -58,12 +55,14 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         base = path.parent
+        knob_names = {f.name for f in fields(Hyperparameters)} - {"n_clusters"}
+        unknown = sorted(set(raw) - set(RUN_KEYS) - knob_names)
+        if unknown:
+            raise ValueError(f"{path}: unknown config key(s) {unknown}")
 
-        def resolve(key, required=True):
+        def resolve(key):
             if key not in raw:
-                if required:
-                    raise ValueError(f"{path}: missing config key {key!r}")
-                return None
+                raise ValueError(f"{path}: missing config key {key!r}")
             return base / raw[key]
 
         motifs = [base / p for p in raw.get("motifs", [])]
@@ -76,7 +75,7 @@ class RunConfig:
         knobs = {
             f.name: type(f.default)(raw[f.name])
             for f in fields(Hyperparameters)
-            if f.name != "n_clusters" and f.name in raw
+            if f.name in knob_names and f.name in raw
         }
         hyper = Hyperparameters(n_clusters=int(raw["clusters"]), **knobs)
         cfg = cls(
@@ -107,6 +106,21 @@ def _content_key(config, motif_path):
     return h.hexdigest()
 
 
+def _write_atomic(path, write):
+    """`write(tmp)` then rename over `path`, so a crash leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _write_manifest(config, manifest):
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(
+        config.tensor_dir / "manifest.json",
+        lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"),
+    )
+
+
 def _read_manifest(config):
     manifest_path = config.tensor_dir / "manifest.json"
     if manifest_path.is_file():
@@ -133,11 +147,13 @@ def _ensure_tensors(config):
         if entry and entry.get("key") == key and tensor_file.is_file():
             tensors.append(SparseTensor.read_tsv(tensor_file))
             continue
+        if manifest.pop(motif.name, None) is not None:
+            _write_manifest(config, manifest)  # never trust a half-rebuilt entry
         start = time.perf_counter()
         instances = enumerate_instances(hin, motif, threads=config.threads)
         tensor = transcribe(instances, hin)
         elapsed = time.perf_counter() - start
-        tensor.write_tsv(tensor_file)
+        _write_atomic(tensor_file, tensor.write_tsv)
         manifest[motif.name] = {
             "file": tensor_file.name,
             "dims": list(tensor.dims),
@@ -148,9 +164,7 @@ def _ensure_tensors(config):
         tensors.append(tensor)
         rebuilt += 1
     if rebuilt:
-        with open(config.tensor_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_manifest(config, manifest)
     return hin, motifs, tensors
 
 
@@ -167,7 +181,12 @@ def _read_labels_tsv(path):
             node_id, label = parts
             if node_id in out:
                 raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
-            out[node_id] = int(label)
+            try:
+                out[node_id] = int(label)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: cluster index {label!r} is not an integer"
+                ) from None
     return out
 
 
@@ -277,18 +296,18 @@ def _template_from_dict(raw):
 def cmd_gen_planted(args):
     with open(args.params, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    # Each PlantedConfig field is read under its params key, with the type of
+    # its default; absent keys keep the dataclass default.
     kwargs = {}
-    if "templates" in raw:
-        kwargs["templates"] = tuple(_template_from_dict(t) for t in raw["templates"])
-    config = PlantedConfig(
-        n_clusters=int(raw.get("clusters", 3)),
-        nodes_per_type=int(raw.get("nodes_per_type", 60)),
-        type_names=tuple(raw.get("types", ("A", "B", "C"))),
-        noise=float(raw.get("noise", 0.05)),
-        seed_fraction=float(raw.get("seed_fraction", 0.05)),
-        rng_seed=int(raw.get("rng_seed", 0)),
-        **kwargs,
-    )
+    for f in fields(PlantedConfig):
+        key = PARAM_KEYS.get(f.name, f.name)
+        if key not in raw:
+            continue
+        if f.name == "templates":
+            kwargs[f.name] = tuple(_template_from_dict(t) for t in raw[key])
+        else:
+            kwargs[f.name] = type(f.default)(raw[key])
+    config = PlantedConfig(**kwargs)
     data = generate_planted_hin(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

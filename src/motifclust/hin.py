@@ -30,12 +30,32 @@ class EdgeType:
 
 @dataclass(frozen=True)
 class Edge:
-    """Endpoints are (type_id, dense_index); undirected edges are stored in
-    signature order (src of the edge type's src_type side)."""
+    """Endpoints are (type_id, dense_index), stored in `orient` order."""
 
     src: tuple[int, int]
     dst: tuple[int, int]
     etype: int
+
+
+def orient(et, src, dst):
+    """Endpoints of an edge of type `et` in stored order: undirected edges go
+    in signature order, the lower endpoint first when both ends share a type."""
+    if et.directed:
+        return src, dst
+    if et.src_type == et.dst_type:
+        return min(src, dst), max(src, dst)
+    if (src[0], dst[0]) == (et.dst_type, et.src_type):
+        return dst, src
+    return src, dst
+
+
+class EdgeError(ValueError):
+    """An edge that `HIN` refuses; `index` is its position in the input."""
+
+    def __init__(self, index, reason):
+        super().__init__(f"edge {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 class HIN:
@@ -56,22 +76,28 @@ class HIN:
         self.edge_types = list(edge_types)
         self.edge_type_ids = {et.name: i for i, et in enumerate(self.edge_types)}
 
+        # Edge admission, the one home of these rules: stored order fits the
+        # signature (see `orient`), endpoints exist, no self-loops, and a
+        # repeated edge is dropped and counted in `duplicates`.
         seen = set()
-        kept = []
-        for e in edges:
+        self.edges = []
+        self.duplicates = 0
+        for k, e in enumerate(edges):
             et = self.edge_types[e.etype]
-            self._check_endpoint(e.src, et.src_type)
-            self._check_endpoint(e.dst, et.dst_type)
-            if e.src == e.dst:
-                raise ValueError(f"self-loop on node {self.node_name(*e.src)!r}")
-            key = (e.etype, e.src, e.dst)
-            if not et.directed and (e.etype, e.dst, e.src) in seen:
-                continue
+            src, dst = orient(et, e.src, e.dst)
+            if (src[0], dst[0]) != (et.src_type, et.dst_type):
+                raise EdgeError(k, f"edge type {et.name!r} used between incompatible node types")
+            for t, j in (src, dst):
+                if not 0 <= j < len(self.nodes_by_type[t]):
+                    raise EdgeError(k, f"edge references unknown node index {j} of type {t}")
+            if src == dst:
+                raise EdgeError(k, f"self-loop on {self.node_name(*src)!r}")
+            key = (e.etype, src, dst)
             if key in seen:
+                self.duplicates += 1
                 continue
             seen.add(key)
-            kept.append(e)
-        self.edges = kept
+            self.edges.append(e if src == e.src else Edge(src, dst, e.etype))
 
         # Per edge type: forward (src side -> dst indices) and reverse lists.
         self._fwd = [[[] for _ in self.nodes_by_type[et.src_type]] for et in self.edge_types]
@@ -87,13 +113,6 @@ class HIN:
             for lists in adj:
                 for lst in lists:
                     lst.sort()
-
-    def _check_endpoint(self, endpoint, expected_type):
-        t, j = endpoint
-        if t != expected_type:
-            raise ValueError(f"edge endpoint type {t} does not match edge type signature")
-        if not 0 <= j < len(self.nodes_by_type[t]):
-            raise ValueError(f"edge references unknown node index {j} of type {t}")
 
     # -- lookups -------------------------------------------------------------
 
@@ -158,8 +177,8 @@ def _read_lines(path):
 def load_hin(nodes_path, edges_path):
     """Load and validate an HIN from the two TSV files.
 
-    Malformed lines, duplicate node ids, and edges referencing unknown nodes or
-    inconsistent edge-type signatures raise ValueError naming the line.
+    Malformed lines, duplicate node ids, and edges that reference unknown
+    nodes or that `HIN` refuses raise ValueError naming the line.
     """
     type_names = []
     type_ids = {}
@@ -193,8 +212,7 @@ def load_hin(nodes_path, edges_path):
     edge_types = []
     edge_type_ids = {}
     edges = []
-    duplicates = 0
-    seen = set()
+    linenos = []
     for lineno, line in _read_lines(edges_path):
         if not line or line.startswith("#"):
             continue
@@ -210,33 +228,24 @@ def load_hin(nodes_path, edges_path):
                 raise ValueError(f"{edges_path} line {lineno}: unknown node id {nid!r}")
         src = node_index[src_id]
         dst = node_index[dst_id]
-        if src == dst:
-            raise ValueError(f"{edges_path} line {lineno}: self-loop on {src_id!r}")
         if etname not in edge_type_ids:
             edge_type_ids[etname] = len(edge_types)
             edge_types.append(EdgeType(etname, directed, src[0], dst[0]))
         et_id = edge_type_ids[etname]
-        et = edge_types[et_id]
-        if et.directed != directed:
+        if edge_types[et_id].directed != directed:
             raise ValueError(
                 f"{edges_path} line {lineno}: edge type {etname!r} used with inconsistent direction flag"
             )
-        if not directed and (src[0], dst[0]) == (et.dst_type, et.src_type) and src[0] != dst[0]:
-            src, dst = dst, src  # normalize undirected endpoints to signature order
-        if (src[0], dst[0]) != (et.src_type, et.dst_type):
-            raise ValueError(
-                f"{edges_path} line {lineno}: edge type {etname!r} used between incompatible node types"
-            )
-        key = (et_id, src, dst) if directed else (et_id, *sorted((src, dst)))
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
         edges.append(Edge(src, dst, et_id))
-    if duplicates:
-        log.warning("%s: %d duplicate edge(s) dropped", edges_path, duplicates)
+        linenos.append(lineno)
 
-    return HIN(type_names, nodes_by_type, edge_types, edges)
+    try:
+        hin = HIN(type_names, nodes_by_type, edge_types, edges)
+    except EdgeError as exc:
+        raise ValueError(f"{edges_path} line {linenos[exc.index]}: {exc.reason}") from None
+    if hin.duplicates:
+        log.warning("%s: %d duplicate edge(s) dropped", edges_path, hin.duplicates)
+    return hin
 
 
 def write_hin(hin, nodes_path, edges_path):

@@ -6,7 +6,7 @@ verification only and are not part of the package.
 
 import numpy as np
 
-from motifclust.metrics import _sample_tuples
+from motifclust.planted import _sample_tuples
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -33,6 +33,5 @@ def sample_template_tuples(template, nodes_per_type, count, rng_seed):
     """`count` distinct instance tuples of the template drawn uniformly over
     the whole (block-free) node range. Used to densify test tensors."""
     rng = np.random.default_rng(rng_seed)
-    pools = [np.arange(nodes_per_type) for _ in template.node_types]
-    tuples = _sample_tuples(rng, template, pools, count)
+    tuples = _sample_tuples(rng, template, range(nodes_per_type), count)
     return np.asarray(sorted(tuples), dtype=np.int32)

@@ -1,10 +1,28 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+import motifclust.cli as cli
 from motifclust.cli import RunConfig, main
 from motifclust.model import Hyperparameters
+from motifclust.tensors import SparseTensor
+
+PAIR = {"name": "pair", "node_types": ["A", "B"], "edges": [[0, 1, "ab"]]}
+
+# sha256 of every gen-planted output for default params; refactors of the
+# generator must leave them unchanged.
+DEFAULT_OUTPUT_SHA256 = {
+    "edges.tsv": "e679cae2dcfa0101d8fc64706a759411ace5039bcd24d9f68b1a5e48aea8e6b5",
+    "motif_pair.json": "58e123497e168fe8f907762a9d1ecc95bc229f3a7be2616a19f2964b334d821e",
+    "motif_quad.json": "22bc3c50d8cf9ac6cbdee919e1cbcf3f71a7b203edef33a569c5727fe00fdebb",
+    "nodes.tsv": "01b8f1ae831a9ac5c7b31d7881c304c11dab69d499629796656f44a893cf484f",
+    "run.json": "67c751ca398e5845b0aebb94fd59f2d127150241c58bd55c8ff9565d3e6d44c6",
+    "seeds.tsv": "5a3683fd6d108444d5eec786922c4faad4bcdb0302212c8acb4d8ead10d9b43a",
+    "truth.tsv": "4fa7c5a82814f1b2750bdd8168ef3a9c6d5ab3c8216612c8c2f61cb5292d33c4",
+}
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +66,34 @@ class TestGenPlanted:
         lines = (planted_dir / "truth.tsv").read_text().strip().splitlines()
         assert len(lines) == 40
 
+    def test_default_params_outputs_are_pinned(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        out = tmp_path / "data"
+        assert run_cli(capsys, "gen-planted", "--params", str(params), "--out", str(out))[0] == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == DEFAULT_OUTPUT_SHA256
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"noise": -0.5}, "noise must be non-negative"),
+            ({"seed_fraction": 2}, r"seed_fraction must be in \[0, 1\]"),
+            ({"seed_fraction": -0.1}, r"seed_fraction must be in \[0, 1\]"),
+            ({"templates": [dict(PAIR, instances_per_block=-5)]}, "non-negative integer or null"),
+            ({"templates": [dict(PAIR, instances_per_block=2.5)]}, "non-negative integer or null"),
+        ],
+    )
+    def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "data"
+        code, stdout, err = run_cli(capsys, "gen-planted", "--params", str(path), "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert re.search(message, diag["error"])
+
 
 class TestTranscribe:
     def test_writes_tensor_and_manifest(self, planted_dir, capsys):
@@ -73,11 +119,43 @@ class TestTranscribe:
     def test_rerun_uses_cache_and_outputs_identical(self, planted_dir, capsys):
         config = planted_dir / "run.json"
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
-        manifest_file = planted_dir / "tensors" / "manifest.json"
-        before = (tensor_file.read_bytes(), manifest_file.read_bytes())
+
+        def snapshot():  # a warm run writes nothing, not even the same bytes
+            return {
+                p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in (planted_dir / "tensors").iterdir()
+            }
+
+        before = snapshot()
+        assert set(before) == {"tensor_pair.tsv", "manifest.json"}
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        assert (tensor_file.read_bytes(), manifest_file.read_bytes()) == before
+        assert snapshot() == before
+
+    def test_crash_mid_rebuild_is_not_served_after_revert(self, planted_dir, capsys, monkeypatch):
+        config = planted_dir / "run.json"
+        edges = planted_dir / "edges.tsv"
+        tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        tensor_a, edges_a = tensor_file.read_bytes(), edges.read_text()
+        edges.write_text("".join(edges_a.splitlines(keepends=True)[:-1]))  # inputs B
+
+        def die_mid_write(tensor, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(SparseTensor, "write_tsv", die_mid_write)
+            assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 1
+        edges.write_text(edges_a)  # back to inputs A
+        enumerated = []
+        real = cli.enumerate_instances
+        monkeypatch.setattr(
+            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        )
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert enumerated == [1]  # rebuilt, not served from the cache
+        assert tensor_file.read_bytes() == tensor_a
 
     def test_cache_invalidated_by_input_change(self, planted_dir, capsys):
         config = planted_dir / "run.json"
@@ -207,6 +285,14 @@ class TestEvaluate:
         )
         assert json.loads(out_incl)["n_evaluated"] == 3
 
+    def test_non_integer_label_names_file_and_line(self, tmp_path, capsys):
+        pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", "x")])
+        truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
+        code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert f"{pred} line 2" in error and "'x'" in error
+
     def test_id_mismatch_errors(self, tmp_path, capsys):
         pred = self.write(tmp_path / "p.tsv", [("a", 0)])
         truth = self.write(tmp_path / "t.tsv", [("b", 0)])
@@ -250,6 +336,18 @@ class TestErrors:
         diag = json.loads(err)
         assert diag["type"] == "ValueError"
         assert "missing config key 'clusters'" in diag["error"]
+
+
+    def test_unknown_config_key_rejected(self, planted_dir, capsys):
+        cfg_path = planted_dir / "run.json"
+        config = json.loads(cfg_path.read_text())
+        config["max_outer_iter"] = 2  # misspelt max_outer_iters
+        cfg_path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "fit", "--config", str(cfg_path))
+        assert code == 1 and stdout == ""
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert "unknown config key" in diag["error"] and "max_outer_iter" in diag["error"]
 
 
 class TestRunConfig:

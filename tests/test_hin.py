@@ -2,7 +2,7 @@ import logging
 
 import pytest
 
-from motifclust.hin import load_hin, write_hin
+from motifclust.hin import HIN, Edge, EdgeError, EdgeType, load_hin, write_hin
 
 from conftest import TOY_EDGES, TOY_NODES
 
@@ -102,12 +102,51 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="incompatible node types"):
             load_hin(*write_pair(tmp_path, nodes, edges))
 
+    def test_admission_errors_name_their_line(self, tmp_path):
+        nodes = "a1\tA\np1\tP\nt1\tT\n"
+        with pytest.raises(ValueError, match=r"e\.tsv line 3: self-loop on 'p1'"):
+            load_hin(*write_pair(tmp_path, nodes, "# c\na1\tp1\tw\tu\np1\tp1\tv\tu\n"))
+        with pytest.raises(ValueError, match=r"e\.tsv line 3: edge type 'w' used between incompatible"):
+            load_hin(*write_pair(tmp_path, nodes, "a1\tp1\tw\tu\n\na1\tt1\tw\tu\n"))
+
     def test_duplicate_edges_warn_and_dedup(self, tmp_path, caplog):
         edges = "a1\tp1\tw\tu\np1\ta1\tw\tu\n"
         with caplog.at_level(logging.WARNING, logger="motifclust.hin"):
             hin = load_hin(*write_pair(tmp_path, "a1\tA\np1\tP\n", edges))
         assert len(hin.edges) == 1
         assert any("duplicate" in rec.message for rec in caplog.records)
+
+
+class TestAdmission:
+    def test_undirected_edges_stored_in_orient_order_once(self):
+        edge_types = [EdgeType("w", False, 0, 1), EdgeType("rel", False, 1, 1)]
+        edges = [
+            Edge((1, 0), (0, 0), 0),
+            Edge((0, 0), (1, 0), 0),
+            Edge((1, 1), (1, 0), 1),
+            Edge((1, 0), (1, 1), 1),
+        ]
+        hin = HIN(["A", "P"], [["a1"], ["p1", "p2"]], edge_types, edges)
+        assert hin.edges == [Edge((0, 0), (1, 0), 0), Edge((1, 0), (1, 1), 1)]
+        assert hin.duplicates == 2
+
+    def test_directed_edges_keep_their_direction(self):
+        edge_types = [EdgeType("cites", True, 0, 0), EdgeType("by", True, 0, 1)]
+        edges = [Edge((0, 1), (0, 0), 0), Edge((0, 0), (0, 1), 0)]
+        hin = HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges)
+        assert hin.edges == edges and hin.duplicates == 0
+        with pytest.raises(EdgeError, match="incompatible node types") as info:
+            HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges + [Edge((1, 0), (0, 0), 1)])
+        assert info.value.index == 2
+
+    @pytest.mark.parametrize(
+        "edge, reason",
+        [(Edge((0, 1), (0, 1), 0), "self-loop"), (Edge((0, 0), (0, 5), 0), "unknown node index")],
+    )
+    def test_refused_edge_reports_its_index(self, edge, reason):
+        with pytest.raises(EdgeError, match=reason) as info:
+            HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], [Edge((0, 0), (0, 1), 0), edge])
+        assert info.value.index == 1 and isinstance(info.value, ValueError)
 
 
 class TestProperties:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from motifclust.metrics import (
+from motifclust.metrics import accuracy_micro_f1, macro_f1, nmi
+from motifclust.planted import (
     MotifTemplate,
     PlantedConfig,
-    accuracy_micro_f1,
     default_templates,
     generate_planted_hin,
-    macro_f1,
-    nmi,
 )
 
 from oracles import sample_template_tuples

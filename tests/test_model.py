@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifclust.metrics import MotifTemplate, PlantedConfig, generate_planted_hin
+from motifclust.planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from motifclust.model import (
     Hyperparameters,
     ModelState,
