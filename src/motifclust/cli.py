@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -36,6 +37,12 @@ EXIT_MAX_ITERS = 3
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters", "threads")
 # gen-planted params named other than their PlantedConfig field.
 PARAM_KEYS = {"n_clusters": "clusters", "type_names": "types"}
+# Hashed into every tensor cache key: a change to the tensor file format or
+# to what a tensor means must change this, so no older file is served.
+CACHE_FORMAT = b"tsv-1"
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -99,7 +106,7 @@ def _fmt(x):
 
 
 def _content_key(config, motif_path):
-    h = hashlib.sha256()
+    h = hashlib.sha256(CACHE_FORMAT + b"\x00")
     for p in (config.nodes, config.edges, motif_path):
         h.update(p.read_bytes())
         h.update(b"\x00")
@@ -109,7 +116,11 @@ def _content_key(config, motif_path):
 def _write_atomic(path, write):
     """`write(tmp)` then rename over `path`, so a crash leaves the old file."""
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -145,14 +156,19 @@ def _ensure_tensors(config):
         entry = manifest.get(motif.name)
         tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
         if entry and entry.get("key") == key and tensor_file.is_file():
+            log.info("motif %r: tensor read from cache", motif.name)
             tensors.append(SparseTensor.read_tsv(tensor_file))
             continue
+        if not rebuilt:
+            for stale in config.tensor_dir.glob("*.tmp"):
+                stale.unlink()  # left by a run killed mid-write
         if manifest.pop(motif.name, None) is not None:
             _write_manifest(config, manifest)  # never trust a half-rebuilt entry
         start = time.perf_counter()
         instances = enumerate_instances(hin, motif, threads=config.threads)
         tensor = transcribe(instances, hin)
         elapsed = time.perf_counter() - start
+        log.info("motif %r: %d nonzeros transcribed in %.3f s", motif.name, tensor.nnz, elapsed)
         _write_atomic(tensor_file, tensor.write_tsv)
         manifest[motif.name] = {
             "file": tensor_file.name,
@@ -284,11 +300,16 @@ def cmd_evaluate(args):
 
 
 def _template_from_dict(raw):
+    unknown = sorted(set(raw) - {f.name for f in fields(MotifTemplate)})
+    if unknown:
+        raise ValueError(f"template {raw.get('name')!r}: unknown template key(s) {unknown}")
+    if not isinstance(raw.get("signal", True), bool):
+        raise ValueError(f"template {raw.get('name')!r}: signal must be true or false")
     return MotifTemplate(
         name=raw["name"],
         node_types=tuple(raw["node_types"]),
         edges=tuple((int(i), int(j), et) for i, j, et in raw["edges"]),
-        signal=bool(raw.get("signal", True)),
+        signal=raw.get("signal", True),
         instances_per_block=raw.get("instances_per_block"),
     )
 
@@ -296,6 +317,9 @@ def _template_from_dict(raw):
 def cmd_gen_planted(args):
     with open(args.params, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    unknown = sorted(set(raw) - {PARAM_KEYS.get(f.name, f.name) for f in fields(PlantedConfig)})
+    if unknown:
+        raise ValueError(f"{args.params}: unknown params key(s) {unknown}")
     # Each PlantedConfig field is read under its params key, with the type of
     # its default; absent keys keep the dataclass default.
     kwargs = {}
@@ -358,6 +382,10 @@ def build_parser():
         prog="motifclust",
         description="Seed-guided clustering of typed graphs via motif tensors",
     )
+    parser.add_argument(
+        "--log-level", choices=LOG_LEVELS, default="WARNING",
+        help="level of the motifclust log messages written to stderr (default: WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transcribe", help="enumerate motifs and write tensor files")
@@ -384,8 +412,26 @@ def build_parser():
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever `sys.stderr` is when a record is emitted."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    package_log = logging.getLogger(__package__)
+    package_log.setLevel(args.log_level)
+    package_log.addHandler(_LOG_HANDLER)  # a no-op when main runs again
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -21,7 +21,9 @@ from itertools import groupby
 
 import numpy as np
 
-from .tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
+from .tensors import (
+    SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq, residual_from_mode,
+)
 
 log = logging.getLogger(__name__)
 
@@ -226,12 +228,15 @@ def _coupling_terms(state, mu):
     return h.consensus_weight * gap, h.mask_penalty * penalty
 
 
-def objective(state, mu=None):
+def objective(state, mu=None, residual=None):
     """All four objective terms at the current factors (and optionally a
-    candidate weight vector). Non-negative and finite on valid states."""
-    residual = sum(
-        residual_fro_sq(state.tensors[m], state.factors[m]) for m in range(state.n_motifs())
-    )
+    candidate weight vector). Non-negative and finite on valid states.
+    `residual` is the summed reconstruction residual of all motifs when the
+    caller already knows it; otherwise every tensor's is computed."""
+    if residual is None:
+        residual = sum(
+            residual_fro_sq(state.tensors[m], state.factors[m]) for m in range(state.n_motifs())
+        )
     l1 = state.hyper.l1_weight * sum(
         float(f.sum()) for fs in state.factors for f in fs
     )
@@ -239,9 +244,11 @@ def objective(state, mu=None):
     return ObjectiveTerms(residual, l1, gap, penalty)
 
 
-def update_factor(state, m, i):
+def update_factor(state, m, i, mttkrp=None, gram=None):
     """One multiplicative update of factor (m, i); never increases the
-    objective and keeps exact zeros at zero. Returns the updated matrix."""
+    objective and keeps exact zeros at zero. Returns the updated matrix.
+    `mttkrp` (d, C) and `gram` (C, C) are mode i's `mttkrp_sparse` and
+    `gram_hadamard` of motif m when the caller has them already."""
     h = state.hyper
     t = state.motif_types[m][i]
     rows = state.layout[t]
@@ -250,9 +257,13 @@ def update_factor(state, m, i):
     cons = consensus(state, t)
     theta = h.consensus_weight
 
-    num = mttkrp_sparse(state.tensors[m], state.factors[m], i).T.copy()
+    if mttkrp is None:
+        mttkrp = mttkrp_sparse(state.tensors[m], state.factors[m], i)
+    num = mttkrp.T.copy()
     num += theta * (1.0 - eta) * (cons - eta * v)
-    den = gram_hadamard(state.factors[m], i) @ v
+    if gram is None:
+        gram = gram_hadamard(state.factors[m], i)
+    den = gram @ v
     den += theta * (1.0 - eta) ** 2 * v
     mask = state.masks.get(t)
     if mask is not None:
@@ -274,6 +285,19 @@ def update_factor(state, m, i):
         )
     state.factors[m][i] = updated
     return updated
+
+
+def _sweep(state, m):
+    """Update every factor of motif m once, in position order, and return
+    m's residual afterwards. It comes from the MTTKRP and Gram product of
+    the last update: no other factor of m moves after they are computed."""
+    x, factors = state.tensors[m], state.factors[m]
+    last = len(factors) - 1
+    for i in range(last):
+        update_factor(state, m, i)
+    mttkrp, gram = mttkrp_sparse(x, factors, last), gram_hadamard(factors, last)
+    updated = update_factor(state, m, last, mttkrp, gram)
+    return residual_from_mode(x, updated, mttkrp, gram)
 
 
 def motif_weight_gradient(state):
@@ -315,16 +339,18 @@ def project_simplex(v):
     return np.maximum(v - shifted[k] / ranks[k], 0.0)
 
 
-def optimize_motif_weights(state):
+def optimize_motif_weights(state, fixed=None):
     """Projected gradient descent on the motif weights with factors fixed.
 
     Each step halves the trial step until the objective does not increase;
     stops at the relative-change tolerance, a vanishing step, or the inner
-    iteration cap. The subproblem is convex, so this reaches its optimum."""
+    iteration cap. The subproblem is convex, so this reaches its optimum.
+    Factors are fixed here, so terms 1 and 2 are constant during the search:
+    `fixed` is their sum when the caller knows it, else it is computed."""
     h = state.hyper
-    # Factors are fixed here, so terms 1 and 2 are constant during the search.
-    base = objective(state)
-    fixed = base.residual + base.l1
+    if fixed is None:
+        base = objective(state)
+        fixed = base.residual + base.l1
     prev = fixed + sum(_coupling_terms(state, state.mu))
     for _ in range(h.max_inner_iters):
         grad = motif_weight_gradient(state)
@@ -355,24 +381,30 @@ def fit(state):
     The returned history holds one record per outer iteration; the objective
     column is non-increasing by construction of both update types. The loop
     evaluates each state's objective once: a motif's sweeps start from the
-    last value computed before them."""
+    last value computed before them. Each motif's residual is computed over
+    its nonzeros once, at the start, and cached: a sweep of motif m replaces
+    entry m with the residual it gets from its own kernels, and no other
+    entry goes stale, since the sweep and the weight step move no other
+    motif's factors."""
     h = state.hyper
     history = []
-    current = objective(state).total
+    residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]
+    terms = objective(state, residual=sum(residuals))
+    current = terms.total
     converged = False
     for outer in range(1, h.max_outer_iters + 1):
         prev = current
         for m in range(state.n_motifs()):
             inner_prev = current
             for _ in range(h.max_inner_iters):
-                for i in range(len(state.motif_types[m])):
-                    update_factor(state, m, i)
-                current = objective(state).total
+                residuals[m] = _sweep(state, m)
+                terms = objective(state, residual=sum(residuals))
+                current = terms.total
                 if abs(inner_prev - current) <= h.inner_tol * max(inner_prev, 1e-300):
                     break
                 inner_prev = current
-        optimize_motif_weights(state)
-        terms = objective(state)
+        optimize_motif_weights(state, terms.residual + terms.l1)
+        terms = objective(state, residual=terms.residual)
         current = terms.total
         history.append(
             IterationRecord(
@@ -385,9 +417,14 @@ def fit(state):
                 state.mu.copy(),
             )
         )
+        log.debug("iteration %d: objective %.12g, residual %.12g", outer, current, terms.residual)
         if abs(prev - current) <= h.outer_tol * max(prev, 1e-300):
             converged = True
             break
+    log.info(
+        "fit %s after %d outer iteration(s)",
+        "converged" if converged else "stopped at the iteration cap", len(history),
+    )
     return FitResult(state, history, converged)
 
 

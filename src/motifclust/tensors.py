@@ -5,9 +5,13 @@ cluster count and column ``j`` holds the soft cluster membership of node ``j``.
 The three sparse kernels (`mttkrp_sparse`, `gram_hadamard`, `residual_fro_sq`)
 touch only the nonzero entries and small Gram matrices, so their cost is
 governed by ``nnz`` and the mode sizes rather than the full tensor volume.
+`residual_from_mode` gets the same residual from one mode's MTTKRP and Gram
+product without another pass over the nonzeros.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +55,11 @@ class SparseTensor:
     @property
     def nnz(self):
         return int(self.values.shape[0])
+
+    @cached_property
+    def norm_sq(self):
+        """||X||^2, computed on first use and kept."""
+        return float(self.values @ self.values)
 
     @classmethod
     def empty(cls, dims):
@@ -162,16 +171,23 @@ def gram_hadamard(factors, mode=None):
     return out
 
 
+def _combine_residual(norm_x, cross, recon):
+    """||X||^2 - 2<X, [[V]]> + ||[[V]]||^2, with tiny negative results from
+    cancellation clamped to zero and larger ones raised as an error."""
+    res = norm_x - 2.0 * cross + recon
+    if res < -1e-6 * (1.0 + norm_x + recon):
+        raise FloatingPointError(f"residual {res} is negative beyond roundoff")
+    return max(res, 0.0)
+
+
 def residual_fro_sq(x, factors):
     """Squared Frobenius norm of (X minus its rank-C reconstruction).
 
     Evaluated without materializing the reconstruction:
     ||X||^2 - 2 * sum over nonzeros of value * sum_c prod_i V_i[c, j_i]
     plus the total sum of the all-factor Gram Hadamard product.
-    Tiny negative results from cancellation are clamped to zero.
     """
     c = _check_factors(x, factors)
-    norm_x = float(x.values @ x.values)
     cross = 0.0
     if x.nnz:
         prod = np.ones((x.nnz, c))
@@ -179,7 +195,18 @@ def residual_fro_sq(x, factors):
             prod *= f.T[x.indices[:, i], :]
         cross = float(x.values @ prod.sum(axis=1))
     recon = float(gram_hadamard(factors).sum())
-    res = norm_x - 2.0 * cross + recon
-    if res < -1e-6 * (1.0 + norm_x + recon):
-        raise FloatingPointError(f"residual {res} is negative beyond roundoff")
-    return max(res, 0.0)
+    return _combine_residual(x.norm_sq, cross, recon)
+
+
+def residual_from_mode(x, factor, mttkrp, gram):
+    """`residual_fro_sq` from the kernels of one mode, with no nonzero pass.
+
+    `mttkrp` and `gram` are `mttkrp_sparse` and `gram_hadamard` of that mode,
+    computed from the other factors, and `factor` is the mode's (C, d) factor,
+    which they do not depend on. Then <X, [[V]]> = <mttkrp, factor^T> and
+    ||[[V]]||^2 = sum(gram * factor factor^T) (the fit computation of
+    Bader & Kolda's `cp_als`).
+    """
+    cross = float(np.sum(mttkrp.T * factor))
+    recon = float((gram * (factor @ factor.T)).sum())
+    return _combine_residual(x.norm_sq, cross, recon)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 
 import numpy as np
@@ -82,6 +83,14 @@ class TestGenPlanted:
             ({"seed_fraction": -0.1}, r"seed_fraction must be in \[0, 1\]"),
             ({"templates": [dict(PAIR, instances_per_block=-5)]}, "non-negative integer or null"),
             ({"templates": [dict(PAIR, instances_per_block=2.5)]}, "non-negative integer or null"),
+            ({"nodes_per_typ": 30}, r"unknown params key\(s\) \['nodes_per_typ'\]"),
+            ({"templates": [dict(PAIR, instance_per_block=3)]}, r"unknown template key\(s\)"),
+            ({"templates": [dict(PAIR, signal="false")]}, "signal must be true or false"),
+            ({"templates": [dict(PAIR, signal=0)]}, "signal must be true or false"),
+            (  # both typos at once used to run with defaults and planted signal
+                {"nodes_per_typ": 30, "templates": [dict(PAIR, signal="false")]},
+                "unknown params key",
+            ),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -93,6 +102,23 @@ class TestGenPlanted:
         diag = json.loads(err)
         assert diag["type"] == "ValueError"
         assert re.search(message, diag["error"])
+
+
+    def test_every_params_key_accepted(self, tmp_path, capsys):
+        params = {
+            "clusters": 2, "nodes_per_type": 12, "types": ["A", "B"], "noise": 0.1,
+            "seed_fraction": 0.2, "rng_seed": 3,
+            "templates": [
+                PAIR,
+                {"name": "noise", "node_types": ["A", "B"], "edges": [[0, 1, "n_ab"]],
+                 "signal": False, "instances_per_block": 5},
+            ],
+        }
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "data"
+        code, stdout, _ = run_cli(capsys, "gen-planted", "--params", str(path), "--out", str(out))
+        assert code == 0 and json.loads(stdout)["nodes"] == 24
 
 
 class TestTranscribe:
@@ -147,6 +173,7 @@ class TestTranscribe:
         with monkeypatch.context() as m:
             m.setattr(SparseTensor, "write_tsv", die_mid_write)
             assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 1
+        assert not tensor_file.with_name("tensor_pair.tsv.tmp").exists()
         edges.write_text(edges_a)  # back to inputs A
         enumerated = []
         real = cli.enumerate_instances
@@ -156,6 +183,40 @@ class TestTranscribe:
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert enumerated == [1]  # rebuilt, not served from the cache
         assert tensor_file.read_bytes() == tensor_a
+
+    def test_rebuild_removes_leftover_temp_files(self, planted_dir, capsys):
+        config = planted_dir / "run.json"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        # as from a run killed mid-write of a motif no longer configured
+        leftover = planted_dir / "tensors" / "tensor_retired.tsv.tmp"
+        leftover.write_text("partial")
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert leftover.exists()  # a warm run touches nothing
+        edges = planted_dir / "edges.tsv"
+        edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert not leftover.exists()
+
+    def test_tagless_key_is_rebuilt(self, planted_dir, capsys, monkeypatch):
+        """A manifest entry keyed without the cache format tag is not served."""
+        config = planted_dir / "run.json"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        manifest_file = planted_dir / "tensors" / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        h = hashlib.sha256()
+        for name in ("nodes.tsv", "edges.tsv", "motif_pair.json"):
+            h.update((planted_dir / name).read_bytes())
+            h.update(b"\x00")
+        manifest["pair"]["key"] = h.hexdigest()
+        manifest_file.write_text(json.dumps(manifest))
+        enumerated = []
+        real = cli.enumerate_instances
+        monkeypatch.setattr(
+            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        )
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert enumerated == [1]
+        assert json.loads(manifest_file.read_text())["pair"]["key"] != h.hexdigest()
 
     def test_cache_invalidated_by_input_change(self, planted_dir, capsys):
         config = planted_dir / "run.json"
@@ -348,6 +409,25 @@ class TestErrors:
         diag = json.loads(err)
         assert diag["type"] == "ValueError"
         assert "unknown config key" in diag["error"] and "max_outer_iter" in diag["error"]
+
+
+class TestLogLevel:
+    def test_info_reaches_stderr_without_stacking(self, planted_dir, capsys):
+        config = str(planted_dir / "run.json")
+        package_log = logging.getLogger("motifclust")
+        handlers = None
+        for message in ("transcribed", "read from cache", "read from cache"):
+            code, _, err = run_cli(capsys, "--log-level", "INFO", "transcribe", "--config", config)
+            assert code == 0
+            lines = err.splitlines()
+            assert len(lines) == 1 and message in lines[0]  # one motif, one line
+            handlers = handlers or list(package_log.handlers)
+            assert package_log.handlers == handlers
+        code, _, err = run_cli(capsys, "--log-level", "DEBUG", "fit", "--config", config)
+        assert "iteration 1: objective" in err and "fit " in err
+        code, _, err = run_cli(capsys, "fit", "--config", config)  # default WARNING
+        assert code in (0, 3) and err == ""
+        assert package_log.handlers == handlers
 
 
 class TestRunConfig:

@@ -4,7 +4,9 @@ The references below rederive the model structure on every call, evaluate
 the objective at the start of every motif's sweeps and build each type's
 consensus once per motif. The package computes the same floating-point
 expressions in the same order, so results must be equal bit for bit, not
-merely close.
+merely close. The one exception is the residual: `fit` takes it from each
+sweep's own kernels instead of a full pass over the nonzeros, so the
+objective terms it records match the reference to 1e-9 relative.
 """
 
 import numpy as np
@@ -20,9 +22,10 @@ from motifclust.model import (
     optimize_motif_weights,
     update_factor,
 )
-from motifclust.tensors import SparseTensor
+from motifclust.tensors import SparseTensor, residual_fro_sq
 
 from conftest import random_state
+from oracles import dense_reconstruct
 
 
 def reference_contributors(state, t):
@@ -158,7 +161,7 @@ def test_fit_equals_reference(state):
     for rec, (terms, weights) in zip(result.history, expected):
         got = [rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty]
         want = [terms.total, terms.residual, terms.l1, terms.consensus_gap, terms.seed_penalty]
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
         assert np.array_equal(rec.weights, weights)
     assert np.array_equal(state.mu, ref.mu)
     for fs, ref_fs in zip(state.factors, ref.factors):
@@ -166,22 +169,110 @@ def test_fit_equals_reference(state):
             assert np.array_equal(f, ref_f)
 
 
+def single_motif_state(x, factors, **hyper):
+    return ModelState(
+        motif_names=["m"],
+        motif_types=[tuple(range(x.order))],
+        tensors=[x],
+        factors=[factors],
+        mu=np.array([1.0]),
+        masks={},
+        hyper=Hyperparameters(n_clusters=factors[0].shape[0], **hyper),
+    )
+
+
+def sweep_cases():
+    rng = np.random.default_rng(31)
+    out = [random_state(rng, n_motifs=2) for _ in range(4)]
+    out.append(repeated_type_state(rng, with_mask=True))
+    out.append(single_motif_state(  # order 1
+        SparseTensor.from_tuples((7,), [(0,), (3,), (5,)]), [rng.uniform(0.1, 1.1, (3, 7))]
+    ))
+    out.append(single_motif_state(  # no nonzeros
+        SparseTensor.empty((4, 5)), [rng.uniform(0.1, 1.1, (2, d)) for d in (4, 5)]
+    ))
+    return out
+
+
+@pytest.mark.parametrize("state", sweep_cases())
+def test_sweep_residual_equals_full_pass(state):
+    for _ in range(3):
+        for m in range(state.n_motifs()):
+            got = model._sweep(state, m)
+            want = residual_fro_sq(state.tensors[m], state.factors[m])
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_sweep_residual_near_exact_fit():
+    """An exactly factorable tensor fit by its own factors: the residual
+    cancels to roundoff, and both forms clamp it the same way, without
+    raising."""
+    rng = np.random.default_rng(32)
+    factors = [rng.uniform(0.1, 1.1, (2, d)) for d in (4, 3, 5)]
+    dense = dense_reconstruct(factors)
+    idx = np.argwhere(dense > 0)
+    x = SparseTensor(dense.shape, idx, dense[tuple(idx.T)])
+    state = single_motif_state(
+        x, [f.copy() for f in factors], consensus_weight=0.0, mask_penalty=0.0, l1_weight=0.0
+    )
+    for _ in range(3):
+        got = model._sweep(state, 0)
+        want = residual_fro_sq(x, state.factors[0])
+        assert 0.0 <= got <= 1e-9 * x.norm_sq
+        assert 0.0 <= want <= 1e-9 * x.norm_sq
+
+
+@pytest.mark.parametrize("state", states())
+def test_history_residual_equals_full_pass(state, monkeypatch):
+    """The cached residuals never go stale: after each weight step (which
+    moves no factor) the recorded residual is the full pass over the state."""
+    full = []
+    real_weights = model.optimize_motif_weights
+
+    def recording_weights(state, fixed=None):
+        out = real_weights(state, fixed)
+        full.append(sum(residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)))
+        return out
+
+    monkeypatch.setattr(model, "optimize_motif_weights", recording_weights)
+    result = fit(state)
+    assert len(full) == len(result.history)
+    for rec, want in zip(result.history, full):
+        np.testing.assert_allclose(rec.residual, want, rtol=1e-9, atol=0)
+
+
 def test_fit_evaluates_each_state_once(monkeypatch):
-    """One objective for the initial state, one per inner sweep, and two per
-    outer iteration: inside the weight step and after it."""
-    calls = {"objective": 0, "sweeps": 0}
+    """One objective for the initial state, one per inner sweep and one per
+    outer iteration, after the weight step; one MTTKRP per factor update;
+    one full residual pass per motif for the whole fit."""
+    calls = {"objective": 0, "sweeps": 0, "updates": 0, "mttkrp": 0, "residual": 0}
     real_objective, real_update = model.objective, model.update_factor
+    real_mttkrp, real_residual = model.mttkrp_sparse, model.residual_fro_sq
 
-    def counting_objective(state, mu=None):
+    def counting_objective(state, mu=None, residual=None):
         calls["objective"] += 1
-        return real_objective(state, mu)
+        return real_objective(state, mu, residual)
 
-    def counting_update(state, m, i):
+    def counting_update(state, m, i, *kernels):
         calls["sweeps"] += i == 0
-        return real_update(state, m, i)
+        calls["updates"] += 1
+        return real_update(state, m, i, *kernels)
+
+    def counting_mttkrp(x, factors, mode):
+        calls["mttkrp"] += 1
+        return real_mttkrp(x, factors, mode)
+
+    def counting_residual(x, factors):
+        calls["residual"] += 1
+        return real_residual(x, factors)
 
     monkeypatch.setattr(model, "objective", counting_objective)
     monkeypatch.setattr(model, "update_factor", counting_update)
+    monkeypatch.setattr(model, "mttkrp_sparse", counting_mttkrp)
+    monkeypatch.setattr(model, "residual_fro_sq", counting_residual)
     state = repeated_type_state(np.random.default_rng(7), with_mask=True)
     result = fit(state)
-    assert calls["objective"] == 1 + calls["sweeps"] + 2 * len(result.history)
+    assert calls["sweeps"] > len(result.history) > 1
+    assert calls["objective"] == 1 + calls["sweeps"] + len(result.history)
+    assert calls["mttkrp"] == calls["updates"]
+    assert calls["residual"] == state.n_motifs()

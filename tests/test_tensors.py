@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
+from motifclust.tensors import (
+    SparseTensor,
+    gram_hadamard,
+    mttkrp_sparse,
+    residual_fro_sq,
+    residual_from_mode,
+)
 
 from conftest import random_sparse_tensor
 from oracles import dense_reconstruct, matricize
@@ -164,6 +170,57 @@ class TestResidual:
         idx = np.argwhere(dense != 0)
         x = SparseTensor((4, 5), idx, dense[tuple(idx.T)])
         assert residual_fro_sq(x, f) <= 1e-10
+
+
+class TestResidualFromMode:
+    """The residual from one mode's MTTKRP and Gram equals the full pass."""
+
+    @staticmethod
+    def from_mode(x, f, mode):
+        return residual_from_mode(
+            x, f[mode], mttkrp_sparse(x, f, mode), gram_hadamard(f, mode)
+        )
+
+    def test_matches_full_pass_every_mode(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            order = int(rng.integers(1, 5))
+            dims = tuple(int(d) for d in rng.integers(2, 8, size=order))
+            x = random_sparse_tensor(rng, dims, int(rng.integers(0, 20)))
+            f = random_factors(rng, dims, int(rng.integers(1, 4)))
+            want = residual_fro_sq(x, f)
+            for mode in range(order):
+                np.testing.assert_allclose(self.from_mode(x, f, mode), want, rtol=1e-9, atol=0)
+
+    def test_empty_tensor(self):
+        rng = np.random.default_rng(22)
+        x = SparseTensor.empty((3, 4))
+        f = random_factors(rng, (3, 4), 2)
+        np.testing.assert_allclose(self.from_mode(x, f, 1), residual_fro_sq(x, f), rtol=1e-9, atol=0)
+
+    def test_near_exact_fit_clamps_to_zero(self):
+        rng = np.random.default_rng(10)
+        f = random_factors(rng, (4, 5, 3), 2)
+        dense = dense_reconstruct(f)
+        idx = np.argwhere(dense != 0)
+        x = SparseTensor((4, 5, 3), idx, dense[tuple(idx.T)])
+        for mode in range(3):
+            got = self.from_mode(x, f, mode)
+            assert 0.0 <= got <= 1e-10
+
+    def test_negative_beyond_roundoff_raises(self):
+        # an MTTKRP that does not belong to the factors breaks the identity
+        rng = np.random.default_rng(23)
+        x = random_sparse_tensor(rng, (4, 5), 10)
+        f = random_factors(rng, (4, 5), 2)
+        mk = 10.0 * mttkrp_sparse(x, f, 1)
+        with pytest.raises(FloatingPointError, match="negative beyond roundoff"):
+            residual_from_mode(x, f[1], mk, gram_hadamard(f, 1))
+
+    def test_norm_is_kept(self):
+        x = SparseTensor((2, 2), [[0, 0], [1, 1]], [3.0, 4.0])
+        assert x.norm_sq == 25.0
+        assert x.__dict__["norm_sq"] == 25.0  # computed once, then read
 
 
 class TestDenseOracles:
