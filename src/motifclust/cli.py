@@ -67,38 +67,45 @@ class RunConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config key(s) {unknown}")
 
-        def resolve(key):
+        def need(key):
             if key not in raw:
                 raise ValueError(f"{path}: missing config key {key!r}")
-            return base / raw[key]
+            return raw[key]
 
         motifs = [base / p for p in raw.get("motifs", [])]
         if not motifs:
             raise ValueError(f"{path}: config lists no motifs")
-        if "clusters" not in raw:
-            raise ValueError(f"{path}: missing config key 'clusters'")
         # Every other Hyperparameters field is read under its own name, with
         # the type of its default; absent keys keep the dataclass default.
         knobs = {
-            f.name: type(f.default)(raw[f.name])
+            f.name: _typed(path, f.name, raw[f.name], type(f.default))
             for f in fields(Hyperparameters)
             if f.name in knob_names and f.name in raw
         }
-        hyper = Hyperparameters(n_clusters=int(raw["clusters"]), **knobs)
+        hyper = Hyperparameters(n_clusters=_typed(path, "clusters", need("clusters"), int), **knobs)
         cfg = cls(
-            nodes=resolve("nodes"),
-            edges=resolve("edges"),
+            nodes=base / need("nodes"),
+            edges=base / need("edges"),
             motifs=motifs,
-            seeds=resolve("seeds"),
+            seeds=base / need("seeds"),
             out_dir=base / raw.get("out_dir", "out"),
             tensor_dir=base / raw.get("tensor_dir", "tensors"),
             hyper=hyper,
-            threads=int(raw.get("threads", 0)) or (os.cpu_count() or 1),
+            threads=_typed(path, "threads", raw.get("threads", 0), int) or (os.cpu_count() or 1),
         )
         for p in [cfg.nodes, cfg.edges, cfg.seeds, *cfg.motifs]:
             if not p.is_file():
                 raise ValueError(f"{path}: referenced file {p} does not exist")
         return cfg
+
+
+def _typed(path, key, value, kind):
+    """A JSON config value as field type `kind`: an int field takes only a JSON
+    integer and a float field any JSON number (a boolean is neither)."""
+    if kind in (int, float) and type(value) not in (int, kind):
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {wanted}, got {json.dumps(value)}")
+    return kind(value)
 
 
 def _fmt(x):
@@ -156,9 +163,17 @@ def _ensure_tensors(config):
         entry = manifest.get(motif.name)
         tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
         if entry and entry.get("key") == key and tensor_file.is_file():
-            log.info("motif %r: tensor read from cache", motif.name)
-            tensors.append(SparseTensor.read_tsv(tensor_file))
-            continue
+            try:  # served only if it reads back as the manifest describes it
+                tensor = SparseTensor.read_tsv(tensor_file)
+                got = [list(tensor.dims), tensor.nnz]
+                if got != [entry.get("dims"), entry.get("nnz")]:
+                    raise ValueError(f"{tensor_file}: dims and nnz {got} differ from the manifest")
+            except ValueError as exc:
+                log.warning("motif %r: rebuilding the cached tensor: %s", motif.name, exc)
+            else:
+                log.info("motif %r: tensor read from cache", motif.name)
+                tensors.append(tensor)
+                continue
         if not rebuilt:
             for stale in config.tensor_dir.glob("*.tmp"):
                 stale.unlink()  # left by a run killed mid-write
@@ -330,7 +345,7 @@ def cmd_gen_planted(args):
         if f.name == "templates":
             kwargs[f.name] = tuple(_template_from_dict(t) for t in raw[key])
         else:
-            kwargs[f.name] = type(f.default)(raw[key])
+            kwargs[f.name] = _typed(args.params, key, raw[key], type(f.default))
     config = PlantedConfig(**kwargs)
     data = generate_planted_hin(config)
     out = Path(args.out)

@@ -16,7 +16,8 @@ factor and its type's consensus, and the squared masked consensus entries.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -52,6 +53,9 @@ class Hyperparameters:
     seed_boost: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
         for name in ("consensus_weight", "mask_penalty", "l1_weight"):

@@ -226,11 +226,9 @@ def enumerate_instances(hin, motif, threads=1):
             constraints[ds].append((e.dst, e.etype, False))
     root_type = motif.node_types[order[0]]
     roots = range(hin.num_nodes(root_type))
-    if motif.order == 1:
-        tuples = [(r,) for r in roots]
-    elif threads > 1:
+    tuples = []
+    if threads > 1:
         chunks = np.array_split(np.asarray(roots, dtype=np.int64), threads * 4)
-        tuples = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
             jobs = [
                 pool.submit(
@@ -243,7 +241,6 @@ def enumerate_instances(hin, motif, threads=1):
             for job in jobs:
                 tuples.extend(job.result())
     else:
-        tuples = []
         for r in roots:
             tuples.extend(_match_from(hin, motif, order, constraints, r))
     arr = np.asarray(sorted(set(tuples)), dtype=np.int32).reshape(-1, motif.order)
@@ -255,6 +252,4 @@ def transcribe(instances, hin):
     mode i sized |V_t| for the position's type, value 1.0 at each instance."""
     motif = instances.motif
     dims = tuple(hin.num_nodes(t) for t in motif.node_types)
-    if not len(instances):
-        return SparseTensor.empty(dims)
     return SparseTensor(dims, instances.tuples, np.ones(len(instances)))

@@ -149,8 +149,8 @@ def generate_planted_hin(config):
     if size % c != 0:
         raise ValueError("nodes_per_type must be divisible by n_clusters")
     block = size // c
-    if not config.noise >= 0:
-        raise ValueError("noise must be non-negative")
+    if not 0 <= config.noise < math.inf:
+        raise ValueError("noise must be non-negative and finite")
     if not 0 <= config.seed_fraction <= 1:
         raise ValueError("seed_fraction must be in [0, 1]")
     for template in config.templates:

@@ -11,12 +11,17 @@ product without another pass over the nonzeros.
 
 from __future__ import annotations
 
+import io
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 # Indices are stored as int32; any mode larger than this cannot be addressed.
 MAX_INDEX = np.iinfo(np.int32).max
+# `write_tsv` formats this many rows per write call, which bounds the Python
+# objects it holds at once.
+WRITE_BLOCK_ROWS = 1 << 14
 
 
 class SparseTensor:
@@ -65,51 +70,35 @@ class SparseTensor:
     def empty(cls, dims):
         return cls(dims, np.empty((0, len(dims)), dtype=np.int32), np.empty(0))
 
-    @classmethod
-    def from_tuples(cls, dims, tuples, value=1.0):
-        """Build a constant-valued tensor from an iterable of index tuples."""
-        arr = np.asarray(sorted(set(map(tuple, tuples))), dtype=np.int32)
-        if arr.size == 0:
-            return cls.empty(dims)
-        return cls(dims, arr, np.full(arr.shape[0], float(value)))
-
-    def todense(self, max_size=10**7):
-        """Materialize the full array. Guarded: refuses volumes above max_size."""
-        size = int(np.prod(self.dims, dtype=np.int64))
-        if size > max_size:
-            raise ValueError(f"dense volume {size} exceeds guard {max_size}")
-        out = np.zeros(self.dims)
-        if self.nnz:
-            out[tuple(self.indices.T)] = self.values
-        return out
-
     def write_tsv(self, path):
-        """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>value` rows."""
+        """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>value`
+        rows; `%.17g` values read back bit-exactly."""
+        row = "\t".join(["%d"] * self.order + ["%.17g"]) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("#dims " + " ".join(str(d) for d in self.dims) + "\n")
-            for row, val in zip(self.indices, self.values):
-                fh.write("\t".join(str(int(j)) for j in row) + "\t" + format(val, ".17g") + "\n")
+            fh.write("#dims " + " ".join(map(str, self.dims)) + "\n")
+            for start in range(0, self.nnz, WRITE_BLOCK_ROWS):
+                block = slice(start, start + WRITE_BLOCK_ROWS)
+                idx = self.indices[block].astype(object)
+                cells = np.column_stack([idx, self.values[block].astype(object)])
+                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
     @classmethod
     def read_tsv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#dims"):
-                raise ValueError(f"{path}: missing #dims header")
-            dims = tuple(int(tok) for tok in header.split()[1:])
-            idx, vals = [], []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != len(dims) + 1:
-                    raise ValueError(f"{path} line {lineno}: expected {len(dims) + 1} columns")
-                idx.append([int(p) for p in parts[:-1]])
-                vals.append(float(parts[-1]))
-        if not idx:
-            return cls.empty(dims)
-        return cls(dims, np.asarray(idx, dtype=np.int32), np.asarray(vals))
+        """Read a `write_tsv` file; anything malformed raises a ValueError
+        that names `path`."""
+        header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+        try:
+            tokens = header.split()
+            if tokens[:1] != ["#dims"]:
+                raise ValueError("missing #dims header")
+            dims = tuple(int(tok) for tok in tokens[1:])
+            row = np.dtype([("index", np.int32, (len(dims),)), ("value", np.float64)])
+            rows = np.empty(0, row)
+            if body and not body.isspace():  # loadtxt warns on a body without rows
+                rows = np.loadtxt(io.StringIO(body), row, delimiter="\t", comments=None, ndmin=1)
+            return cls(dims, rows["index"], rows["value"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):

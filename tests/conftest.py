@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from motifclust.model import Hyperparameters, ModelState
-from motifclust.tensors import SparseTensor
+
+from oracles import from_tuples
 
 
 def random_sparse_tensor(rng, dims, nnz):
@@ -11,7 +12,7 @@ def random_sparse_tensor(rng, dims, nnz):
     nnz = min(nnz, total)
     flat = rng.choice(total, size=nnz, replace=False)
     idx = np.stack(np.unravel_index(flat, dims), axis=1)
-    return SparseTensor.from_tuples(dims, map(tuple, idx))
+    return from_tuples(dims, map(tuple, idx))
 
 
 def random_state(rng, n_motifs=2, max_order=4, max_dim=12, max_clusters=4,

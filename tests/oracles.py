@@ -7,8 +7,26 @@ verification only and are not part of the package.
 import numpy as np
 
 from motifclust.planted import _sample_tuples
+from motifclust.tensors import SparseTensor
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
+
+
+def from_tuples(dims, tuples, value=1.0):
+    """Constant-valued tensor on the distinct index tuples of an iterable."""
+    arr = np.asarray(sorted(set(map(tuple, tuples))), dtype=np.int32)
+    return SparseTensor(dims, arr.reshape(-1, len(dims)), np.full(arr.shape[0], float(value)))
+
+
+def todense(x, max_size=10**7):
+    """Materialize the full array of a SparseTensor. Guarded: refuses volumes
+    above max_size."""
+    size = int(np.prod(x.dims, dtype=np.int64))
+    if size > max_size:
+        raise ValueError(f"dense volume {size} exceeds guard {max_size}")
+    out = np.zeros(x.dims)
+    out[tuple(x.indices.T)] = x.values
+    return out
 
 
 def dense_reconstruct(factors):

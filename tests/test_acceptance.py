@@ -27,10 +27,12 @@ from motifclust.planted import (
     default_templates,
     generate_planted_hin,
 )
-from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
+from motifclust.tensors import gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 from conftest import random_state
-from oracles import dense_reconstruct, matricize, sample_template_tuples
+from oracles import (
+    dense_reconstruct, from_tuples, matricize, sample_template_tuples, todense,
+)
 from test_model import simplex_oracle
 from test_motifs import brute_force, random_hin, random_motif
 
@@ -112,8 +114,8 @@ def test_criterion_2_kernel_oracle_equivalence():
         nnz = int(rng.integers(0, min(total, 150) + 1))
         flat = rng.choice(total, size=nnz, replace=False)
         idx = np.stack(np.unravel_index(flat, dims), axis=1)
-        x = SparseTensor.from_tuples(dims, map(tuple, idx))
-        dense = x.todense(max_size=10**5)
+        x = from_tuples(dims, map(tuple, idx))
+        dense = todense(x, max_size=10**5)
         k = int(rng.integers(0, order))
         kr = kr_columns(factors, k)
         m_ref = matricize(dense, k).T @ kr
@@ -274,7 +276,7 @@ def test_criterion_9_per_sweep_scaling():
     states = {}
     for n in sizes:
         tuples = sample_template_tuples(quad, 60, n, rng_seed=n)
-        x = SparseTensor.from_tuples((60, 60, 60, 60), map(tuple, tuples))
+        x = from_tuples((60, 60, 60, 60), map(tuple, tuples))
         factors = [rng.uniform(0.1, 1.1, (3, 60)) for _ in range(4)]
         states[n] = ModelState(
             motif_names=["quad"],

@@ -25,6 +25,13 @@ DEFAULT_OUTPUT_SHA256 = {
     "truth.tsv": "4fa7c5a82814f1b2750bdd8168ef3a9c6d5ab3c8216612c8c2f61cb5292d33c4",
 }
 
+# sha256 of the transcribe outputs for default gen-planted params; a change
+# to these bytes must also change cli.CACHE_FORMAT.
+DEFAULT_TENSOR_SHA256 = {
+    "tensor_pair.tsv": "43b56b894a0bf76c2eb63c278a36e1560e97a37bd37ea98ed979110513261695",
+    "tensor_quad.tsv": "46815d573a914d0ee1c4a18a8cc76290008f372b63963065839ea1f646eb85b1",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -91,6 +98,14 @@ class TestGenPlanted:
                 {"nodes_per_typ": 30, "templates": [dict(PAIR, signal="false")]},
                 "unknown params key",
             ),
+            ({"clusters": 3.7}, "clusters must be an integer, got 3.7"),
+            ({"clusters": True}, "clusters must be an integer, got true"),
+            ({"nodes_per_type": 60.0}, "nodes_per_type must be an integer"),
+            ({"rng_seed": "1"}, "rng_seed must be an integer"),
+            ({"noise": "0.1"}, "noise must be a number"),
+            ({"seed_fraction": False}, "seed_fraction must be a number"),
+            ({"noise": float("inf")}, "noise must be non-negative and finite"),
+            ({"noise": float("nan")}, "noise must be non-negative and finite"),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -217,6 +232,46 @@ class TestTranscribe:
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert enumerated == [1]
         assert json.loads(manifest_file.read_text())["pair"]["key"] != h.hexdigest()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(
+                lambda text: text[: text.rstrip("\n").rfind("\n") + 1], id="last_row_dropped"
+            ),
+            pytest.param(lambda text: text[: len(text) - 3], id="cut_mid_row"),
+            pytest.param(lambda text: text.replace("#dims 20", "#dims 21", 1), id="dims_changed"),
+        ],
+    )
+    def test_tensor_disagreeing_with_manifest_is_rebuilt(
+        self, planted_dir, capsys, monkeypatch, damage
+    ):
+        config = planted_dir / "run.json"
+        tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        original = tensor_file.read_bytes()
+        tensor_file.write_text(damage(original.decode()))
+        enumerated = []
+        real = cli.enumerate_instances
+        monkeypatch.setattr(
+            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        )
+        code, _, err = run_cli(capsys, "transcribe", "--config", str(config))
+        assert code == 0 and "rebuilding the cached tensor" in err
+        assert enumerated == [1]
+        assert tensor_file.read_bytes() == original
+
+    def test_default_params_tensors_are_pinned(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        out = tmp_path / "data"
+        assert run_cli(capsys, "gen-planted", "--params", str(params), "--out", str(out))[0] == 0
+        assert run_cli(capsys, "transcribe", "--config", str(out / "run.json"))[0] == 0
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out / "tensors").glob("*.tsv")
+        }
+        assert got == DEFAULT_TENSOR_SHA256
 
     def test_cache_invalidated_by_input_change(self, planted_dir, capsys):
         config = planted_dir / "run.json"
@@ -446,10 +501,33 @@ class TestRunConfig:
 
     def test_values_take_the_field_type(self, planted_dir):
         path = self._write(
-            planted_dir, clusters=3, mask_penalty=5, max_outer_iters=7.0, init_seed=3
+            planted_dir, clusters=3, mask_penalty=5, max_outer_iters=7, init_seed=3
         )
         hyper = RunConfig.from_json(path).hyper
         assert hyper == Hyperparameters(
             n_clusters=3, mask_penalty=5.0, max_outer_iters=7, init_seed=3
         )
         assert type(hyper.mask_penalty) is float and type(hyper.max_outer_iters) is int
+
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("max_outer_iters", 2.5, "max_outer_iters must be an integer, got 2.5"),
+            ("max_inner_iters", 7.0, "max_inner_iters must be an integer, got 7.0"),
+            ("clusters", 3.7, "clusters must be an integer, got 3.7"),
+            ("clusters", True, "clusters must be an integer, got true"),
+            ("init_seed", "3", "init_seed must be an integer"),
+            ("threads", 1.5, "threads must be an integer"),
+            ("mask_penalty", "5", "mask_penalty must be a number"),
+            ("seed_boost", True, "seed_boost must be a number"),
+            ("outer_tol", float("nan"), "outer_tol must be finite"),
+            ("l1_weight", float("inf"), "l1_weight must be finite"),
+            ("consensus_weight", float("-inf"), "consensus_weight must be finite"),
+        ],
+    )
+    def test_non_numbers_rejected(self, planted_dir, capsys, knob, value, message):
+        path = self._write(planted_dir, **{"clusters": 2, knob: value})
+        code, stdout, err = run_cli(capsys, "transcribe", "--config", str(path))
+        assert code == 1 and stdout == "" and not (planted_dir / "tensors").exists()
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError" and message in diag["error"]

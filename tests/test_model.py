@@ -24,7 +24,7 @@ from motifclust.motifs import enumerate_instances, parse_motif, transcribe
 from motifclust.tensors import SparseTensor
 
 from conftest import random_state
-from oracles import dense_reconstruct
+from oracles import dense_reconstruct, from_tuples, todense
 
 
 def dense_objective_oracle(state):
@@ -32,7 +32,7 @@ def dense_objective_oracle(state):
     h = state.hyper
     res = 0.0
     for x, fs in zip(state.tensors, state.factors):
-        res += float(np.sum((x.todense() - dense_reconstruct(fs)) ** 2))
+        res += float(np.sum((todense(x) - dense_reconstruct(fs)) ** 2))
     l1 = h.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
     types = sorted({t for ts in state.motif_types for t in ts})
     cons = {}
@@ -123,8 +123,8 @@ class TestConsensus:
         factors = [[rng.uniform(0.1, 1.1, (c, d)) for _ in range(4)],
                    [rng.uniform(0.1, 1.1, (c, d))]]
         tensors = [
-            SparseTensor.from_tuples((d, d, d, d), [(0, 1, 2, 3)]),
-            SparseTensor.from_tuples((d,), [(0,)]),
+            from_tuples((d, d, d, d), [(0, 1, 2, 3)]),
+            from_tuples((d,), [(0,)]),
         ]
         state = ModelState(
             motif_names=["four", "one"],
@@ -384,7 +384,7 @@ class TestOptimizeWeights:
         state = ModelState(
             motif_names=["good", "bad"],
             motif_types=[(0,), (0,)],
-            tensors=[SparseTensor.from_tuples((d,), [(0,)])] * 2,
+            tensors=[from_tuples((d,), [(0,)])] * 2,
             factors=[[good], [bad]],
             mu=np.array([0.5, 0.5]),
             masks={0: mask},
@@ -508,7 +508,7 @@ class TestAssign:
         return ModelState(
             motif_names=["m"],
             motif_types=[(0,)],
-            tensors=[SparseTensor.from_tuples((d,), [(0,)])],
+            tensors=[from_tuples((d,), [(0,)])],
             factors=[[cons_value.astype(float)]],
             mu=np.array([1.0]),
             masks={},

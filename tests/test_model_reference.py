@@ -25,7 +25,7 @@ from motifclust.model import (
 from motifclust.tensors import SparseTensor, residual_fro_sq
 
 from conftest import random_state
-from oracles import dense_reconstruct
+from oracles import dense_reconstruct, from_tuples
 
 
 def reference_contributors(state, t):
@@ -110,7 +110,7 @@ def repeated_type_state(rng, with_mask):
     for types in motif_types:
         dims = tuple(sizes[t] for t in types)
         idx = {tuple(int(rng.integers(0, d)) for d in dims) for _ in range(15)}
-        tensors.append(SparseTensor.from_tuples(dims, idx))
+        tensors.append(from_tuples(dims, idx))
     factors = [[rng.uniform(0.1, 1.1, (c, sizes[t])) for t in types] for types in motif_types]
     masks = {}
     if with_mask:
@@ -186,7 +186,7 @@ def sweep_cases():
     out = [random_state(rng, n_motifs=2) for _ in range(4)]
     out.append(repeated_type_state(rng, with_mask=True))
     out.append(single_motif_state(  # order 1
-        SparseTensor.from_tuples((7,), [(0,), (3,), (5,)]), [rng.uniform(0.1, 1.1, (3, 7))]
+        from_tuples((7,), [(0,), (3,), (5,)]), [rng.uniform(0.1, 1.1, (3, 7))]
     ))
     out.append(single_motif_state(  # no nonzeros
         SparseTensor.empty((4, 5)), [rng.uniform(0.1, 1.1, (2, d)) for d in (4, 5)]

@@ -1,5 +1,10 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motifclust.tensors import (
     SparseTensor,
@@ -10,7 +15,7 @@ from motifclust.tensors import (
 )
 
 from conftest import random_sparse_tensor
-from oracles import dense_reconstruct, matricize
+from oracles import dense_reconstruct, from_tuples, matricize, todense
 
 
 def kr_columns(factors, skip):
@@ -49,13 +54,13 @@ class TestSparseTensor:
             SparseTensor((2, 2), [[0, 1], [0, 1]], [1.0, 1.0])
 
     def test_from_tuples_dedups(self):
-        x = SparseTensor.from_tuples((4, 4), [(1, 2), (1, 2), (0, 3)])
+        x = from_tuples((4, 4), [(1, 2), (1, 2), (0, 3)])
         assert x.nnz == 2
         assert set(map(tuple, x.indices.tolist())) == {(1, 2), (0, 3)}
 
     def test_todense(self):
-        x = SparseTensor.from_tuples((2, 2, 2), [(0, 1, 1), (1, 0, 0)])
-        dense = x.todense()
+        x = from_tuples((2, 2, 2), [(0, 1, 1), (1, 0, 0)])
+        dense = todense(x)
         assert dense[0, 1, 1] == 1.0 and dense[1, 0, 0] == 1.0
         assert dense.sum() == 2.0
 
@@ -71,6 +76,80 @@ class TestSparseTensor:
         assert x.nnz == 0 and x.dims == (3, 4)
 
 
+def tsv_text(x):
+    """The tensor file format, written out one row at a time."""
+    rows = [
+        "\t".join(str(j) for j in idx) + "\t" + format(v, ".17g") + "\n"
+        for idx, v in zip(x.indices.tolist(), x.values.tolist())
+    ]
+    return "#dims " + " ".join(str(d) for d in x.dims) + "\n" + "".join(rows)
+
+
+# Values the file must carry bit-exactly: negative, signed zero, subnormal, huge.
+EDGE_VALUES = [-2.5, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 1 / 3]
+
+
+@st.composite
+def sparse_tensors(draw):
+    """Tensors of order 1-4, empty ones included, with any finite values."""
+    dims = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    cells = list(itertools.product(*map(range, dims)))
+    cell_lists = st.lists(st.sampled_from(cells), unique=True, max_size=12)
+    picked = draw(cell_lists if cells else st.just([]))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+    values = draw(st.lists(floats, min_size=len(picked), max_size=len(picked)))
+    return SparseTensor(dims, np.asarray(picked, dtype=np.int32).reshape(-1, len(dims)), values)
+
+
+class TestTsvCodec:
+    @given(x=sparse_tensors())
+    @example(x=SparseTensor.empty((2, 0, 3)))
+    @example(x=SparseTensor((7,), np.arange(7)[:, None], EDGE_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, x):
+        path = tmp_path_factory.mktemp("codec") / "x.tsv"
+        x.write_tsv(path)
+        assert path.read_text(encoding="utf-8") == tsv_text(x)
+        y = SparseTensor.read_tsv(path)
+        assert y.dims == x.dims
+        assert y.indices.dtype == np.int32 and np.array_equal(y.indices, x.indices)
+        assert np.array_equal(y.values.view(np.int64), x.values.view(np.int64))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+    def test_empty_body_reads_without_warning(self, tmp_path, body):
+        path = tmp_path / "x.tsv"
+        path.write_text("#dims 3 4\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = SparseTensor.read_tsv(path)
+        assert x == SparseTensor.empty((3, 4)) and x.indices.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing #dims header"),
+            ("0\t1\t1.0\n", "missing #dims header"),
+            ("#dims 2 x\n", "invalid literal"),
+            ("#dims\n", "invalid dims"),
+            ("#dims 2 2\n0\t1\n", "columns"),
+            ("#dims 2 2\n0\t1\t1.0\t7\n", "columns"),
+            ("#dims 2 2\n0\t1\t1.0\n1\t1\n", "columns"),
+            ("#dims 2 2\n1.5\t1\t1.0\n", "1.5"),
+            ("#dims 2 2\n0\t1\tone\n", "one"),
+            ("#dims 2 2\n# note\n0\t1\t1.0\n", "columns"),
+            ("#dims 2 2\n0\t2\t1.0\n", "out of bounds"),
+            ("#dims 2 2\n-1\t0\t1.0\n", "out of bounds"),
+            ("#dims 2 2\n0\t1\t1.0\n0\t1\t2.0\n", "duplicate"),
+        ],
+    )
+    def test_malformed_file_names_its_path(self, tmp_path, text, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            SparseTensor.read_tsv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 class TestMttkrp:
     def test_all_zero_tensor(self):
         rng = np.random.default_rng(0)
@@ -81,7 +160,7 @@ class TestMttkrp:
     def test_identity_collapses_to_other_factor(self):
         # N=2 with X = I: row j of the result is column j of the other factor.
         rng = np.random.default_rng(1)
-        x = SparseTensor.from_tuples((3, 3), [(j, j) for j in range(3)])
+        x = from_tuples((3, 3), [(j, j) for j in range(3)])
         w = rng.uniform(0.0, 1.0, size=(4, 3))
         out = mttkrp_sparse(x, [np.zeros((4, 3)), w], 0)
         np.testing.assert_allclose(out, w.T, rtol=0, atol=0)
@@ -91,7 +170,7 @@ class TestMttkrp:
         dims = (5, 6, 7, 8)
         x = random_sparse_tensor(rng, dims, 50)
         f = random_factors(rng, dims, 3)
-        dense = x.todense()
+        dense = todense(x)
         for k in range(4):
             expected = matricize(dense, k).T @ kr_columns(f, k)
             got = mttkrp_sparse(x, f, k)
@@ -158,7 +237,7 @@ class TestResidual:
             dims = tuple(int(d) for d in rng.integers(2, 8, size=order))
             x = random_sparse_tensor(rng, dims, int(rng.integers(0, 20)))
             f = random_factors(rng, dims, int(rng.integers(1, 4)))
-            expected = np.sum((x.todense() - dense_reconstruct(f)) ** 2)
+            expected = np.sum((todense(x) - dense_reconstruct(f)) ** 2)
             got = residual_fro_sq(x, f)
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
             assert got >= 0.0
