@@ -7,7 +7,8 @@ Subcommands:
   gen-planted  write a synthetic planted-block dataset and a ready run config
 
 Tensor files are cached: each motif's tensor carries a content hash of the
-node/edge files and the motif spec, and is rebuilt only when that changes.
+node/edge files and the motif spec, and is rebuilt when that changes or when
+the file's sha256 differs from the one its manifest entry records.
 Errors exit nonzero with a one-line JSON diagnostic on stderr; `fit` exits 0
 on convergence and 3 when it stops at the iteration cap.
 """
@@ -54,7 +55,7 @@ class RunConfig:
     out_dir: Path
     tensor_dir: Path
     hyper: Hyperparameters
-    threads: int
+    threads: int  # validated but unused; benchmarks/run.py reports it
 
     @classmethod
     def from_json(cls, path):
@@ -101,8 +102,12 @@ class RunConfig:
 
 def _typed(path, key, value, kind):
     """A JSON config value as field type `kind`: an int field takes only a JSON
-    integer and a float field any JSON number (a boolean is neither)."""
-    if kind in (int, float) and type(value) not in (int, kind):
+    integer, a float field any JSON number (a boolean is neither) and a tuple
+    field a JSON list of strings."""
+    if kind is tuple:
+        if type(value) is not list or not all(type(v) is str for v in value):
+            raise ValueError(f"{path}: {key} must be a list of strings, got {json.dumps(value)}")
+    elif kind in (int, float) and type(value) not in (int, kind):
         wanted = "an integer" if kind is int else "a number"
         raise ValueError(f"{path}: {key} must be {wanted}, got {json.dumps(value)}")
     return kind(value)
@@ -118,6 +123,10 @@ def _content_key(config, motif_path):
         h.update(p.read_bytes())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def _file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_atomic(path, write):
@@ -163,7 +172,9 @@ def _ensure_tensors(config):
         entry = manifest.get(motif.name)
         tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
         if entry and entry.get("key") == key and tensor_file.is_file():
-            try:  # served only if it reads back as the manifest describes it
+            try:  # served only if its bytes and contents are as the manifest records
+                if _file_sha256(tensor_file) != entry.get("sha256"):
+                    raise ValueError(f"{tensor_file}: sha256 differs from the manifest")
                 tensor = SparseTensor.read_tsv(tensor_file)
                 got = [list(tensor.dims), tensor.nnz]
                 if got != [entry.get("dims"), entry.get("nnz")]:
@@ -180,7 +191,7 @@ def _ensure_tensors(config):
         if manifest.pop(motif.name, None) is not None:
             _write_manifest(config, manifest)  # never trust a half-rebuilt entry
         start = time.perf_counter()
-        instances = enumerate_instances(hin, motif, threads=config.threads)
+        instances = enumerate_instances(hin, motif)
         tensor = transcribe(instances, hin)
         elapsed = time.perf_counter() - start
         log.info("motif %r: %d nonzeros transcribed in %.3f s", motif.name, tensor.nnz, elapsed)
@@ -191,6 +202,7 @@ def _ensure_tensors(config):
             "nnz": tensor.nnz,
             "wall_time_s": round(elapsed, 6),
             "key": key,
+            "sha256": _file_sha256(tensor_file),
         }
         tensors.append(tensor)
         rebuilt += 1
@@ -223,8 +235,6 @@ def _read_labels_tsv(path):
 
 def cmd_transcribe(args):
     config = RunConfig.from_json(args.config)
-    if args.threads:
-        config.threads = args.threads
     _, motifs, tensors = _ensure_tensors(config)
     report = {
         m.name: {"nnz": t.nnz, "dims": list(t.dims)} for m, t in zip(motifs, tensors)
@@ -235,8 +245,6 @@ def cmd_transcribe(args):
 
 def cmd_fit(args):
     config = RunConfig.from_json(args.config)
-    if args.threads:
-        config.threads = args.threads
     hin, motifs, tensors = _ensure_tensors(config)
     seeds = _read_labels_tsv(config.seeds)
     state = init_model(hin, motifs, tensors, seeds, config.hyper)
@@ -314,16 +322,22 @@ def cmd_evaluate(args):
     return 0
 
 
-def _template_from_dict(raw):
+def _template_from_dict(path, raw):
+    where = f"{path}: template {raw.get('name')!r}"
     unknown = sorted(set(raw) - {f.name for f in fields(MotifTemplate)})
     if unknown:
-        raise ValueError(f"template {raw.get('name')!r}: unknown template key(s) {unknown}")
+        raise ValueError(f"{where}: unknown template key(s) {unknown}")
     if not isinstance(raw.get("signal", True), bool):
-        raise ValueError(f"template {raw.get('name')!r}: signal must be true or false")
+        raise ValueError(f"{where}: signal must be true or false")
+    edges = []
+    for edge in raw["edges"]:
+        if type(edge) is not list or len(edge) != 3 or type(edge[2]) is not str:
+            raise ValueError(f"{where}: edge {json.dumps(edge)} is not [int, int, edge type name]")
+        edges.append((*(_typed(where, "an edge position", i, int) for i in edge[:2]), edge[2]))
     return MotifTemplate(
         name=raw["name"],
-        node_types=tuple(raw["node_types"]),
-        edges=tuple((int(i), int(j), et) for i, j, et in raw["edges"]),
+        node_types=_typed(where, "node_types", raw["node_types"], tuple),
+        edges=tuple(edges),
         signal=raw.get("signal", True),
         instances_per_block=raw.get("instances_per_block"),
     )
@@ -343,7 +357,7 @@ def cmd_gen_planted(args):
         if key not in raw:
             continue
         if f.name == "templates":
-            kwargs[f.name] = tuple(_template_from_dict(t) for t in raw[key])
+            kwargs[f.name] = tuple(_template_from_dict(args.params, t) for t in raw[key])
         else:
             kwargs[f.name] = _typed(args.params, key, raw[key], type(f.default))
     config = PlantedConfig(**kwargs)
@@ -405,12 +419,10 @@ def build_parser():
 
     p = sub.add_parser("transcribe", help="enumerate motifs and write tensor files")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=0, help="enumeration threads (default: config/all cores)")
     p.set_defaults(func=cmd_transcribe)
 
     p = sub.add_parser("fit", help="run the pipeline and write model outputs")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="score predicted labels against ground truth")

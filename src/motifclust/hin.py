@@ -3,8 +3,9 @@
 Nodes are identified by globally unique strings and grouped by type; within a
 type, the dense index of a node is its first-appearance position in the nodes
 file. Edge types carry a fixed endpoint-type signature and directedness,
-inferred from the first edge of that type and enforced afterwards. An `HIN` is
-immutable after construction and safe to read concurrently.
+inferred from the first edge of that type and enforced afterwards. Adjacency
+is held per edge type and direction as CSR arrays (`HIN.adjacency`), built once
+in the constructor. An `HIN` is immutable after construction.
 
 File formats (UTF-8, LF, `#` comment lines skipped):
   nodes TSV: ``node_id<TAB>type_name`` per line; an optional directive line
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -99,20 +102,17 @@ class HIN:
             seen.add(key)
             self.edges.append(e if src == e.src else Edge(src, dst, e.etype))
 
-        # Per edge type: forward (src side -> dst indices) and reverse lists.
-        self._fwd = [[[] for _ in self.nodes_by_type[et.src_type]] for et in self.edge_types]
-        self._rev = [[[] for _ in self.nodes_by_type[et.dst_type]] for et in self.edge_types]
-        for e in self.edges:
-            self._fwd[e.etype][e.src[1]].append(e.dst[1])
-            self._rev[e.etype][e.dst[1]].append(e.src[1])
-            et = self.edge_types[e.etype]
+        # Per edge type, CSR adjacency forward (src side -> dst side) and
+        # reverse; an undirected same-type edge is entered in both directions.
+        flat = (v for e in self.edges for v in (e.etype, e.src[1], e.dst[1]))
+        arr = np.fromiter(flat, np.int64, 3 * len(self.edges)).reshape(-1, 3)
+        self._adj = {}
+        for k, et in enumerate(self.edge_types):
+            src, dst = arr[arr[:, 0] == k, 1:].T
             if not et.directed and et.src_type == et.dst_type:
-                self._fwd[e.etype][e.dst[1]].append(e.src[1])
-                self._rev[e.etype][e.src[1]].append(e.dst[1])
-        for adj in (self._fwd, self._rev):
-            for lists in adj:
-                for lst in lists:
-                    lst.sort()
+                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            self._adj[k, True] = _csr(src, dst, self.num_nodes(et.src_type))
+            self._adj[k, False] = _csr(dst, src, self.num_nodes(et.dst_type))
 
     # -- lookups -------------------------------------------------------------
 
@@ -149,12 +149,19 @@ class HIN:
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
+    def adjacency(self, etype, forward=True):
+        """CSR `(indptr, indices)` of an edge type: row j lists, ascending, the
+        dst-side neighbours of src-side node j (forward) or the reverse."""
+        return self._adj[etype, forward]
+
     def neighbors_fwd(self, etype, j):
         """Dense indices on the dst side reachable from src-side node j."""
-        return self._fwd[etype][j]
+        indptr, indices = self._adj[etype, True]
+        return indices[indptr[j]:indptr[j + 1]].tolist()
 
     def neighbors_rev(self, etype, j):
-        return self._rev[etype][j]
+        indptr, indices = self._adj[etype, False]
+        return indices[indptr[j]:indptr[j + 1]].tolist()
 
     def __eq__(self, other):
         if not isinstance(other, HIN):
@@ -166,6 +173,12 @@ class HIN:
             and sorted((e.etype, e.src, e.dst) for e in self.edges)
             == sorted((e.etype, e.src, e.dst) for e in other.edges)
         )
+
+
+def _csr(rows, cols, n_rows):
+    """CSR arrays of the pairs (rows[k], cols[k]), columns ascending per row."""
+    order = np.lexsort((cols, rows))
+    return np.searchsorted(rows[order], np.arange(n_rows + 1)), cols[order].astype(np.int32)
 
 
 def _read_lines(path):

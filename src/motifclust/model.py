@@ -112,7 +112,7 @@ class ModelState:
 
     motif_types[m][i] is the node-type id of motif m's i-th position and
     factors[m][i] the matching (C, |V_t|) factor. masks maps a type id to its
-    (C, |V_t|) binary seed mask. hin is optional and only used for reporting.
+    (C, |V_t|) binary seed mask.
 
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
@@ -126,7 +126,6 @@ class ModelState:
     mu: np.ndarray
     masks: dict[int, np.ndarray]
     hyper: Hyperparameters
-    hin: object = None
     type_sizes: dict[int, int] = field(init=False)
     layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
 
@@ -190,7 +189,6 @@ class ModelState:
             mu=self.mu.copy(),
             masks={t: m.copy() for t, m in self.masks.items()},
             hyper=self.hyper,
-            hin=self.hin,
         )
 
 
@@ -512,5 +510,4 @@ def init_model(hin, motifs, tensors, seeds, hyper):
         mu=np.full(n, 1.0 / n),
         masks=masks,
         hyper=hyper,
-        hin=hin,
     )

@@ -9,7 +9,6 @@ type via ``injective_types`` in the motif spec.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,47 +167,14 @@ def _visit_order(hin, motif):
     return order
 
 
-def _match_from(hin, motif, order, constraints, root):
-    """Run the backtracking search with the first position bound to `root`."""
-    n = motif.order
-    binding = [-1] * n
-    binding[order[0]] = root
-    out = []
-    injective = motif.injective_types
-
-    def extend(depth):
-        if depth == n:
-            out.append(tuple(binding))
-            return
-        pos = order[depth]
-        candidates = None
-        for other_pos, etype, forward in constraints[depth]:
-            bound = binding[other_pos]
-            nbrs = hin.neighbors_fwd(etype, bound) if forward else hin.neighbors_rev(etype, bound)
-            if candidates is None:
-                candidates = set(nbrs)
-            else:
-                candidates &= set(nbrs)
-            if not candidates:
-                return
-        t = motif.node_types[pos]
-        if t in injective:
-            taken = {binding[q] for q in range(n) if binding[q] >= 0 and motif.node_types[q] == t}
-            candidates -= taken
-        for cand in sorted(candidates):
-            binding[pos] = cand
-            extend(depth + 1)
-            binding[pos] = -1
-
-    extend(1)
-    return out
-
-
-def enumerate_instances(hin, motif, threads=1):
+def enumerate_instances(hin, motif):
     """All bindings of the motif in the HIN, as sorted unique index tuples.
 
-    Deterministic for any thread count: workers partition the candidates of the
-    first pattern position and results are merged and sorted afterwards.
+    A binary join over the HIN's CSR adjacency, one pattern position per step
+    in `_visit_order`: the first edge back to a bound position expands every
+    partial binding by that node's neighbours, each further back-edge keeps
+    the rows whose pair is an edge, and injective types drop rows that repeat
+    a node. Adjacency rows hold no repeats, so every binding comes out once.
     """
     for t in motif.node_types:
         if not 0 <= t < hin.num_types():
@@ -224,27 +190,38 @@ def enumerate_instances(hin, motif, threads=1):
             constraints[dd].append((e.src, e.etype, True))
         else:
             constraints[ds].append((e.dst, e.etype, False))
-    root_type = motif.node_types[order[0]]
-    roots = range(hin.num_nodes(root_type))
-    tuples = []
-    if threads > 1:
-        chunks = np.array_split(np.asarray(roots, dtype=np.int64), threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = [
-                pool.submit(
-                    lambda ch: [t for r in ch for t in _match_from(hin, motif, order, constraints, int(r))],
-                    chunk,
-                )
-                for chunk in chunks
-                if chunk.size
-            ]
-            for job in jobs:
-                tuples.extend(job.result())
-    else:
-        for r in roots:
-            tuples.extend(_match_from(hin, motif, order, constraints, r))
-    arr = np.asarray(sorted(set(tuples)), dtype=np.int32).reshape(-1, motif.order)
+    cols = {order[0]: np.arange(hin.num_nodes(motif.node_types[order[0]]), dtype=np.int32)}
+    for depth in range(1, motif.order):
+        pos = order[depth]
+        (first, etype, forward), *rest = constraints[depth]
+        indptr, indices = hin.adjacency(etype, forward)
+        starts, deg = indptr[cols[first]], np.diff(indptr)[cols[first]]
+        # new row k reads indices[starts[r] + i]: r is its source row, i its rank
+        new = indices[np.arange(deg.sum()) + np.repeat(starts - np.cumsum(deg) + deg, deg)]
+        cols = {q: np.repeat(c, deg) for q, c in cols.items()}
+        keep = np.ones(new.size, dtype=bool)
+        t = motif.node_types[pos]
+        for other, etype, forward in rest:
+            keep &= _has_edge(hin.adjacency(etype, forward), hin.num_nodes(t), cols[other], new)
+        if t in motif.injective_types:
+            for q, c in cols.items():
+                if motif.node_types[q] == t:
+                    keep &= c != new
+        cols[pos] = new
+        cols = {q: c[keep] for q, c in cols.items()}
+    arr = np.column_stack([cols[i] for i in range(motif.order)])
+    arr = arr[np.lexsort(arr.T[::-1])]
     return MotifInstanceSet(motif, arr)
+
+
+def _has_edge(csr, width, rows, cols):
+    """Whether each pair (rows[k], cols[k]) is stored in the CSR adjacency,
+    by binary search over its sorted keys row * width + col."""
+    indptr, indices = csr
+    keys = np.repeat(np.arange(indptr.size - 1), np.diff(indptr)) * width + indices
+    keys = np.append(keys, np.iinfo(np.int64).max)  # a sentinel above every query
+    query = rows.astype(np.int64) * width + cols
+    return keys[np.searchsorted(keys, query)] == query
 
 
 def transcribe(instances, hin):
