@@ -322,11 +322,19 @@ def cmd_evaluate(args):
     return 0
 
 
-def _template_from_dict(path, raw):
-    where = f"{path}: template {raw.get('name')!r}"
+def _template_from_dict(path, k, raw):
+    where = f"{path}: template {k}"
+    missing = [key for key in ("name", "node_types", "edges") if key not in raw]
+    if missing:
+        raise ValueError(f"{where}: missing template key(s) {missing}")
+    if type(raw["name"]) is not str or not raw["name"]:
+        raise ValueError(f"{where}: name must be a non-empty string, got {json.dumps(raw['name'])}")
+    where = f"{path}: template {raw['name']!r}"
     unknown = sorted(set(raw) - {f.name for f in fields(MotifTemplate)})
     if unknown:
         raise ValueError(f"{where}: unknown template key(s) {unknown}")
+    if type(raw["edges"]) is not list:
+        raise ValueError(f"{where}: edges must be a list, got {json.dumps(raw['edges'])}")
     if not isinstance(raw.get("signal", True), bool):
         raise ValueError(f"{where}: signal must be true or false")
     edges = []
@@ -357,11 +365,18 @@ def cmd_gen_planted(args):
         if key not in raw:
             continue
         if f.name == "templates":
-            kwargs[f.name] = tuple(_template_from_dict(args.params, t) for t in raw[key])
+            ts = raw[key]
+            if type(ts) is not list or not all(type(t) is dict for t in ts):
+                raise ValueError(f"{args.params}: templates must be a list of objects, "
+                                 f"got {json.dumps(ts)}")
+            kwargs[f.name] = tuple(_template_from_dict(args.params, k, t) for k, t in enumerate(ts))
         else:
             kwargs[f.name] = _typed(args.params, key, raw[key], type(f.default))
     config = PlantedConfig(**kwargs)
-    data = generate_planted_hin(config)
+    try:
+        data = generate_planted_hin(config)
+    except ValueError as exc:
+        raise ValueError(f"{args.params}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_hin(data.hin, out / "nodes.tsv", out / "edges.tsv")

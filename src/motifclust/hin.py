@@ -3,9 +3,10 @@
 Nodes are identified by globally unique strings and grouped by type; within a
 type, the dense index of a node is its first-appearance position in the nodes
 file. Edge types carry a fixed endpoint-type signature and directedness,
-inferred from the first edge of that type and enforced afterwards. Adjacency
-is held per edge type and direction as CSR arrays (`HIN.adjacency`), built once
-in the constructor. An `HIN` is immutable after construction.
+inferred from the first edge of that type and enforced afterwards. The edge
+set is held once, as `HIN.edges`: sorted `(edge type, src index, dst index)`
+int64 rows in `orient` order. The CSR adjacency per edge type and direction
+(`HIN.adjacency`) is built from it once. An `HIN` is immutable.
 
 File formats (UTF-8, LF, `#` comment lines skipped):
   nodes TSV: ``node_id<TAB>type_name`` per line; an optional directive line
@@ -29,15 +30,6 @@ class EdgeType:
     directed: bool
     src_type: int
     dst_type: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Endpoints are (type_id, dense_index), stored in `orient` order."""
-
-    src: tuple[int, int]
-    dst: tuple[int, int]
-    etype: int
 
 
 def orient(et, src, dst):
@@ -79,15 +71,15 @@ class HIN:
         self.edge_types = list(edge_types)
         self.edge_type_ids = {et.name: i for i, et in enumerate(self.edge_types)}
 
-        # Edge admission, the one home of these rules: stored order fits the
-        # signature (see `orient`), endpoints exist, no self-loops, and a
-        # repeated edge is dropped and counted in `duplicates`.
-        seen = set()
-        self.edges = []
+        # Edge admission, the one home of these rules: `edges` holds
+        # `(edge type id, (type, index), (type, index))` triples; stored order
+        # fits the signature (see `orient`), endpoints exist, no self-loops,
+        # and a repeated edge is dropped and counted in `duplicates`.
+        keys = set()
         self.duplicates = 0
-        for k, e in enumerate(edges):
-            et = self.edge_types[e.etype]
-            src, dst = orient(et, e.src, e.dst)
+        for k, (etype, src, dst) in enumerate(edges):
+            et = self.edge_types[etype]
+            src, dst = orient(et, src, dst)
             if (src[0], dst[0]) != (et.src_type, et.dst_type):
                 raise EdgeError(k, f"edge type {et.name!r} used between incompatible node types")
             for t, j in (src, dst):
@@ -95,20 +87,18 @@ class HIN:
                     raise EdgeError(k, f"edge references unknown node index {j} of type {t}")
             if src == dst:
                 raise EdgeError(k, f"self-loop on {self.node_name(*src)!r}")
-            key = (e.etype, src, dst)
-            if key in seen:
+            key = (etype, src[1], dst[1])
+            if key in keys:
                 self.duplicates += 1
-                continue
-            seen.add(key)
-            self.edges.append(e if src == e.src else Edge(src, dst, e.etype))
+            keys.add(key)
+        self.edges = np.array(sorted(keys), dtype=np.int64).reshape(-1, 3)
+        self.edges.flags.writeable = False
 
         # Per edge type, CSR adjacency forward (src side -> dst side) and
         # reverse; an undirected same-type edge is entered in both directions.
-        flat = (v for e in self.edges for v in (e.etype, e.src[1], e.dst[1]))
-        arr = np.fromiter(flat, np.int64, 3 * len(self.edges)).reshape(-1, 3)
         self._adj = {}
         for k, et in enumerate(self.edge_types):
-            src, dst = arr[arr[:, 0] == k, 1:].T
+            src, dst = self.edges[self.edges[:, 0] == k, 1:].T
             if not et.directed and et.src_type == et.dst_type:
                 src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
             self._adj[k, True] = _csr(src, dst, self.num_nodes(et.src_type))
@@ -154,15 +144,6 @@ class HIN:
         dst-side neighbours of src-side node j (forward) or the reverse."""
         return self._adj[etype, forward]
 
-    def neighbors_fwd(self, etype, j):
-        """Dense indices on the dst side reachable from src-side node j."""
-        indptr, indices = self._adj[etype, True]
-        return indices[indptr[j]:indptr[j + 1]].tolist()
-
-    def neighbors_rev(self, etype, j):
-        indptr, indices = self._adj[etype, False]
-        return indices[indptr[j]:indptr[j + 1]].tolist()
-
     def __eq__(self, other):
         if not isinstance(other, HIN):
             return NotImplemented
@@ -170,8 +151,7 @@ class HIN:
             self.type_names == other.type_names
             and self.nodes_by_type == other.nodes_by_type
             and self.edge_types == other.edge_types
-            and sorted((e.etype, e.src, e.dst) for e in self.edges)
-            == sorted((e.etype, e.src, e.dst) for e in other.edges)
+            and np.array_equal(self.edges, other.edges)
         )
 
 
@@ -249,7 +229,7 @@ def load_hin(nodes_path, edges_path):
             raise ValueError(
                 f"{edges_path} line {lineno}: edge type {etname!r} used with inconsistent direction flag"
             )
-        edges.append(Edge(src, dst, et_id))
+        edges.append((et_id, src, dst))
         linenos.append(lineno)
 
     try:
@@ -262,16 +242,15 @@ def load_hin(nodes_path, edges_path):
 
 
 def write_hin(hin, nodes_path, edges_path):
-    """Serialize back to the TSV formats; reloading reproduces the HIN."""
+    """Serialize back to the TSV formats, edges in `hin.edges` order;
+    reloading reproduces the HIN."""
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("#types " + " ".join(hin.type_names) + "\n")
         for t in range(hin.num_types()):
             for name in hin.nodes_by_type[t]:
                 fh.write(f"{name}\t{hin.type_names[t]}\n")
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in hin.edges:
-            et = hin.edge_types[e.etype]
-            flag = "d" if et.directed else "u"
-            fh.write(
-                f"{hin.node_name(*e.src)}\t{hin.node_name(*e.dst)}\t{et.name}\t{flag}\n"
-            )
+        for etype, src, dst in hin.edges.tolist():
+            et = hin.edge_types[etype]
+            ends = hin.node_name(et.src_type, src), hin.node_name(et.dst_type, dst)
+            fh.write("\t".join((*ends, et.name, "d" if et.directed else "u")) + "\n")

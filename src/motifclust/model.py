@@ -28,6 +28,10 @@ from .tensors import (
 
 log = logging.getLogger(__name__)
 
+# Added to every update-rule denominator entry: locked zeros give 0, not NaN.
+EPS_DIV = 1e-12
+PGD_STEP = 0.1  # first trial step of each projected-gradient weight step
+
 
 @dataclass
 class Hyperparameters:
@@ -35,20 +39,16 @@ class Hyperparameters:
 
     consensus_weight, mask_penalty and l1_weight scale objective terms 3, 4
     and 2; defaults follow the values used across all reported experiments.
-    eps_div is added to every update-rule denominator entry so that locked
-    zero entries yield 0/eps = 0 instead of NaN.
     """
 
     n_clusters: int
     consensus_weight: float = 1.0
     mask_penalty: float = 100.0
     l1_weight: float = 0.0001
-    pgd_step: float = 0.1
     inner_tol: float = 1e-4
     outer_tol: float = 1e-6
     max_inner_iters: int = 50
     max_outer_iters: int = 100
-    eps_div: float = 1e-12
     init_seed: int = 0
     seed_boost: float = 1.0
 
@@ -61,7 +61,7 @@ class Hyperparameters:
         for name in ("consensus_weight", "mask_penalty", "l1_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("inner_tol", "outer_tol", "eps_div", "pgd_step"):
+        for name in ("inner_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("max_inner_iters", "max_outer_iters"):
@@ -276,7 +276,7 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
         diff = state.factors[m2][i2] - cons + eta * v
         num += theta * eta * pos_part(diff)
         den += theta * eta * (neg_part(diff) + eta * v)
-    den += h.l1_weight + h.eps_div
+    den += h.l1_weight + EPS_DIV
     np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
 
     updated = v * np.sqrt(num / den)
@@ -356,7 +356,7 @@ def optimize_motif_weights(state, fixed=None):
     prev = fixed + sum(_coupling_terms(state, state.mu))
     for _ in range(h.max_inner_iters):
         grad = motif_weight_gradient(state)
-        step = h.pgd_step
+        step = PGD_STEP
         accepted = None
         while step >= 1e-12:
             cand = project_simplex(state.mu - step * grad)

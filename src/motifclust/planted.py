@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hin import HIN, Edge, EdgeType, orient
+from .hin import HIN, EdgeType
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,11 @@ def generate_planted_hin(config):
         for t in template.node_types:
             if t not in config.type_names:
                 raise ValueError(f"template {template.name!r} uses unknown type {t!r}")
+        positions = range(len(template.node_types))
+        for i, j, _ in template.edges:
+            if i == j or i not in positions or j not in positions:
+                raise ValueError(f"template {template.name!r}: edge ({i}, {j}) must join "
+                                 f"two distinct positions in 0..{len(positions) - 1}")
         worst = max(Counter(template.node_types).values())
         if worst > block:
             raise ValueError(
@@ -212,13 +217,13 @@ def generate_planted_hin(config):
             tuples = _sample_tuples(rng, template, range(size), c * per_block)
         instances[template.name] = np.asarray(sorted(tuples), dtype=np.int32)
 
-    # Every instance edge, in sorted stored order; HIN drops the repeats and
+    # Every instance edge; HIN orients and sorts them, drops the repeats and
     # refuses an edge type reused between other node types.
     type_ids = {t: i for i, t in enumerate(config.type_names)}
     nodes_by_type = [[f"{t}{j}" for j in range(size)] for t in config.type_names]
     edge_types = []
     edge_type_ids = {}
-    stored = []
+    edges = []
     for template in config.templates:
         types = [type_ids[t] for t in template.node_types]
         for i, j, etname in template.edges:
@@ -227,9 +232,7 @@ def generate_planted_hin(config):
                 edge_types.append(EdgeType(etname, False, types[i], types[j]))
             et_id = edge_type_ids[etname]
             for tup in instances[template.name].tolist():
-                src, dst = orient(edge_types[et_id], (types[i], tup[i]), (types[j], tup[j]))
-                stored.append((et_id, src, dst))
-    edges = [Edge(src, dst, et_id) for et_id, src, dst in sorted(stored)]
+                edges.append((et_id, (types[i], tup[i]), (types[j], tup[j])))
     hin = HIN(list(config.type_names), nodes_by_type, edge_types, edges)
 
     labels = {

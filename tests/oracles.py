@@ -53,3 +53,40 @@ def sample_template_tuples(template, nodes_per_type, count, rng_seed):
     rng = np.random.default_rng(rng_seed)
     tuples = _sample_tuples(rng, template, range(nodes_per_type), count)
     return np.asarray(sorted(tuples), dtype=np.int32)
+
+
+def admit_edges(edge_types, num_nodes, edges):
+    """Set-based edge admission over `(etype, (type, index), (type, index))`
+    triples. Returns the sorted `(etype, src index, dst index)` rows of the
+    distinct edges, the number of repeats, and the position of the first
+    refused edge (a self-loop, an endpoint index outside its type, or endpoint
+    types that fit neither way round the signature), or None. An undirected
+    edge is its set of endpoints, written src-type end first, and the lower
+    index first when both ends share a type."""
+    distinct = set()
+    for k, (etype, a, b) in enumerate(edges):
+        et = edge_types[etype]
+        fits = {(a[0], b[0])} if et.directed else {(a[0], b[0]), (b[0], a[0])}
+        inside = all(0 <= j < num_nodes[t] for t, j in (a, b))
+        if a == b or (et.src_type, et.dst_type) not in fits or not inside:
+            return None, None, k
+        distinct.add((etype, (a, b) if et.directed else frozenset((a, b))))
+    rows = []
+    for etype, ends in distinct:
+        et = edge_types[etype]
+        if not et.directed:
+            ends = sorted(ends, key=lambda end: (end[0] != et.src_type, end[1]))
+        a, b = ends
+        rows.append((etype, a[1], b[1]))
+    return sorted(rows), len(edges) - len(distinct), None
+
+
+def adjacency_pairs(edge_types, rows, etype, forward):
+    """The (row, column) pairs of an edge type's adjacency given admitted
+    rows: forward maps src side to dst side, reverse the other way; an
+    undirected edge between two nodes of one type is listed both ways."""
+    pairs = {(s, d) for e, s, d in rows if e == etype}
+    et = edge_types[etype]
+    if not et.directed and et.src_type == et.dst_type:
+        pairs |= {(d, s) for s, d in pairs}
+    return pairs if forward else {(d, s) for s, d in pairs}

@@ -1,0 +1,31 @@
+"""The benchmark harness drives the library through names it wraps and reads;
+a traced repetition must keep running against the current sources."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from motifclust.cli import main
+
+REP = Path(__file__).resolve().parent.parent / "benchmarks" / "rep.py"
+
+
+def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"clusters": 2, "nodes_per_type": 12}))
+    data = tmp_path / "data"
+    assert main(["gen-planted", "--params", str(params), "--out", str(data)]) == 0
+    edges = json.loads(capsys.readouterr().out)["edges"]
+    run = json.loads((data / "run.json").read_text())
+    (data / "run.json").write_text(json.dumps(dict(run, max_outer_iters=2)))
+
+    proc = subprocess.run(
+        [sys.executable, str(REP), "--data", str(data), "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [op["op"] for op in result["ops"]] == ["transcribe", "fit", "evaluate"]
+    assert all(op["ok"] for op in result["ops"]), result["ops"]
+    assert result["layers"]["hin.edges"] == edges

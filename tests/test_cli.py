@@ -116,6 +116,31 @@ class TestGenPlanted:
                 {"templates": [dict(PAIR, edges=[[0, 1, 2]])]},
                 r"edge \[0, 1, 2\] is not \[int, int, edge type name\]",
             ),
+            ({"templates": PAIR}, "templates must be a list of objects"),
+            ({"templates": ["pair"]}, "templates must be a list of objects"),
+            (
+                {"templates": [{k: v for k, v in PAIR.items() if k != "edges"}]},
+                r"template 0: missing template key\(s\) \['edges'\]",
+            ),
+            (
+                {"templates": [{k: v for k, v in PAIR.items() if k != "name"}]},
+                r"template 0: missing template key\(s\) \['name'\]",
+            ),
+            ({"templates": [dict(PAIR, name=7)]}, "template 0: name must be a non-empty string"),
+            ({"templates": [dict(PAIR, name="")]}, "template 0: name must be a non-empty string"),
+            ({"templates": [dict(PAIR, edges=3)]}, "template 'pair': edges must be a list"),
+            (
+                {"templates": [dict(PAIR, edges=[[0, 5, "ab"]])]},
+                r"template 'pair': edge \(0, 5\) must join two distinct positions in 0\.\.1",
+            ),
+            (
+                {"templates": [dict(PAIR, edges=[[0, 0, "ab"]])]},
+                r"template 'pair': edge \(0, 0\) must join two distinct positions",
+            ),
+            (
+                {"templates": [dict(PAIR, edges=[[0, -1, "ab"]])]},
+                r"template 'pair': edge \(0, -1\) must join two distinct positions",
+            ),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -126,6 +151,7 @@ class TestGenPlanted:
         assert code == 1 and stdout == "" and not out.exists()
         diag = json.loads(err)
         assert diag["type"] == "ValueError"
+        assert diag["error"].startswith(f"{path}: ")
         assert re.search(message, diag["error"])
 
 
@@ -485,13 +511,14 @@ class TestErrors:
     def test_unknown_config_key_rejected(self, planted_dir, capsys):
         cfg_path = planted_dir / "run.json"
         config = json.loads(cfg_path.read_text())
-        config["max_outer_iter"] = 2  # misspelt max_outer_iters
-        cfg_path.write_text(json.dumps(config))
-        code, stdout, err = run_cli(capsys, "fit", "--config", str(cfg_path))
-        assert code == 1 and stdout == ""
-        diag = json.loads(err)
-        assert diag["type"] == "ValueError"
-        assert "unknown config key" in diag["error"] and "max_outer_iter" in diag["error"]
+        # A misspelt max_outer_iters, and two former knobs that are now constants.
+        for key, value in (("max_outer_iter", 2), ("eps_div", 1e-12), ("pgd_step", 0.1)):
+            cfg_path.write_text(json.dumps(dict(config, **{key: value})))
+            code, stdout, err = run_cli(capsys, "fit", "--config", str(cfg_path))
+            assert code == 1 and stdout == ""
+            diag = json.loads(err)
+            assert diag["type"] == "ValueError"
+            assert "unknown config key" in diag["error"] and repr(key) in diag["error"]
 
 
 class TestLogLevel:

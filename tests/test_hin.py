@@ -1,10 +1,12 @@
 import logging
 
+import numpy as np
 import pytest
 
-from motifclust.hin import HIN, Edge, EdgeError, EdgeType, load_hin, write_hin
+from motifclust.hin import HIN, EdgeError, EdgeType, load_hin, write_hin
 
 from conftest import TOY_EDGES, TOY_NODES
+from oracles import admit_edges, adjacency_pairs
 
 
 def write_pair(tmp_path, nodes, edges):
@@ -14,18 +16,33 @@ def write_pair(tmp_path, nodes, edges):
     return np_path, ep_path
 
 
+def row(hin, etype, forward, j):
+    """Row j of an edge type's CSR adjacency, as a list."""
+    indptr, indices = hin.adjacency(etype, forward)
+    return indices[indptr[j]:indptr[j + 1]].tolist()
+
+
+def csr_pairs(hin, etype, forward):
+    """The (row, column) pairs of an edge type's CSR adjacency; every row must
+    list its columns strictly ascending."""
+    indptr, indices = hin.adjacency(etype, forward)
+    for j in range(len(indptr) - 1):
+        assert np.all(np.diff(indices[indptr[j]:indptr[j + 1]]) > 0)  # ascending, distinct
+    return {(j, v) for j in range(len(indptr) - 1) for v in row(hin, etype, forward, j)}
+
+
 class TestLoad:
     def test_minimal(self, tmp_path):
         hin = load_hin(*write_pair(tmp_path, "a1\tA\n", ""))
         assert hin.num_types() == 1
         assert hin.nodes_of_type(0) == ["a1"]
-        assert hin.edges == []
+        assert hin.edges.shape == (0, 3) and hin.edges.dtype == np.int64
 
     def test_single_undirected_edge_is_symmetric(self, tmp_path):
         hin = load_hin(*write_pair(tmp_path, "a1\tA\np1\tP\n", "a1\tp1\twrites\tu\n"))
         e = hin.edge_type_id("writes")
-        assert hin.neighbors_fwd(e, 0) == [0]  # a1 -> p1
-        assert hin.neighbors_rev(e, 0) == [0]  # p1 -> a1
+        assert row(hin, e, True, 0) == [0]  # a1 -> p1
+        assert row(hin, e, False, 0) == [0]  # p1 -> a1
 
     def test_toy_counts_and_degrees_match_raw_files(self, toy_paths):
         # independent recount straight off the raw text
@@ -46,8 +63,9 @@ class TestLoad:
             assert hin.num_nodes(hin.type_id(tname)) == count
         assert len(hin.edges) == len(edge_lines) == 20
         got = {}
-        for e in hin.edges:
-            for t, j in (e.src, e.dst):
+        for etype, src, dst in hin.edges.tolist():
+            et = hin.edge_types[etype]
+            for t, j in ((et.src_type, src), (et.dst_type, dst)):
                 name = hin.node_name(t, j)
                 got[name] = got.get(name, 0) + 1
         assert got == degree
@@ -121,32 +139,77 @@ class TestAdmission:
     def test_undirected_edges_stored_in_orient_order_once(self):
         edge_types = [EdgeType("w", False, 0, 1), EdgeType("rel", False, 1, 1)]
         edges = [
-            Edge((1, 0), (0, 0), 0),
-            Edge((0, 0), (1, 0), 0),
-            Edge((1, 1), (1, 0), 1),
-            Edge((1, 0), (1, 1), 1),
+            (0, (1, 0), (0, 0)),
+            (0, (0, 0), (1, 0)),
+            (1, (1, 1), (1, 0)),
+            (1, (1, 0), (1, 1)),
         ]
         hin = HIN(["A", "P"], [["a1"], ["p1", "p2"]], edge_types, edges)
-        assert hin.edges == [Edge((0, 0), (1, 0), 0), Edge((1, 0), (1, 1), 1)]
+        assert hin.edges.tolist() == [[0, 0, 0], [1, 0, 1]]
         assert hin.duplicates == 2
 
     def test_directed_edges_keep_their_direction(self):
         edge_types = [EdgeType("cites", True, 0, 0), EdgeType("by", True, 0, 1)]
-        edges = [Edge((0, 1), (0, 0), 0), Edge((0, 0), (0, 1), 0)]
+        edges = [(0, (0, 1), (0, 0)), (0, (0, 0), (0, 1))]
         hin = HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges)
-        assert hin.edges == edges and hin.duplicates == 0
+        assert hin.edges.tolist() == [[0, 0, 1], [0, 1, 0]] and hin.duplicates == 0
         with pytest.raises(EdgeError, match="incompatible node types") as info:
-            HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges + [Edge((1, 0), (0, 0), 1)])
+            HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges + [(1, (1, 0), (0, 0))])
         assert info.value.index == 2
 
     @pytest.mark.parametrize(
         "edge, reason",
-        [(Edge((0, 1), (0, 1), 0), "self-loop"), (Edge((0, 0), (0, 5), 0), "unknown node index")],
+        [((0, (0, 1), (0, 1)), "self-loop"), ((0, (0, 0), (0, 5)), "unknown node index")],
     )
     def test_refused_edge_reports_its_index(self, edge, reason):
         with pytest.raises(EdgeError, match=reason) as info:
-            HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], [Edge((0, 0), (0, 1), 0), edge])
+            HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], [(0, (0, 0), (0, 1)), edge])
         assert info.value.index == 1 and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_admission_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = [int(n) for n in rng.integers(1, 6, size=int(rng.integers(2, 4)))]
+        edge_types = [EdgeType("same", False, 0, 0)]  # undirected, one type at both ends
+        for e in range(int(rng.integers(1, 5))):
+            src, dst = (int(t) for t in rng.integers(0, len(num_nodes), size=2))
+            edge_types.append(EdgeType(f"e{e}", bool(rng.integers(0, 2)), src, dst))
+        edges = [
+            (etype, (et.src_type, u), (et.dst_type, v))
+            for etype, et in enumerate(edge_types)
+            for u in range(num_nodes[et.src_type])
+            for v in range(num_nodes[et.dst_type])
+            if (et.src_type, u) != (et.dst_type, v) and rng.random() < 0.5
+        ]
+        edges += [edges[k] for k in rng.integers(0, len(edges), size=len(edges) // 4)]
+        edges = [
+            (e, b, a) if not edge_types[e].directed and rng.random() < 0.5 else (e, a, b)
+            for e, a, b in edges
+        ]
+        rng.shuffle(edges)
+        type_names = [f"T{t}" for t in range(len(num_nodes))]
+        nodes = [[f"T{t}n{j}" for j in range(n)] for t, n in enumerate(num_nodes)]
+
+        rows, duplicates, refused = admit_edges(edge_types, num_nodes, edges)
+        assert refused is None
+        hin = HIN(type_names, nodes, edge_types, edges)
+        assert hin.edges.tolist() == [list(r) for r in rows] and hin.duplicates == duplicates
+        for etype in range(len(edge_types)):
+            for forward in (True, False):
+                want = adjacency_pairs(edge_types, rows, etype, forward)
+                assert csr_pairs(hin, etype, forward) == want
+
+        bad = [
+            (0, (0, 0), (0, 0)),                           # self-loop
+            (0, (0, 0), (1, 0)),                           # incompatible node types
+            (0, (0, 0), (0, num_nodes[0])),                # unknown node index
+        ]
+        for k in rng.permutation(len(bad))[: int(rng.integers(1, 3))]:
+            edges.insert(int(rng.integers(0, len(edges) + 1)), bad[k])
+        refused = admit_edges(edge_types, num_nodes, edges)[2]
+        with pytest.raises(EdgeError) as info:
+            HIN(type_names, nodes, edge_types, edges)
+        assert info.value.index == refused
 
 
 class TestProperties:
@@ -163,25 +226,17 @@ class TestProperties:
                 continue
             e = hin.edge_type_id(name)
             for u in range(hin.num_nodes(et.src_type)):
-                for v in hin.neighbors_fwd(e, u):
-                    assert u in hin.neighbors_rev(e, v)
+                for v in row(hin, e, True, u):
+                    assert u in row(hin, e, False, v)
             for v in range(hin.num_nodes(et.dst_type)):
-                for u in hin.neighbors_rev(e, v):
-                    assert v in hin.neighbors_fwd(e, u)
+                for u in row(hin, e, False, v):
+                    assert v in row(hin, e, True, u)
 
     def test_directed_adjacency_is_transpose(self, toy_paths):
         hin = load_hin(*toy_paths)
         e = hin.edge_type_id("cites")
-        pairs_fwd = {
-            (u, v)
-            for u in range(hin.num_nodes(hin.edge_types[e].src_type))
-            for v in hin.neighbors_fwd(e, u)
-        }
-        pairs_rev = {
-            (u, v)
-            for v in range(hin.num_nodes(hin.edge_types[e].dst_type))
-            for u in hin.neighbors_rev(e, v)
-        }
+        pairs_fwd = csr_pairs(hin, e, True)
+        pairs_rev = {(u, v) for v, u in csr_pairs(hin, e, False)}
         assert pairs_fwd == pairs_rev == {(1, 0)}  # p2 cites p1
 
     def test_same_type_undirected_edges(self, tmp_path):
@@ -189,5 +244,5 @@ class TestProperties:
         edges = "p1\tp2\trel\tu\np2\tp3\trel\tu\n"
         hin = load_hin(*write_pair(tmp_path, nodes, edges))
         e = hin.edge_type_id("rel")
-        assert hin.neighbors_fwd(e, 1) == [0, 2]
-        assert hin.neighbors_fwd(e, 1) == hin.neighbors_rev(e, 1)
+        assert row(hin, e, True, 1) == [0, 2]
+        assert row(hin, e, True, 1) == row(hin, e, False, 1)

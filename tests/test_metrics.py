@@ -142,10 +142,8 @@ class TestGenerator:
         assert d1.labels == d2.labels and d1.seeds == d2.seeds
         # recount: every pair instance is one 'ab' edge; dedup'd edge count of
         # that type must equal the distinct instance count
-        ab_edges = [
-            e for e in d1.hin.edges if d1.hin.edge_types[e.etype].name == "ab"
-        ]
-        assert len(ab_edges) == len({tuple(t) for t in d1.instances["pair"].tolist()})
+        ab_edges = np.count_nonzero(d1.hin.edges[:, 0] == d1.hin.edge_type_id("ab"))
+        assert ab_edges == len({tuple(t) for t in d1.instances["pair"].tolist()})
 
     def test_seed_fraction_per_block(self):
         config = PlantedConfig(seed_fraction=0.05, rng_seed=8)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from motifclust.hin import HIN, Edge, EdgeType, load_hin
+from motifclust.hin import HIN, EdgeType, load_hin
 from motifclust.motifs import MotifInstanceSet, enumerate_instances, parse_motif, transcribe
 
 from oracles import todense
@@ -39,10 +39,12 @@ APPA_SPEC = json.dumps(
 def edge_lookup(hin):
     """Raw edge set for the brute-force oracle, independent of adjacency."""
     present = set()
-    for e in hin.edges:
-        present.add((e.etype, e.src, e.dst))
-        if not hin.edge_types[e.etype].directed:
-            present.add((e.etype, e.dst, e.src))
+    for etype, src, dst in hin.edges.tolist():
+        et = hin.edge_types[etype]
+        a, b = (et.src_type, src), (et.dst_type, dst)
+        present.add((etype, a, b))
+        if not et.directed:
+            present.add((etype, b, a))
     return present
 
 
@@ -80,23 +82,14 @@ def random_hin(rng, max_nodes=12):
     for e in range(int(rng.integers(1, 4))):
         src, dst = rng.integers(0, n_types, size=2)
         edge_types.append(EdgeType(f"e{e}", bool(rng.integers(0, 2)), int(src), int(dst)))
-    edges = set()
+    edges = []  # HIN drops the repeats
     for et_id, et in enumerate(edge_types):
         ns, nd = counts[et.src_type], counts[et.dst_type]
         for _ in range(int(rng.integers(0, ns * nd + 1))):
             u, v = int(rng.integers(0, ns)), int(rng.integers(0, nd))
-            if (et.src_type, u) == (et.dst_type, v):
-                continue
-            key = ((et.src_type, u), (et.dst_type, v))
-            if not et.directed and et.src_type == et.dst_type:
-                key = tuple(sorted(key))  # dedup symmetric same-type pairs
-            edges.add((et_id, *key))
-    return HIN(
-        type_names,
-        nodes_by_type,
-        edge_types,
-        [Edge(src, dst, et) for et, src, dst in sorted(edges)],
-    )
+            if (et.src_type, u) != (et.dst_type, v):
+                edges.append((et_id, (et.src_type, u), (et.dst_type, v)))
+    return HIN(type_names, nodes_by_type, edge_types, edges)
 
 
 def random_motif(rng, hin, max_order=5):
@@ -331,10 +324,8 @@ class TestTranscribe:
         motif = parse_motif(AP_SPEC, toy_hin)
         x = transcribe(enumerate_instances(toy_hin, motif), toy_hin)
         adj = np.zeros((3, 4))
-        e = toy_hin.edge_type_id("writes")
-        for a in range(3):
-            for p in toy_hin.neighbors_fwd(e, a):
-                adj[a, p] = 1.0
+        rows = toy_hin.edges[toy_hin.edges[:, 0] == toy_hin.edge_type_id("writes")]
+        adj[rows[:, 1], rows[:, 2]] = 1.0
         np.testing.assert_array_equal(todense(x), adj)
 
     def test_dense_indicator_matches_brute_force(self, toy_hin):
