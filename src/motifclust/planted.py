@@ -153,6 +153,7 @@ def generate_planted_hin(config):
         raise ValueError("noise must be non-negative and finite")
     if not 0 <= config.seed_fraction <= 1:
         raise ValueError("seed_fraction must be in [0, 1]")
+    edge_type_uses = {}  # edge type name -> (first template, its sorted end types)
     for template in config.templates:
         count = template.instances_per_block
         if count is not None and (type(count) is not int or count < 0):
@@ -163,10 +164,15 @@ def generate_planted_hin(config):
             if t not in config.type_names:
                 raise ValueError(f"template {template.name!r} uses unknown type {t!r}")
         positions = range(len(template.node_types))
-        for i, j, _ in template.edges:
+        for i, j, etname in template.edges:
             if i == j or i not in positions or j not in positions:
                 raise ValueError(f"template {template.name!r}: edge ({i}, {j}) must join "
                                  f"two distinct positions in 0..{len(positions) - 1}")
+            ends = tuple(sorted((template.node_types[i], template.node_types[j])))
+            first, first_ends = edge_type_uses.setdefault(etname, (template.name, ends))
+            if ends != first_ends:
+                raise ValueError(f"edge type {etname!r} joins {'-'.join(ends)} in template "
+                                 f"{template.name!r} but {'-'.join(first_ends)} in template {first!r}")
         worst = max(Counter(template.node_types).values())
         if worst > block:
             raise ValueError(
@@ -217,8 +223,7 @@ def generate_planted_hin(config):
             tuples = _sample_tuples(rng, template, range(size), c * per_block)
         instances[template.name] = np.asarray(sorted(tuples), dtype=np.int32)
 
-    # Every instance edge; HIN orients and sorts them, drops the repeats and
-    # refuses an edge type reused between other node types.
+    # Every instance edge; HIN orients and sorts them and drops the repeats.
     type_ids = {t: i for i, t in enumerate(config.type_names)}
     nodes_by_type = [[f"{t}{j}" for j in range(size)] for t in config.type_names]
     edge_types = []

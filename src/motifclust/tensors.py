@@ -129,19 +129,19 @@ def mttkrp_sparse(x, factors, mode):
     Returns the (d_mode, C) matrix whose row j accumulates, over nonzeros whose
     mode-th index equals j, value times the elementwise product of the other
     factors' columns. Cost O(nnz * (N-1) * C); factors[mode] is ignored.
+    Cluster-major: a (C, nnz) product gathers factor rows with `take`, and a
+    `bincount` per cluster sums it in nonzero order, as (nnz, C) would.
     """
     c = _check_factors(x, factors)
-    out = np.zeros((x.dims[mode], c))
-    if x.nnz == 0:
-        return out
-    prod = np.broadcast_to(x.values[:, None], (x.nnz, c)).copy()
+    out = np.zeros((c, x.dims[mode]))
+    prod = np.broadcast_to(x.values, (c, x.nnz)).copy()
     for i, f in enumerate(factors):
         if i != mode:
-            prod *= f.T[x.indices[:, i], :]
+            prod *= f.take(x.indices[:, i], axis=1)
     rows = x.indices[:, mode]
     for k in range(c):
-        out[:, k] = np.bincount(rows, weights=prod[:, k], minlength=x.dims[mode])
-    return out
+        out[k] = np.bincount(rows, weights=prod[k], minlength=x.dims[mode])
+    return out.T
 
 
 def gram_hadamard(factors, mode=None):
@@ -177,12 +177,10 @@ def residual_fro_sq(x, factors):
     plus the total sum of the all-factor Gram Hadamard product.
     """
     c = _check_factors(x, factors)
-    cross = 0.0
-    if x.nnz:
-        prod = np.ones((x.nnz, c))
-        for i, f in enumerate(factors):
-            prod *= f.T[x.indices[:, i], :]
-        cross = float(x.values @ prod.sum(axis=1))
+    prod = np.ones((c, x.nnz))
+    for i, f in enumerate(factors):
+        prod *= f.take(x.indices[:, i], axis=1)
+    cross = float(x.values @ prod.sum(axis=0))
     recon = float(gram_hadamard(factors).sum())
     return _combine_residual(x.norm_sq, cross, recon)
 

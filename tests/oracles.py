@@ -7,7 +7,7 @@ verification only and are not part of the package.
 import numpy as np
 
 from motifclust.planted import _sample_tuples
-from motifclust.tensors import SparseTensor
+from motifclust.tensors import SparseTensor, _combine_residual, gram_hadamard
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -27,6 +27,38 @@ def todense(x, max_size=10**7):
     out = np.zeros(x.dims)
     out[tuple(x.indices.T)] = x.values
     return out
+
+
+def mttkrp_nonzero_major(x, factors, mode):
+    """`mttkrp_sparse` in the (nnz, C) layout: the values times the other
+    factors' columns gathered per nonzero, summed per cluster by `bincount`.
+    The library's cluster-major kernel must equal it bit for bit."""
+    c = factors[0].shape[0]
+    out = np.zeros((x.dims[mode], c))
+    if x.nnz == 0:
+        return out
+    prod = np.broadcast_to(x.values[:, None], (x.nnz, c)).copy()
+    for i, f in enumerate(factors):
+        if i != mode:
+            prod *= f.T[x.indices[:, i], :]
+    rows = x.indices[:, mode]
+    for k in range(c):
+        out[:, k] = np.bincount(rows, weights=prod[:, k], minlength=x.dims[mode])
+    return out
+
+
+def residual_nonzero_major(x, factors):
+    """`residual_fro_sq` with its cross term from an (nnz, C) product whose
+    rows (one per nonzero) are summed over the clusters."""
+    c = factors[0].shape[0]
+    cross = 0.0
+    if x.nnz:
+        prod = np.ones((x.nnz, c))
+        for i, f in enumerate(factors):
+            prod *= f.T[x.indices[:, i], :]
+        cross = float(x.values @ prod.sum(axis=1))
+    recon = float(gram_hadamard(factors).sum())
+    return _combine_residual(x.norm_sq, cross, recon)
 
 
 def dense_reconstruct(factors):

@@ -141,6 +141,10 @@ class TestGenPlanted:
                 {"templates": [dict(PAIR, edges=[[0, -1, "ab"]])]},
                 r"template 'pair': edge \(0, -1\) must join two distinct positions",
             ),
+            (  # one edge type name on two node-type pairs, caught before sampling
+                {"templates": [PAIR, dict(PAIR, name="pair_ac", node_types=["A", "C"])]},
+                r"edge type 'ab' joins A-C in template 'pair_ac' but A-B in template 'pair'",
+            ),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):

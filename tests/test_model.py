@@ -501,6 +501,34 @@ class TestFit:
                 correct += int(assign.labels[j] == data.labels[node])
         assert correct / total == 1.0
 
+    def test_twelve_clusters_fit_and_label_every_node(self):
+        config = PlantedConfig(
+            n_clusters=12,
+            nodes_per_type=48,
+            type_names=("A", "B"),
+            templates=(MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),)),),
+            seed_fraction=0.25,
+            rng_seed=0,
+        )
+        data = generate_planted_hin(config)
+        hin = data.hin
+        motif = parse_motif(
+            '{"name":"pair","nodes":[{"id":"a","type":"A"},{"id":"b","type":"B"}],'
+            '"edges":[{"src":"a","dst":"b","etype":"ab","dir":"u"}]}',
+            hin,
+        )
+        tensor = transcribe(enumerate_instances(hin, motif), hin)
+        hyper = Hyperparameters(n_clusters=12, max_outer_iters=5)
+        state = init_model(hin, [motif], [tensor], data.seeds, hyper)
+        result = fit(state)
+        objs = [rec.objective for rec in result.history]
+        for a, b in zip(objs, objs[1:]):
+            assert b <= a + 1e-9 * (1 + abs(a))
+        for t, assign in assign_clusters(state).items():
+            labels = np.asarray(assign.labels)
+            assert labels.shape == (len(hin.nodes_of_type(t)),)
+            assert labels.min() >= 0 and labels.max() <= 11
+
 
 class TestAssign:
     def _single_type_state(self, cons_value):

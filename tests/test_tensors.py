@@ -15,7 +15,14 @@ from motifclust.tensors import (
 )
 
 from conftest import random_sparse_tensor
-from oracles import dense_reconstruct, from_tuples, matricize, todense
+from oracles import (
+    dense_reconstruct,
+    from_tuples,
+    matricize,
+    mttkrp_nonzero_major,
+    residual_nonzero_major,
+    todense,
+)
 
 
 def kr_columns(factors, skip):
@@ -169,12 +176,13 @@ class TestMttkrp:
         rng = np.random.default_rng(7)
         dims = (5, 6, 7, 8)
         x = random_sparse_tensor(rng, dims, 50)
-        f = random_factors(rng, dims, 3)
         dense = todense(x)
-        for k in range(4):
-            expected = matricize(dense, k).T @ kr_columns(f, k)
-            got = mttkrp_sparse(x, f, k)
-            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+        for c in (3, 12):
+            f = random_factors(rng, dims, c)
+            for k in range(4):
+                expected = matricize(dense, k).T @ kr_columns(f, k)
+                got = mttkrp_sparse(x, f, k)
+                np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_shape_mismatch(self):
         x = SparseTensor.empty((4, 5))
@@ -182,6 +190,58 @@ class TestMttkrp:
             mttkrp_sparse(x, [np.zeros((2, 4))], 0)
         with pytest.raises(ValueError):
             mttkrp_sparse(x, [np.zeros((2, 4)), np.zeros((2, 6))], 0)
+
+
+class TestClusterMajorBitIdentity:
+    """The cluster-major kernels against the nonzero-major oracles, which do
+    the same products and sums in the (nnz, C) layout."""
+
+    @staticmethod
+    def case(order, c, values, seed):
+        """A tensor whose top 3 indices of every mode are unused, so a result
+        row only exists through `bincount`'s `minlength`, and its factors."""
+        rng = np.random.default_rng(seed)
+        used = tuple(int(d) for d in rng.integers(2, 7, size=order))
+        x = random_sparse_tensor(rng, used, 40)
+        vals = x.values if values == "binary" else rng.uniform(0.0, 10.0, size=x.nnz)
+        dims = tuple(d + 3 for d in used)
+        return SparseTensor(dims, x.indices, vals), random_factors(rng, dims, c)
+
+    @pytest.mark.parametrize("values", ["binary", "random"])
+    @pytest.mark.parametrize("c", [2, 3, 8, 12])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_mttkrp_equals_nonzero_major(self, order, c, values):
+        x, f = self.case(order, c, values, seed=100 * order + c)
+        for mode in range(order):
+            got = mttkrp_sparse(x, f, mode)
+            assert got.shape == (x.dims[mode], c)
+            assert np.array_equal(got, mttkrp_nonzero_major(x, f, mode))
+
+    @pytest.mark.parametrize("c", [2, 3, 8, 12])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_empty_tensor(self, order, c):
+        rng = np.random.default_rng(order + c)
+        dims = tuple(int(d) for d in rng.integers(2, 7, size=order))
+        x, f = SparseTensor.empty(dims), random_factors(rng, dims, c)
+        for mode in range(order):
+            assert np.array_equal(mttkrp_sparse(x, f, mode), np.zeros((dims[mode], c)))
+        assert residual_fro_sq(x, f) == residual_nonzero_major(x, f)
+
+    @pytest.mark.parametrize("values", ["binary", "random"])
+    @pytest.mark.parametrize("c", [2, 3, 8, 12])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_residual_matches_nonzero_major(self, order, c, values):
+        x, f = self.case(order, c, values, seed=100 * order + c + 50)
+        got, want = residual_fro_sq(x, f), residual_nonzero_major(x, f)
+        if c < 8:
+            assert got == want
+        else:
+            # numpy sums a contiguous row of 8 or more clusters pairwise, while
+            # the (C, nnz) layout adds its rows in sequence: each nonzero's sum
+            # may differ by (C - 1) roundings and the dot over the nonzeros by
+            # nnz more. With non-negative terms, cross <= (||X||^2 + recon) / 2.
+            scale = x.norm_sq + float(gram_hadamard(f).sum())
+            assert abs(got - want) <= 4 * (c + x.nnz) * np.finfo(np.float64).eps * scale
 
 
 class TestGramHadamard:
