@@ -23,7 +23,7 @@ from .model import (
     project_simplex,
     update_factor,
 )
-from .motifs import Motif, MotifInstanceSet, enumerate_instances, parse_motif, transcribe
+from .motifs import Motif, enumerate_instances, parse_motif, transcribe
 from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from .tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
@@ -34,7 +34,6 @@ __all__ = [
     "load_hin",
     "write_hin",
     "Motif",
-    "MotifInstanceSet",
     "parse_motif",
     "enumerate_instances",
     "transcribe",

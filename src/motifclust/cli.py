@@ -191,8 +191,7 @@ def _ensure_tensors(config):
         if manifest.pop(motif.name, None) is not None:
             _write_manifest(config, manifest)  # never trust a half-rebuilt entry
         start = time.perf_counter()
-        instances = enumerate_instances(hin, motif)
-        tensor = transcribe(instances, hin)
+        tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         elapsed = time.perf_counter() - start
         log.info("motif %r: %d nonzeros transcribed in %.3f s", motif.name, tensor.nnz, elapsed)
         _write_atomic(tensor_file, tensor.write_tsv)

@@ -13,15 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hin import orient
 from .tensors import SparseTensor
 
 
 @dataclass(frozen=True)
 class PatternEdge:
+    """A pattern edge between positions, in `orient` order of its edge type."""
+
     src: int
     dst: int
     etype: int
-    directed: bool
 
 
 @dataclass(frozen=True)
@@ -38,16 +40,29 @@ class Motif:
         return len(self.node_types)
 
 
-@dataclass(frozen=True)
-class MotifInstanceSet:
-    """Deduplicated matches of a motif: one row of dense indices per instance,
-    column i indexing the nodes of type ``motif.node_types[i]``."""
+SPEC_KEYS = {"name", "nodes", "edges", "injective_types"}
 
-    motif: Motif
-    tuples: np.ndarray  # (n, order) int32, lexicographically sorted, unique
 
-    def __len__(self):
-        return int(self.tuples.shape[0])
+def _list(name, spec, key, kind):
+    """The spec's `key` (default empty), which must be a list of `kind`."""
+    value = spec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        noun = "strings" if kind is str else "objects"
+        raise ValueError(f"motif {name!r}: {key!r} must be a list of {noun}")
+    return value
+
+
+def _fields(name, what, entry, keys):
+    """The string fields `keys` of a spec object that has no other keys."""
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"motif {name!r}: {what} missing field {key!r}")
+        if not isinstance(entry[key], str):
+            raise ValueError(f"motif {name!r}: {what} field {key!r} must be a string")
+    extra = sorted(set(entry) - set(keys))
+    if extra:
+        raise ValueError(f"motif {name!r}: {what} has unknown keys {extra}")
+    return [entry[key] for key in keys]
 
 
 def parse_motif(spec_text, hin):
@@ -63,89 +78,71 @@ def parse_motif(spec_text, hin):
         spec = json.loads(spec_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"motif spec is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValueError("motif spec must be a JSON object")
     name = spec.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("motif spec needs a non-empty string 'name'")
-    nodes = spec.get("nodes")
-    if not nodes:
+    if "/" in name or "\\" in name:
+        raise ValueError(f"motif {name!r}: name must not contain '/' or '\\'")
+    if set(spec) - SPEC_KEYS:
+        raise ValueError(f"motif {name!r}: unknown keys {sorted(set(spec) - SPEC_KEYS)}")
+    if not spec.get("nodes"):
         raise ValueError(f"motif {name!r}: needs at least one node")
 
     positions = {}
     node_types = []
-    for entry in nodes:
-        nid, tname = entry["id"], entry["type"]
+    for entry in _list(name, spec, "nodes", dict):
+        nid, tname = _fields(name, "node", entry, ("id", "type"))
         if nid in positions:
             raise ValueError(f"motif {name!r}: duplicate node id {nid!r}")
         positions[nid] = len(node_types)
         node_types.append(hin.type_id(tname))
 
     edges = []
-    seen = set()
-    for entry in spec.get("edges", []):
-        for key in ("src", "dst", "etype", "dir"):
-            if key not in entry:
-                raise ValueError(f"motif {name!r}: edge missing field {key!r}")
-        if entry["src"] not in positions or entry["dst"] not in positions:
+    for entry in _list(name, spec, "edges", dict):
+        src, dst, etname, flag = _fields(name, "edge", entry, ("src", "dst", "etype", "dir"))
+        if src not in positions or dst not in positions:
             raise ValueError(f"motif {name!r}: edge references unknown node id")
-        i, j = positions[entry["src"]], positions[entry["dst"]]
-        if i == j:
-            raise ValueError(f"motif {name!r}: self-edge on node {entry['src']!r}")
-        if entry["dir"] not in ("d", "u"):
+        if src == dst:
+            raise ValueError(f"motif {name!r}: self-edge on node {src!r}")
+        if flag not in ("d", "u"):
             raise ValueError(f"motif {name!r}: edge dir must be 'd' or 'u'")
-        directed = entry["dir"] == "d"
-        et_id = hin.edge_type_id(entry["etype"])
+        et_id = hin.edge_type_id(etname)
         et = hin.edge_types[et_id]
-        label = f"{entry['src']}-{entry['dst']}"
-        if et.directed != directed:
+        label = f"{src}-{dst}"
+        if et.directed != (flag == "d"):
             raise ValueError(
                 f"motif {name!r} edge {label}: edge type {et.name!r} is "
                 f"{'directed' if et.directed else 'undirected'} in the graph"
             )
-        ti, tj = node_types[i], node_types[j]
-        sig = (et.src_type, et.dst_type)
-        if directed:
-            ok = (ti, tj) == sig
-        else:
-            ok = {ti, tj} == set(sig) and (ti, tj) in (sig, sig[::-1])
-        if not ok:
+        i, j = positions[src], positions[dst]
+        (ti, i), (tj, j) = orient(et, (node_types[i], i), (node_types[j], j))
+        if (ti, tj) != (et.src_type, et.dst_type):
             raise ValueError(
                 f"motif {name!r} edge {label}: endpoint types do not match "
                 f"edge type {et.name!r}"
             )
-        key = (i, j, et_id) if directed else (min(i, j), max(i, j), et_id)
-        if key in seen:
+        if PatternEdge(i, j, et_id) in edges:
             raise ValueError(f"motif {name!r} edge {label}: duplicate pattern edge")
-        seen.add(key)
-        if not directed and ti != tj and ti != et.src_type:
-            i, j = j, i  # store undirected edges in signature order for adjacency lookups
-        edges.append(PatternEdge(i, j, et_id, directed))
-
-    # Connectivity, ignoring direction.
-    if len(node_types) > 1:
-        adj = {i: set() for i in range(len(node_types))}
-        for e in edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        reached = {0}
-        stack = [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        if len(reached) != len(node_types):
-            raise ValueError(f"motif {name!r}: pattern is not connected")
+        edges.append(PatternEdge(i, j, et_id))
 
     if "injective_types" in spec:
-        injective = frozenset(hin.type_id(t) for t in spec["injective_types"])
+        injective = frozenset(hin.type_id(t) for t in _list(name, spec, "injective_types", str))
     else:
         injective = frozenset(node_types)
-    return Motif(name, tuple(node_types), tuple(edges), injective)
+    motif = Motif(name, tuple(node_types), tuple(edges), injective)
+    _visit_order(hin, motif)  # raises unless the pattern is connected
+    return motif
 
 
 def load_motif(path, hin):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_motif(fh.read(), hin)
+    """`parse_motif` of a file; a ValueError names the file first."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_motif(fh.read(), hin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _visit_order(hin, motif):
@@ -161,6 +158,8 @@ def _visit_order(hin, motif):
     visited = {order[0]}
     while len(order) < n:
         frontier = [i for i in range(n) if i not in visited and adj[i] & visited]
+        if not frontier:
+            raise ValueError(f"motif {motif.name!r}: pattern is not connected")
         nxt = min(frontier, key=lambda i: (size[i], i))
         order.append(nxt)
         visited.add(nxt)
@@ -168,7 +167,8 @@ def _visit_order(hin, motif):
 
 
 def enumerate_instances(hin, motif):
-    """All bindings of the motif in the HIN, as sorted unique index tuples.
+    """All bindings of the motif in the HIN: an (n, order) int32 array of
+    unique rows in join order (the `SparseTensor` of `transcribe` sorts them).
 
     A binary join over the HIN's CSR adjacency, one pattern position per step
     in `_visit_order`: the first edge back to a bound position expands every
@@ -209,9 +209,7 @@ def enumerate_instances(hin, motif):
                     keep &= c != new
         cols[pos] = new
         cols = {q: c[keep] for q, c in cols.items()}
-    arr = np.column_stack([cols[i] for i in range(motif.order)])
-    arr = arr[np.lexsort(arr.T[::-1])]
-    return MotifInstanceSet(motif, arr)
+    return np.column_stack([cols[i] for i in range(motif.order)])
 
 
 def _has_edge(csr, width, rows, cols):
@@ -224,9 +222,8 @@ def _has_edge(csr, width, rows, cols):
     return keys[np.searchsorted(keys, query)] == query
 
 
-def transcribe(instances, hin):
-    """Binary sparse tensor of the instance set: one mode per motif position,
-    mode i sized |V_t| for the position's type, value 1.0 at each instance."""
-    motif = instances.motif
+def transcribe(hin, motif, tuples):
+    """Binary sparse tensor of the motif's instance rows: one mode per motif
+    position, mode i sized |V_t| for the position's type, value 1.0 at each."""
     dims = tuple(hin.num_nodes(t) for t in motif.node_types)
-    return SparseTensor(dims, instances.tuples, np.ones(len(instances)))
+    return SparseTensor(dims, tuples, np.ones(len(tuples)))

@@ -11,9 +11,7 @@ product without another pass over the nonzeros.
 
 from __future__ import annotations
 
-import io
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -86,16 +84,20 @@ class SparseTensor:
     def read_tsv(cls, path):
         """Read a `write_tsv` file; anything malformed raises a ValueError
         that names `path`."""
-        header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
         try:
-            tokens = header.split()
-            if tokens[:1] != ["#dims"]:
-                raise ValueError("missing #dims header")
-            dims = tuple(int(tok) for tok in tokens[1:])
-            row = np.dtype([("index", np.int32, (len(dims),)), ("value", np.float64)])
-            rows = np.empty(0, row)
-            if body and not body.isspace():  # loadtxt warns on a body without rows
-                rows = np.loadtxt(io.StringIO(body), row, delimiter="\t", comments=None, ndmin=1)
+            with open(path, "r", encoding="utf-8") as fh:
+                tokens = fh.readline().split()
+                if tokens[:1] != ["#dims"]:
+                    raise ValueError("missing #dims header")
+                dims = tuple(int(tok) for tok in tokens[1:])
+                row = np.dtype([("index", np.int32, (len(dims),)), ("value", np.float64)])
+                rows = np.empty(0, row)
+                body = fh.tell()
+                while (char := fh.read(1)).isspace():
+                    pass
+                if char:  # loadtxt warns on a body without rows
+                    fh.seek(body)
+                    rows = np.loadtxt(fh, row, delimiter="\t", comments=None, ndmin=1)
             return cls(dims, rows["index"], rows["value"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -58,7 +58,7 @@ def planted_pipeline(config, seeds, hyper):
     data = generate_planted_hin(config)
     hin = data.hin
     motifs = [parse_motif(json.dumps(t.motif_spec()), hin) for t in config.templates]
-    tensors = [transcribe(enumerate_instances(hin, m), hin) for m in motifs]
+    tensors = [transcribe(hin, m, enumerate_instances(hin, m)) for m in motifs]
     state = init_model(hin, motifs, tensors, seeds(data, hin), hyper)
     fit(state)
     return data, hin, motifs, tensors, state
@@ -204,7 +204,7 @@ def test_criterion_6_enumeration_completeness():
         motif = random_motif(rng, hin, max_order=5)
         if motif is None:
             continue
-        got = [tuple(r) for r in enumerate_instances(hin, motif).tuples.tolist()]
+        got = sorted(map(tuple, enumerate_instances(hin, motif).tolist()))
         assert got == brute_force(hin, motif)
         checked += 1
     check(
@@ -248,7 +248,7 @@ def test_criterion_8_motif_utility_trend():
         data = generate_planted_hin(config)
         hin = data.hin
         motifs = [parse_motif(json.dumps(t.motif_spec()), hin) for t in config.templates]
-        tensors = [transcribe(enumerate_instances(hin, m), hin) for m in motifs]
+        tensors = [transcribe(hin, m, enumerate_instances(hin, m)) for m in motifs]
         hyper = Hyperparameters(n_clusters=3, init_seed=seed, seed_boost=10.0)
 
         full = init_model(hin, motifs, tensors, data.seeds, hyper)

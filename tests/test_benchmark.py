@@ -29,3 +29,6 @@ def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):
     assert [op["op"] for op in result["ops"]] == ["transcribe", "fit", "evaluate"]
     assert all(op["ok"] for op in result["ops"]), result["ops"]
     assert result["layers"]["hin.edges"] == edges
+    # the tracer counts instances as len() of what enumerate_instances returns
+    manifest = json.loads((data / run["tensor_dir"] / "manifest.json").read_text())
+    assert result["layers"]["motifs.instances.quad"] == manifest["quad"]["nnz"] > 0

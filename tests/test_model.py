@@ -455,7 +455,7 @@ class TestFit:
                 '"edges":[{"src":"a","dst":"b","etype":"ab","dir":"u"}]}',
                 hin,
             )
-            tensor = transcribe(enumerate_instances(hin, motif), hin)
+            tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
             state = init_model(
                 hin, [motif], [tensor], data.seeds,
                 Hyperparameters(
@@ -487,7 +487,7 @@ class TestFit:
             '"edges":[{"src":"a","dst":"b","etype":"ab","dir":"u"}]}',
             hin,
         )
-        tensor = transcribe(enumerate_instances(hin, motif), hin)
+        tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         state = init_model(hin, [motif], [tensor], data.seeds, Hyperparameters(n_clusters=2))
         fit(state)
         assigned = assign_clusters(state)
@@ -517,7 +517,7 @@ class TestFit:
             '"edges":[{"src":"a","dst":"b","etype":"ab","dir":"u"}]}',
             hin,
         )
-        tensor = transcribe(enumerate_instances(hin, motif), hin)
+        tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         hyper = Hyperparameters(n_clusters=12, max_outer_iters=5)
         state = init_model(hin, [motif], [tensor], data.seeds, hyper)
         result = fit(state)
@@ -572,7 +572,7 @@ class TestInitModel:
             '"edges":[{"src":"a","dst":"p","etype":"writes","dir":"u"}]}',
             hin,
         )
-        tensor = transcribe(enumerate_instances(hin, motif), hin)
+        tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         return hin, motif, tensor
 
     def test_deterministic_init(self, toy_paths):
@@ -601,7 +601,7 @@ class TestInitModel:
             '"edges":[{"src":"p","dst":"t","etype":"uses","dir":"u"}]}',
             hin,
         )
-        tensor2 = transcribe(enumerate_instances(hin, motif2), hin)
+        tensor2 = transcribe(hin, motif2, enumerate_instances(hin, motif2))
         state = init_model(
             hin, [motif, motif2], [tensor, tensor2], {}, Hyperparameters(n_clusters=2)
         )

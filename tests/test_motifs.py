@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from motifclust.hin import HIN, EdgeType, load_hin
-from motifclust.motifs import MotifInstanceSet, enumerate_instances, parse_motif, transcribe
+from motifclust.motifs import (
+    Motif, PatternEdge, enumerate_instances, load_motif, parse_motif, transcribe,
+)
 
 from oracles import todense
 
@@ -94,8 +96,6 @@ def random_hin(rng, max_nodes=12):
 
 def random_motif(rng, hin, max_order=5):
     """Grow a random connected pattern compatible with the HIN's schema."""
-    from motifclust.motifs import Motif, PatternEdge
-
     target = int(rng.integers(1, max_order + 1))
     et_ids = list(range(len(hin.edge_types)))
     node_types = [int(rng.integers(0, hin.num_types()))]
@@ -116,10 +116,10 @@ def random_motif(rng, hin, max_order=5):
         p, side = anchors[int(rng.integers(0, len(anchors)))]
         if side == "src":
             node_types.append(et.dst_type)
-            edges.append(PatternEdge(p, len(node_types) - 1, et_id, et.directed))
+            edges.append(PatternEdge(p, len(node_types) - 1, et_id))
         else:
             node_types.append(et.src_type)
-            edges.append(PatternEdge(len(node_types) - 1, p, et_id, et.directed))
+            edges.append(PatternEdge(len(node_types) - 1, p, et_id))
     if len(node_types) > 1 and not edges:
         return None
     if len(node_types) < target:
@@ -127,7 +127,7 @@ def random_motif(rng, hin, max_order=5):
     if rng.integers(0, 2):
         # A closing edge between two placed positions, so the pattern has a cycle.
         closing = [
-            PatternEdge(p, q, et_id, et.directed)
+            PatternEdge(p, q, et_id)
             for et_id, et in enumerate(hin.edge_types)
             for p, tp in enumerate(node_types)
             for q, tq in enumerate(node_types)
@@ -143,6 +143,37 @@ def random_motif(rng, hin, max_order=5):
     types = sorted(set(node_types))
     injective = [frozenset(types), frozenset(), frozenset(t for t in types if rng.integers(0, 2))]
     return Motif("rand", tuple(node_types), tuple(edges), injective[int(rng.integers(0, 3))])
+
+
+def spec_of(hin, motif, flip=False):
+    """The JSON spec of a motif; `flip` writes each undirected edge dst-first."""
+    edges = []
+    for e in motif.edges:
+        et = hin.edge_types[e.etype]
+        src, dst = (e.dst, e.src) if flip and not et.directed else (e.src, e.dst)
+        flag = "d" if et.directed else "u"
+        edges.append({"src": f"n{src}", "dst": f"n{dst}", "etype": et.name, "dir": flag})
+    return json.dumps(
+        {
+            "name": motif.name,
+            "nodes": [
+                {"id": f"n{i}", "type": hin.type_names[t]} for i, t in enumerate(motif.node_types)
+            ],
+            "edges": edges,
+            "injective_types": sorted(hin.type_names[t] for t in motif.injective_types),
+        }
+    )
+
+
+def random_pairs(seed, count):
+    """`count` random (HIN, motif) pairs from one seed."""
+    rng = np.random.default_rng(seed)
+    while count:
+        hin = random_hin(rng)
+        motif = random_motif(rng, hin)
+        if motif is not None:
+            count -= 1
+            yield hin, motif
 
 
 @pytest.fixture
@@ -207,41 +238,95 @@ class TestParse:
         m = parse_motif(json.dumps(spec), toy_hin)
         assert m.injective_types == frozenset({toy_hin.type_id("A")})
 
+    def test_undirected_edges_parse_the_same_either_way_round(self):
+        for hin, motif in random_pairs(7, 60):
+            m = parse_motif(spec_of(hin, motif), hin)
+            assert parse_motif(spec_of(hin, motif, flip=True), hin) == m
+            for e in m.edges:
+                et = hin.edge_types[e.etype]
+                assert (m.node_types[e.src], m.node_types[e.dst]) == (et.src_type, et.dst_type)
+            got = set(map(tuple, enumerate_instances(hin, m).tolist()))
+            assert got == set(map(tuple, enumerate_instances(hin, motif).tolist()))
+
+    def test_duplicate_undirected_edge_written_both_ways(self, toy_hin):
+        spec = json.loads(AP_SPEC)
+        spec["edges"].append({"src": "p", "dst": "a", "etype": "writes", "dir": "u"})
+        with pytest.raises(ValueError, match="edge p-a: duplicate pattern edge"):
+            parse_motif(json.dumps(spec), toy_hin)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"injective_types": "AP"}, "'injective_types' must be a list of strings"),
+            ({"injective_types": [0]}, "'injective_types' must be a list of strings"),
+            ({"injective": ["A"]}, r"unknown keys \['injective'\]"),
+            ({"nodes": [{"id": "a"}]}, "node missing field 'type'"),
+            ({"nodes": [{"id": "a", "type": 1}]}, "node field 'type' must be a string"),
+            ({"nodes": [{"id": "a", "type": "A", "kind": "x"}]},
+             r"node has unknown keys \['kind'\]"),
+            ({"nodes": "ap"}, "'nodes' must be a list of objects"),
+            ({"nodes": ["a"]}, "'nodes' must be a list of objects"),
+            ({"edges": {"src": "a"}}, "'edges' must be a list of objects"),
+            ({"edges": [{"src": "a", "dst": "p", "etype": "writes", "dir": True}]},
+             "edge field 'dir' must be a string"),
+            ({"name": "a/p"}, "must not contain"),
+            ({"name": "a\\p"}, "must not contain"),
+        ],
+    )
+    def test_malformed_spec_shape(self, toy_hin, change, message):
+        spec = dict(json.loads(AP_SPEC), **change)
+        with pytest.raises(ValueError, match=message):
+            parse_motif(json.dumps(spec), toy_hin)
+
+    def test_spec_must_be_an_object(self, toy_hin):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            parse_motif(json.dumps([json.loads(AP_SPEC)]), toy_hin)
+
+    def test_load_motif_names_the_file(self, toy_hin, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(json.loads(AP_SPEC), injective="A")))
+        with pytest.raises(ValueError, match="unknown keys") as info:
+            load_motif(path, toy_hin)
+        assert str(info.value).startswith(f"{path}: motif 'ap': ")
+        path.write_text(json.dumps(dict(json.loads(AP_SPEC), injective_types=["ZZ"])))
+        with pytest.raises(KeyError, match="ZZ"):
+            load_motif(path, toy_hin)
+
 
 class TestEnumerate:
     def test_single_node_motif(self, toy_hin):
         spec = json.dumps({"name": "a", "nodes": [{"id": "x", "type": "A"}]})
         inst = enumerate_instances(toy_hin, parse_motif(spec, toy_hin))
-        assert inst.tuples.tolist() == [[0], [1], [2]]
+        assert sorted(inst.tolist()) == [[0], [1], [2]]
 
     def test_edge_motif_enumerates_edges(self, toy_hin):
         inst = enumerate_instances(toy_hin, parse_motif(AP_SPEC, toy_hin))
         expected = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)}  # the writes pairs
-        assert set(map(tuple, inst.tuples.tolist())) == expected
+        assert set(map(tuple, inst.tolist())) == expected
 
     def test_appa_matches_brute_force(self, toy_hin):
         motif = parse_motif(APPA_SPEC, toy_hin)
         inst = enumerate_instances(toy_hin, motif)
-        assert [tuple(r) for r in inst.tuples.tolist()] == brute_force(toy_hin, motif)
+        assert sorted(map(tuple, inst.tolist())) == brute_force(toy_hin, motif)
         # p2 cites p1; distinct writers on each side leaves a2,p2 -> p1,a1
-        assert set(map(tuple, inst.tuples.tolist())) == {(1, 1, 0, 0)}
+        assert set(map(tuple, inst.tolist())) == {(1, 1, 0, 0)}
 
     def test_completeness_on_random_graphs(self):
-        rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 60:
-            hin = random_hin(rng)
-            motif = random_motif(rng, hin)
-            if motif is None:
-                continue
+        for hin, motif in random_pairs(42, 60):
             inst = enumerate_instances(hin, motif)
-            assert [tuple(r) for r in inst.tuples.tolist()] == brute_force(hin, motif)
-            checked += 1
+            assert sorted(map(tuple, inst.tolist())) == brute_force(hin, motif)
+
+    def test_disconnected_motif_is_refused(self, toy_hin):
+        a, p = toy_hin.type_id("A"), toy_hin.type_id("P")
+        writes = PatternEdge(0, 1, toy_hin.edge_type_id("writes"))
+        motif = Motif("split", (a, p, a), (writes,), frozenset())
+        with pytest.raises(ValueError, match="motif 'split': pattern is not connected"):
+            enumerate_instances(toy_hin, motif)
 
     def test_soundness_reverifies(self, toy_hin):
         motif = parse_motif(APPA_SPEC, toy_hin)
         present = edge_lookup(toy_hin)
-        for row in enumerate_instances(toy_hin, motif).tuples:
+        for row in enumerate_instances(toy_hin, motif):
             for e in motif.edges:
                 a = (motif.node_types[e.src], int(row[e.src]))
                 b = (motif.node_types[e.dst], int(row[e.dst]))
@@ -278,7 +363,7 @@ class TestEnumerate:
             ep_.write_text(edges, encoding="utf-8")
             hin = load_hin(np_, ep_)
         motif = parse_motif(spec, hin)
-        got = set(map(tuple, enumerate_instances(hin, motif).tuples.tolist()))
+        got = set(map(tuple, enumerate_instances(hin, motif).tolist()))
         assert got
         for a1, p1, p2, a2 in got:
             assert (a2, p2, p1, a1) in got
@@ -302,10 +387,10 @@ class TestEnumerate:
             ],
         }
         strict = enumerate_instances(hin, parse_motif(json.dumps(base), hin))
-        assert set(map(tuple, strict.tuples.tolist())) == {(0, 0, 1), (1, 0, 0)}
+        assert set(map(tuple, strict.tolist())) == {(0, 0, 1), (1, 0, 0)}
         base["injective_types"] = []
         loose = enumerate_instances(hin, parse_motif(json.dumps(base), hin))
-        assert set(map(tuple, loose.tuples.tolist())) == {
+        assert set(map(tuple, loose.tolist())) == {
             (0, 0, 0),
             (0, 0, 1),
             (1, 0, 0),
@@ -316,13 +401,12 @@ class TestEnumerate:
 class TestTranscribe:
     def test_empty_instances(self, toy_hin):
         motif = parse_motif(AP_SPEC, toy_hin)
-        inst = MotifInstanceSet(motif, np.empty((0, 2), dtype=np.int32))
-        x = transcribe(inst, toy_hin)
+        x = transcribe(toy_hin, motif, np.empty((0, 2), dtype=np.int32))
         assert x.dims == (3, 4) and x.nnz == 0
 
     def test_edge_motif_equals_adjacency(self, toy_hin):
         motif = parse_motif(AP_SPEC, toy_hin)
-        x = transcribe(enumerate_instances(toy_hin, motif), toy_hin)
+        x = transcribe(toy_hin, motif, enumerate_instances(toy_hin, motif))
         adj = np.zeros((3, 4))
         rows = toy_hin.edges[toy_hin.edges[:, 0] == toy_hin.edge_type_id("writes")]
         adj[rows[:, 1], rows[:, 2]] = 1.0
@@ -331,9 +415,19 @@ class TestTranscribe:
     def test_dense_indicator_matches_brute_force(self, toy_hin):
         motif = parse_motif(APPA_SPEC, toy_hin)
         inst = enumerate_instances(toy_hin, motif)
-        x = transcribe(inst, toy_hin)
+        x = transcribe(toy_hin, motif, inst)
         expected = np.zeros(x.dims)
         for combo in brute_force(toy_hin, motif):
             expected[combo] = 1.0
         np.testing.assert_array_equal(todense(x), expected)
         assert x.nnz == len(inst)
+
+    def test_tensor_is_sorted_whatever_the_join_order(self):
+        unsorted = 0
+        for hin, motif in random_pairs(11, 60):
+            rows = enumerate_instances(hin, motif)
+            x = transcribe(hin, motif, rows)
+            assert x.nnz == len(rows)
+            assert np.array_equal(x.indices, np.unique(rows, axis=0).reshape(-1, motif.order))
+            unsorted += not np.array_equal(rows, x.indices)
+        assert unsorted  # some joins do not come out in sorted order
