@@ -329,6 +329,8 @@ def _template_from_dict(path, k, raw):
     if type(raw["name"]) is not str or not raw["name"]:
         raise ValueError(f"{where}: name must be a non-empty string, got {json.dumps(raw['name'])}")
     where = f"{path}: template {raw['name']!r}"
+    if "/" in raw["name"] or "\\" in raw["name"]:
+        raise ValueError(f"{where}: name must not contain '/' or '\\'")
     unknown = sorted(set(raw) - {f.name for f in fields(MotifTemplate)})
     if unknown:
         raise ValueError(f"{where}: unknown template key(s) {unknown}")

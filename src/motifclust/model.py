@@ -291,14 +291,15 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
 
 def _sweep(state, m):
     """Update every factor of motif m once, in position order, and return
-    m's residual afterwards. It comes from the MTTKRP and Gram product of
-    the last update: no other factor of m moves after they are computed."""
+    m's residual afterwards. The MTTKRPs share one cache, so each node of
+    the tensor's dimension tree is computed once per sweep. The residual
+    comes from the MTTKRP and Gram product of the last update: no other
+    factor of m moves after they are computed."""
     x, factors = state.tensors[m], state.factors[m]
-    last = len(factors) - 1
-    for i in range(last):
-        update_factor(state, m, i)
-    mttkrp, gram = mttkrp_sparse(x, factors, last), gram_hadamard(factors, last)
-    updated = update_factor(state, m, last, mttkrp, gram)
+    cache = {}
+    for i in range(len(factors)):
+        mttkrp, gram = mttkrp_sparse(x, factors, i, cache=cache), gram_hadamard(factors, i)
+        updated = update_factor(state, m, i, mttkrp, gram)
     return residual_from_mode(x, updated, mttkrp, gram)
 
 

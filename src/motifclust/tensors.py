@@ -5,6 +5,8 @@ cluster count and column ``j`` holds the soft cluster membership of node ``j``.
 The three sparse kernels (`mttkrp_sparse`, `gram_hadamard`, `residual_fro_sq`)
 touch only the nonzero entries and small Gram matrices, so their cost is
 governed by ``nnz`` and the mode sizes rather than the full tensor volume.
+`mttkrp_sparse` sums over the distinct index tuples of the tensor's
+dimension tree (`SparseTensor.tree`) below its root, the nonzeros.
 `residual_from_mode` gets the same residual from one mode's MTTKRP and Gram
 product without another pass over the nonzeros.
 """
@@ -27,6 +29,7 @@ class SparseTensor:
 
     indices: (nnz, N) int32 array, rows sorted lexicographically, no duplicates
     values:  (nnz,) float64 array
+    Both are read-only.
     """
 
     def __init__(self, dims, indices, values):
@@ -39,14 +42,16 @@ class SparseTensor:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise ValueError("indices and values disagree on nnz")
-        if indices.size:
-            if indices.min() < 0 or np.any(indices >= np.asarray(dims, dtype=np.int64)):
-                raise ValueError("index out of bounds")
-            order = np.lexsort(indices.T[::-1])
-            indices = indices[order]
-            values = values[order]
-            if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
-                raise ValueError("duplicate index tuples")
+        if indices.size and (indices.min() < 0 or np.any(indices >= np.asarray(dims, dtype=np.int64))):
+            raise ValueError("index out of bounds")
+        # Sorting copies, so freezing the arrays below never freezes the caller's.
+        order = np.lexsort(indices.T[::-1])
+        indices = indices[order]
+        values = values[order]
+        if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
+            raise ValueError("duplicate index tuples")
+        # Read-only: an in-place write would make `norm_sq` and `tree` stale.
+        indices.flags.writeable = values.flags.writeable = False
         self.dims = dims
         self.indices = indices
         self.values = values
@@ -63,6 +68,40 @@ class SparseTensor:
     def norm_sq(self):
         """||X||^2, computed on first use and kept."""
         return float(self.values @ self.values)
+
+    @cached_property
+    def tree(self):
+        """The static binary dimension tree that `mttkrp_sparse` walks, built
+        on first use and kept.
+
+        Maps each mode range (lo, hi) to (keys, starts, group). keys holds the
+        distinct index tuples over modes lo..hi-1, one row each, sorted
+        lexicographically; the root (0, N) holds the tensor's own indices. A
+        range of two or more modes splits at mid = (lo + hi) // 2. Its left
+        child (lo, mid) takes a prefix of the parent's columns, so each child
+        key covers one contiguous run of parent rows, and `starts` holds the
+        first parent row of each run. Its right child (mid, hi) takes the
+        suffix, and `group` holds the child row of every parent row (int32).
+        """
+        tree = {(0, self.order): (self.indices, None, None)}
+        ranges = [(0, self.order)]
+        while ranges:
+            lo, hi = ranges.pop()
+            if hi - lo < 2:
+                continue
+            mid = (lo + hi) // 2
+            keys = tree[lo, hi][0]
+            head, tail = keys[:, : mid - lo], keys[:, mid - lo :]
+            starts = np.flatnonzero(_first_of_runs(_packed(head, self.dims[lo:mid])))
+            cols = _packed(tail, self.dims[mid:hi])
+            order = np.lexsort(cols[::-1])
+            first = _first_of_runs([col[order] for col in cols])
+            group = np.empty(len(order), dtype=np.int32)
+            group[order] = np.cumsum(first, dtype=np.int32) - 1
+            tree[lo, mid] = head[starts], starts, None
+            tree[mid, hi] = tail[order[first]], None, group
+            ranges += [(lo, mid), (mid, hi)]
+        return tree
 
     @classmethod
     def empty(cls, dims):
@@ -115,6 +154,31 @@ class SparseTensor:
         return f"SparseTensor(dims={self.dims}, nnz={self.nnz})"
 
 
+def _packed(keys, dims):
+    """The columns of `keys` as int64 arrays, each run of adjacent columns
+    whose dims' product fits in int64 folded into one mixed-radix column;
+    rows compare and sort over them as over `keys`."""
+    cols, width = [], 0
+    for col, d in zip(keys.T, dims):
+        if cols and width * d <= np.iinfo(np.int64).max:
+            cols[-1] = cols[-1] * d + col
+            width *= d
+        else:
+            cols.append(col.astype(np.int64))
+            width = d
+    return cols
+
+
+def _first_of_runs(cols):
+    """Mask of the rows, over the sorted key columns `cols`, that differ
+    from the row before."""
+    first = np.zeros(len(cols[0]), dtype=bool)
+    first[:1] = True
+    for col in cols:
+        first[1:] |= col[1:] != col[:-1]
+    return first
+
+
 def _check_factors(x, factors):
     if len(factors) != x.order:
         raise ValueError(f"expected {x.order} factors, got {len(factors)}")
@@ -125,25 +189,86 @@ def _check_factors(x, factors):
     return c
 
 
-def mttkrp_sparse(x, factors, mode):
+def mttkrp_sparse(x, factors, mode, cache=None):
     """Matricized-tensor-times-factors product along `mode`, nonzeros only.
 
     Returns the (d_mode, C) matrix whose row j accumulates, over nonzeros whose
     mode-th index equals j, value times the elementwise product of the other
-    factors' columns. Cost O(nnz * (N-1) * C); factors[mode] is ignored.
-    Cluster-major: a (C, nnz) product gathers factor rows with `take`, and a
-    `bincount` per cluster sums it in nonzero order, as (nnz, C) would.
+    factors' columns; factors[mode] is ignored. The call walks `x.tree` from
+    the root to the leaf of `mode`: each node on the way gets a (C, n)
+    partial product over its n keys from its parent's (`_descend`), and the
+    leaf's partial holds the result's nonzero rows.
+
+    `cache` serves one Gauss-Seidel sweep: a dict, empty at the sweep's
+    start, passed to one call per mode in ascending mode order, where the
+    caller may replace factors[i] after the call for mode i. Each node's
+    partial is then computed once per sweep, as it depends only on the
+    factors outside the node's mode range, and the results equal cache-free
+    calls bit for bit. A call that breaks this protocol raises a ValueError.
     """
     c = _check_factors(x, factors)
+    if cache is not None:
+        _claim(cache, x, factors, mode)
     out = np.zeros((c, x.dims[mode]))
-    prod = np.broadcast_to(x.values, (c, x.nnz)).copy()
-    for i, f in enumerate(factors):
-        if i != mode:
-            prod *= f.take(x.indices[:, i], axis=1)
-    rows = x.indices[:, mode]
-    for k in range(c):
-        out[k] = np.bincount(rows, weights=prod[k], minlength=x.dims[mode])
+    if x.nnz == 0:
+        return out.T
+    lo, hi, partial = 0, x.order, x.values
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        node, sibling = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
+        child = None if cache is None else cache.get(node)
+        if child is None:
+            child = _descend(x.tree, node, sibling, partial, factors)
+            if cache is not None:
+                cache[node] = child
+        (lo, hi), partial = node, child
+    out[:, x.tree[lo, hi][0][:, 0]] = partial
     return out.T
+
+
+def _claim(cache, x, factors, mode):
+    """Record in `cache` that it serves `mode` of `x` now, after checking that
+    its partials are current: the modes rise, and since the last call no
+    factor moved but those of the modes from the last served one up to
+    `mode`, which every cached node on the way to `mode` contains."""
+    if cache:
+        last, seen = cache["mode"], cache["inputs"]
+        if mode <= last:
+            raise ValueError(f"a sweep cache that served mode {last} cannot serve mode {mode}")
+        moved = [k for k, (f, g) in enumerate(zip(factors, seen[1:])) if f is not g]
+        if seen[0] is not x or any(not last <= k < mode for k in moved):
+            raise ValueError(
+                f"a sweep cache that served mode {last} cannot serve mode {mode} "
+                f"of another tensor or after factors {moved} moved"
+            )
+    cache["mode"], cache["inputs"] = mode, (x, *factors)
+
+
+def _descend(tree, node, sibling, partial, factors):
+    """The (C, n) partial product of tree `node` from its parent's `partial`.
+
+    The product of the factor columns of the `sibling` range is taken once
+    per sibling key (in ascending mode order), spread over the parent's rows
+    by the sibling's run starts or group index, and multiplied by the
+    parent's partial; it is then summed onto the node's n keys, by
+    `np.add.reduceat` over runs for a left child and by one `bincount` per
+    cluster, in parent row order, for a right child. The (C, parent rows)
+    product lives only in this call."""
+    keys, starts, group = tree[node]
+    sib_keys, sib_starts, sib_group = tree[sibling]
+    lo = sibling[0]
+    spread = factors[lo].take(sib_keys[:, 0], axis=1)
+    for k in range(lo + 1, sibling[1]):
+        spread *= factors[k].take(sib_keys[:, k - lo], axis=1)
+    if sib_group is None:
+        prod = np.repeat(spread, np.diff(sib_starts, append=partial.shape[-1]), axis=1)
+    else:
+        prod = spread.take(sib_group, axis=1)
+    prod *= partial
+    if starts is not None:
+        return np.add.reduceat(prod, starts, axis=1)
+    group = group.astype(np.intp)
+    return np.stack([np.bincount(group, weights=row, minlength=len(keys)) for row in prod])
 
 
 def gram_hadamard(factors, mode=None):

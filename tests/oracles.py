@@ -30,9 +30,10 @@ def todense(x, max_size=10**7):
 
 
 def mttkrp_nonzero_major(x, factors, mode):
-    """`mttkrp_sparse` in the (nnz, C) layout: the values times the other
-    factors' columns gathered per nonzero, summed per cluster by `bincount`.
-    The library's cluster-major kernel must equal it bit for bit."""
+    """`mttkrp_sparse` as one flat pass in the (nnz, C) layout: the values
+    times the other factors' columns gathered per nonzero, summed per
+    cluster by `bincount` in nonzero order. The library's dimension tree
+    groups these sums differently, so it equals this up to roundoff."""
     c = factors[0].shape[0]
     out = np.zeros((x.dims[mode], c))
     if x.nnz == 0:
@@ -44,6 +45,50 @@ def mttkrp_nonzero_major(x, factors, mode):
     rows = x.indices[:, mode]
     for k in range(c):
         out[:, k] = np.bincount(rows, weights=prod[:, k], minlength=x.dims[mode])
+    return out
+
+
+def mttkrp_tree_nonzero_major(x, factors, mode):
+    """`mttkrp_sparse` in the (rows, C) layout, with the products and sums
+    grouped as the library's dimension tree groups them, and the tree's keys
+    found by `np.unique`. The library's kernel must equal it bit for bit.
+
+    From the root (the nonzeros) to the leaf of `mode`, the range of modes
+    [lo, hi) splits at (lo + hi) // 2 into the half holding `mode` and its
+    sibling. The half's partial is the product of the sibling's factor
+    columns, taken per distinct sibling tuple in ascending mode order, times
+    the parent's partial, summed per distinct tuple of the half: for the
+    lower half, whose rows with one tuple are contiguous, as the first row
+    plus the (pairwise) numpy sum of the rest, which is what `np.add.reduceat`
+    computes; for the upper half, one parent row at a time in order."""
+    c = factors[0].shape[0]
+    out = np.zeros((x.dims[mode], c))
+    if x.nnz == 0:
+        return out
+    lo, hi, keys, partial = 0, x.order, x.indices, x.values[:, None]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        half, sib = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
+        sib_keys, sib_rows = np.unique(
+            keys[:, sib[0] - lo : sib[1] - lo], axis=0, return_inverse=True
+        )
+        spread = factors[sib[0]].T[sib_keys[:, 0]]
+        for k in range(sib[0] + 1, sib[1]):
+            spread = spread * factors[k].T[sib_keys[:, k - sib[0]]]
+        prod = spread[sib_rows.ravel()] * partial
+        half_keys, rows = np.unique(keys[:, half[0] - lo : half[1] - lo], axis=0, return_inverse=True)
+        rows = rows.ravel()
+        summed = np.zeros((len(half_keys), c))
+        if half[0] == lo:
+            for g in range(len(half_keys)):
+                run = np.flatnonzero(rows == g)
+                assert np.all(np.diff(run) == 1), "a lower half's rows are contiguous"
+                rest = prod[run[1:]]
+                summed[g] = prod[run[0]] + np.array([rest[:, k].sum() for k in range(c)])
+        else:
+            np.add.at(summed, rows, prod)
+        (lo, hi), keys, partial = half, half_keys, summed
+    out[keys[:, 0]] = partial
     return out
 
 

@@ -29,6 +29,8 @@ def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):
     assert [op["op"] for op in result["ops"]] == ["transcribe", "fit", "evaluate"]
     assert all(op["ok"] for op in result["ops"]), result["ops"]
     assert result["layers"]["hin.edges"] == edges
+    # a sweep that bypassed the traced `mttkrp_sparse` name would read 0 calls
+    assert result["layers"]["tensors.mttkrp_calls"] == result["layers"]["model.update_factor_calls"] > 0
     # the tracer counts instances as len() of what enumerate_instances returns
     manifest = json.loads((data / run["tensor_dir"] / "manifest.json").read_text())
     assert result["layers"]["motifs.instances.quad"] == manifest["quad"]["nnz"] > 0

@@ -145,6 +145,8 @@ class TestGenPlanted:
                 {"templates": [PAIR, dict(PAIR, name="pair_ac", node_types=["A", "C"])]},
                 r"edge type 'ab' joins A-C in template 'pair_ac' but A-B in template 'pair'",
             ),
+            ({"templates": [dict(PAIR, name="a/b")]}, r"template 'a/b': name must not contain"),
+            ({"templates": [dict(PAIR, name="a\\b")]}, r"template 'a\\\\b': name must not contain"),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):

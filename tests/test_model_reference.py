@@ -258,9 +258,9 @@ def test_fit_evaluates_each_state_once(monkeypatch):
         calls["updates"] += 1
         return real_update(state, m, i, *kernels)
 
-    def counting_mttkrp(x, factors, mode):
+    def counting_mttkrp(x, factors, mode, **kwargs):
         calls["mttkrp"] += 1
-        return real_mttkrp(x, factors, mode)
+        return real_mttkrp(x, factors, mode, **kwargs)
 
     def counting_residual(x, factors):
         calls["residual"] += 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motifclust.tensors import (
+    MAX_INDEX,
     SparseTensor,
     gram_hadamard,
     mttkrp_sparse,
@@ -20,6 +21,7 @@ from oracles import (
     from_tuples,
     matricize,
     mttkrp_nonzero_major,
+    mttkrp_tree_nonzero_major,
     residual_nonzero_major,
     todense,
 )
@@ -81,6 +83,20 @@ class TestSparseTensor:
     def test_empty(self):
         x = SparseTensor.empty((3, 4))
         assert x.nnz == 0 and x.dims == (3, 4)
+
+    @pytest.mark.parametrize("nnz", [0, 2])
+    def test_arrays_are_read_only_and_callers_stay_writeable(self, nnz):
+        idx = np.array([[1, 2], [0, 0]], dtype=np.int32)[:nnz]
+        vals = np.array([5.0, 7.0])[:nnz]
+        x = SparseTensor((2, 3), idx, vals)
+        with pytest.raises(ValueError, match="read-only"):
+            x.values[:] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            x.indices[:] = 0
+        assert idx.flags.writeable and vals.flags.writeable
+        idx[:] = 1
+        vals[:] = 3.0
+        assert x == SparseTensor((2, 3), [[0, 0], [1, 2]][:nnz], [7.0, 5.0][:nnz])
 
 
 def tsv_text(x):
@@ -215,7 +231,8 @@ class TestClusterMajorBitIdentity:
         for mode in range(order):
             got = mttkrp_sparse(x, f, mode)
             assert got.shape == (x.dims[mode], c)
-            assert np.array_equal(got, mttkrp_nonzero_major(x, f, mode))
+            assert np.array_equal(got, mttkrp_tree_nonzero_major(x, f, mode))
+            np.testing.assert_allclose(got, mttkrp_nonzero_major(x, f, mode), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("c", [2, 3, 8, 12])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -242,6 +259,101 @@ class TestClusterMajorBitIdentity:
             # nnz more. With non-negative terms, cross <= (||X||^2 + recon) / 2.
             scale = x.norm_sq + float(gram_hadamard(f).sum())
             assert abs(got - want) <= 4 * (c + x.nnz) * np.finfo(np.float64).eps * scale
+
+
+def tree_ranges(lo, hi):
+    """(parent, child) mode ranges of the dimension tree below (lo, hi)."""
+    if hi - lo < 2:
+        return []
+    mid = (lo + hi) // 2
+    return [((lo, hi), (lo, mid)), ((lo, hi), (mid, hi))] + tree_ranges(lo, mid) + tree_ranges(mid, hi)
+
+
+def assert_tree_matches_unique(x):
+    tree = x.tree
+    edges = tree_ranges(0, x.order)
+    assert set(tree) == {(0, x.order)} | {child for _, child in edges}
+    assert tree[0, x.order][0] is x.indices
+    for parent, (lo, hi) in edges:
+        keys, starts, group = tree[lo, hi]
+        assert np.array_equal(keys, np.unique(x.indices[:, lo:hi], axis=0))
+        cols = tree[parent][0][:, lo - parent[0] : hi - parent[0]]
+        if lo == parent[0]:
+            assert group is None
+            rows = np.repeat(np.arange(len(keys)), np.diff(starts, append=len(cols)))
+        else:
+            assert starts is None and group.dtype == np.int32
+            rows = group
+        assert np.array_equal(keys[rows], cols)
+
+
+class TestDimensionTree:
+    """The static tree `mttkrp_sparse` walks, and its per-sweep cache."""
+
+    @staticmethod
+    def case(order, c, kind, seed):
+        """A tensor with 3 unused trailing indices per mode and its factors.
+        "repeated": modes alternate between two node types, as in a motif
+        that repeats a type, and the positions of a type start from one
+        shared factor object."""
+        rng = np.random.default_rng(seed)
+        types = [0, 1, 0, 0, 1, 0][:order] if kind == "repeated" else list(range(order))
+        sizes = [int(d) for d in rng.integers(2, 6, size=order)]
+        used = tuple(sizes[t] for t in types)
+        x = random_sparse_tensor(rng, used, 0 if kind == "empty" else 150)
+        dims = tuple(d + 3 for d in used)
+        x = SparseTensor(dims, x.indices, rng.uniform(0.0, 10.0, size=x.nnz))
+        shared = {t: rng.uniform(0.0, 1.0, size=(c, dims[i])) for i, t in enumerate(types)}
+        return x, [shared[t] for t in types]
+
+    @pytest.mark.parametrize("kind", ["random", "empty", "repeated"])
+    @pytest.mark.parametrize("c", [2, 3, 8, 12])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_sweep_cache_equals_cache_free(self, order, c, kind):
+        x, f = self.case(order, c, kind, seed=10 * order + c)
+        rng = np.random.default_rng(order * c)
+        for _ in range(2):
+            cache = {}
+            for i in range(order):
+                got = mttkrp_sparse(x, f, i, cache=cache)
+                assert np.array_equal(got, mttkrp_sparse(x, f, i))
+                assert np.array_equal(got, mttkrp_tree_nonzero_major(x, f, i))
+                f[i] = rng.uniform(0.0, 1.0, size=f[i].shape)
+        assert_tree_matches_unique(x)
+
+    def test_cache_refuses_stale_partials(self):
+        x, f = self.case(4, 3, "random", seed=5)
+        y = SparseTensor(x.dims, x.indices, 2.0 * x.values)
+        cache = {}
+        mttkrp_sparse(x, f, 1, cache=cache)
+        for mode in (0, 1):
+            with pytest.raises(ValueError, match="served mode 1 cannot serve mode"):
+                mttkrp_sparse(x, f, mode, cache=cache)
+        with pytest.raises(ValueError, match="another tensor"):
+            mttkrp_sparse(y, f, 2, cache=cache)
+        kept = f[3]
+        f[3] = 2.0 * kept  # a factor the cached node (0, 2) depends on
+        with pytest.raises(ValueError, match=r"factors \[3\] moved"):
+            mttkrp_sparse(x, f, 2, cache=cache)
+        f[1], f[2], f[3] = 2.0 * f[1], 2.0 * f[2], kept  # the served mode and a skipped one
+        assert np.array_equal(mttkrp_sparse(x, f, 3, cache=cache), mttkrp_sparse(x, f, 3))
+
+    def test_tree_is_built_on_first_use(self, tmp_path):
+        x = random_sparse_tensor(np.random.default_rng(4), (5, 6, 7), 30)
+        x.write_tsv(tmp_path / "x.tsv")
+        y = SparseTensor.read_tsv(tmp_path / "x.tsv")
+        assert "tree" not in vars(x) and "tree" not in vars(y)
+        mttkrp_sparse(y, random_factors(np.random.default_rng(5), y.dims, 2), 0)
+        assert "tree" in vars(y)
+
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_tree_at_max_index(self, order):
+        # Keys over three modes of this size overflow int64 when raveled.
+        rng = np.random.default_rng(order)
+        top = MAX_INDEX - 1
+        idx = np.unique(rng.choice([0, 1, top - 1, top], size=(12, order)), axis=0)
+        x = SparseTensor((MAX_INDEX,) * order, idx, np.ones(len(idx)))
+        assert_tree_matches_unique(x)
 
 
 class TestGramHadamard:
