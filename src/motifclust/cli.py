@@ -117,11 +117,10 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _content_key(config, motif_path):
-    h = hashlib.sha256(CACHE_FORMAT + b"\x00")
-    for p in (config.nodes, config.edges, motif_path):
-        h.update(p.read_bytes())
-        h.update(b"\x00")
+def _content_key(graph, motif_path):
+    """`graph` (hashing the cache format tag and graph files) plus the motif file."""
+    h = graph.copy()
+    h.update(motif_path.read_bytes() + b"\x00")
     return h.hexdigest()
 
 
@@ -167,8 +166,11 @@ def _ensure_tensors(config):
     manifest = _read_manifest(config)
     tensors = []
     rebuilt = 0
+    graph = hashlib.sha256(CACHE_FORMAT + b"\x00")
+    for p in (config.nodes, config.edges):
+        graph.update(p.read_bytes() + b"\x00")
     for motif, path in zip(motifs, config.motifs):
-        key = _content_key(config, path)
+        key = _content_key(graph, path)
         entry = manifest.get(motif.name)
         tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
         if entry and entry.get("key") == key and tensor_file.is_file():

@@ -3,9 +3,11 @@
 Nodes are identified by globally unique strings and grouped by type; within a
 type, the dense index of a node is its first-appearance position in the nodes
 file. Edge types carry a fixed endpoint-type signature and directedness,
-inferred from the first edge of that type and enforced afterwards. The edge
-set is held once, as `HIN.edges`: sorted `(edge type, src index, dst index)`
-int64 rows in `orient` order. The CSR adjacency per edge type and direction
+inferred from the first edge of that type and enforced afterwards. `HIN`
+admits edges as `(edge type, src type, src index, dst type, dst index)` array
+rows, which `load_hin` streams from the edges file, and holds the edge set
+once, as `HIN.edges`: sorted `(edge type, src index, dst index)` int64 rows in
+`orient` order. The CSR adjacency per edge type and direction
 (`HIN.adjacency`) is built from it once. An `HIN` is immutable.
 
 File formats (UTF-8, LF, `#` comment lines skipped):
@@ -17,9 +19,12 @@ File formats (UTF-8, LF, `#` comment lines skipped):
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import _first_of_runs, _packed
 
 log = logging.getLogger(__name__)
 
@@ -34,14 +39,18 @@ class EdgeType:
 
 def orient(et, src, dst):
     """Endpoints of an edge of type `et` in stored order: undirected edges go
-    in signature order, the lower endpoint first when both ends share a type."""
+    in signature order, the lower endpoint first when both ends share a type.
+    `src` and `dst` are `(type, index)` pairs, or `(2, m)` arrays of m edges."""
+    (st, sj), (dt, dj) = src, dst
     if et.directed:
         return src, dst
     if et.src_type == et.dst_type:
-        return min(src, dst), max(src, dst)
-    if (src[0], dst[0]) == (et.dst_type, et.src_type):
-        return dst, src
-    return src, dst
+        swap = (st > dt) | ((st == dt) & (sj > dj))
+    else:
+        swap = (st == et.dst_type) & (dt == et.src_type)
+    if np.ndim(swap):
+        return np.where(swap, dst, src), np.where(swap, src, dst)
+    return (dst, src) if swap else (src, dst)
 
 
 class EdgeError(ValueError):
@@ -71,27 +80,41 @@ class HIN:
         self.edge_types = list(edge_types)
         self.edge_type_ids = {et.name: i for i, et in enumerate(self.edge_types)}
 
-        # Edge admission, the one home of these rules: `edges` holds
-        # `(edge type id, (type, index), (type, index))` triples; stored order
+        # Edge admission, the one home of these rules, over (n, 5) int rows
+        # `(edge type id, src type, src index, dst type, dst index)` or
+        # `(edge type id, (type, index), (type, index))` triples: stored order
         # fits the signature (see `orient`), endpoints exist, no self-loops,
         # and a repeated edge is dropped and counted in `duplicates`.
-        keys = set()
-        self.duplicates = 0
-        for k, (etype, src, dst) in enumerate(edges):
-            et = self.edge_types[etype]
-            src, dst = orient(et, src, dst)
-            if (src[0], dst[0]) != (et.src_type, et.dst_type):
-                raise EdgeError(k, f"edge type {et.name!r} used between incompatible node types")
-            for t, j in (src, dst):
-                if not 0 <= j < len(self.nodes_by_type[t]):
-                    raise EdgeError(k, f"edge references unknown node index {j} of type {t}")
-            if src == dst:
-                raise EdgeError(k, f"self-loop on {self.node_name(*src)!r}")
-            key = (etype, src[1], dst[1])
-            if key in keys:
-                self.duplicates += 1
-            keys.add(key)
-        self.edges = np.array(sorted(keys), dtype=np.int64).reshape(-1, 3)
+        if not isinstance(edges, np.ndarray):
+            edges = [(etype, *src, *dst) for etype, src, dst in edges]
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 5)
+        etype = edges[:, 0]
+        sig = np.array([(et.src_type, et.dst_type) for et in self.edge_types], dtype=np.int64)
+        sig = sig.reshape(-1, 2)[etype].T
+        for k, et in enumerate(self.edge_types):
+            rows = etype == k
+            src, dst = orient(et, edges[rows, 1:3].T, edges[rows, 3:].T)
+            edges[rows, 1:] = np.vstack([src, dst]).T
+        st, sj, dt, dj = edges[:, 1:].T
+        sizes = np.array([len(names) for names in self.nodes_by_type], dtype=np.int64)
+        incompatible = "edge type {!r} used between incompatible node types"
+        unknown = "edge references unknown node index {} of type {}"
+        faults = [  # (refused rows, reason for refused row k), in checking order
+            ((st != sig[0]) | (dt != sig[1]), lambda k: incompatible.format(self.edge_types[etype[k]].name)),
+            ((sj < 0) | (sj >= sizes[sig[0]]), lambda k: unknown.format(sj[k], st[k])),
+            ((dj < 0) | (dj >= sizes[sig[1]]), lambda k: unknown.format(dj[k], dt[k])),
+            ((st == dt) & (sj == dj), lambda k: f"self-loop on {self.node_name(st[k], sj[k])!r}"),
+        ]
+        refused = np.logical_or.reduce([mask for mask, _ in faults], initial=False)
+        if refused.any():
+            k = int(np.argmax(refused))
+            raise EdgeError(k, next(reason(k) for mask, reason in faults if mask[k]))
+        keys = edges[:, [0, 2, 4]]
+        cols = _packed(keys, (len(self.edge_types), *[int(sizes.max(initial=0))] * 2))
+        order = np.lexsort(cols[::-1])
+        first = _first_of_runs([col[order] for col in cols])
+        self.duplicates = int(first.size - first.sum())
+        self.edges = keys[order[first]]
         self.edges.flags.writeable = False
 
         # Per edge type, CSR adjacency forward (src side -> dst side) and
@@ -171,12 +194,13 @@ def load_hin(nodes_path, edges_path):
     """Load and validate an HIN from the two TSV files.
 
     Malformed lines, duplicate node ids, and edges that reference unknown
-    nodes or that `HIN` refuses raise ValueError naming the line.
+    nodes or that `HIN` refuses raise ValueError naming the earliest bad line.
     """
     type_names = []
     type_ids = {}
     nodes_by_type = []
-    node_index = {}
+    node_index = {}  # node id -> its position in the nodes file
+    node_ends = []  # (type, index) of each node, by position
 
     def intern_type(name):
         if name not in type_ids:
@@ -199,43 +223,48 @@ def load_hin(nodes_path, edges_path):
         if node_id in node_index:
             raise ValueError(f"{nodes_path} line {lineno}: duplicate node id {node_id!r}")
         t = intern_type(tname)
-        node_index[node_id] = (t, len(nodes_by_type[t]))
+        node_index[node_id] = len(node_ends)
+        node_ends.append((t, len(nodes_by_type[t])))
         nodes_by_type[t].append(node_id)
 
     edge_types = []
     edge_type_ids = {}
-    edges = []
-    linenos = []
+    rows = array("q")  # per edge: edge type id, src position, dst position, line
+
+    def admit():  # the HIN of the edges read so far
+        table = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4)
+        ends = np.array(node_ends, dtype=np.int64).reshape(-1, 2)
+        edges = np.column_stack([table[:, 0], ends[table[:, 1]], ends[table[:, 2]]])
+        try:
+            return HIN(type_names, nodes_by_type, edge_types, edges)
+        except EdgeError as exc:
+            raise ValueError(f"{edges_path} line {table[exc.index, 3]}: {exc.reason}") from None
+
+    def refuse(lineno, reason):
+        admit()  # the earliest bad line wins, so a refused edge above comes first
+        raise ValueError(f"{edges_path} line {lineno}: {reason}")
+
     for lineno, line in _read_lines(edges_path):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"{edges_path} line {lineno}: expected 4 columns, got {len(parts)}")
+            refuse(lineno, f"expected 4 columns, got {len(parts)}")
         src_id, dst_id, etname, flag = parts
         if flag not in ("d", "u"):
-            raise ValueError(f"{edges_path} line {lineno}: direction must be 'd' or 'u'")
-        directed = flag == "d"
-        for nid in (src_id, dst_id):
-            if nid not in node_index:
-                raise ValueError(f"{edges_path} line {lineno}: unknown node id {nid!r}")
-        src = node_index[src_id]
-        dst = node_index[dst_id]
+            refuse(lineno, "direction must be 'd' or 'u'")
+        src, dst = node_index.get(src_id), node_index.get(dst_id)
+        if src is None or dst is None:
+            refuse(lineno, f"unknown node id {src_id if src is None else dst_id!r}")
         if etname not in edge_type_ids:
             edge_type_ids[etname] = len(edge_types)
-            edge_types.append(EdgeType(etname, directed, src[0], dst[0]))
+            edge_types.append(EdgeType(etname, flag == "d", node_ends[src][0], node_ends[dst][0]))
         et_id = edge_type_ids[etname]
-        if edge_types[et_id].directed != directed:
-            raise ValueError(
-                f"{edges_path} line {lineno}: edge type {etname!r} used with inconsistent direction flag"
-            )
-        edges.append((et_id, src, dst))
-        linenos.append(lineno)
+        if edge_types[et_id].directed != (flag == "d"):
+            refuse(lineno, f"edge type {etname!r} used with inconsistent direction flag")
+        rows.extend((et_id, src, dst, lineno))
 
-    try:
-        hin = HIN(type_names, nodes_by_type, edge_types, edges)
-    except EdgeError as exc:
-        raise ValueError(f"{edges_path} line {linenos[exc.index]}: {exc.reason}") from None
+    hin = admit()
     if hin.duplicates:
         log.warning("%s: %d duplicate edge(s) dropped", edges_path, hin.duplicates)
     return hin

@@ -168,7 +168,7 @@ def _visit_order(hin, motif):
 
 def enumerate_instances(hin, motif):
     """All bindings of the motif in the HIN: an (n, order) int32 array of
-    unique rows in join order (the `SparseTensor` of `transcribe` sorts them).
+    unique rows in join order: sorted over the positions in `_visit_order`.
 
     A binary join over the HIN's CSR adjacency, one pattern position per step
     in `_visit_order`: the first edge back to a bound position expands every

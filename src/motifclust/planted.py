@@ -223,22 +223,22 @@ def generate_planted_hin(config):
             tuples = _sample_tuples(rng, template, range(size), c * per_block)
         instances[template.name] = np.asarray(sorted(tuples), dtype=np.int32)
 
-    # Every instance edge; HIN orients and sorts them and drops the repeats.
+    # Every instance edge as `HIN` rows; HIN orients and sorts them and drops the repeats.
     type_ids = {t: i for i, t in enumerate(config.type_names)}
     nodes_by_type = [[f"{t}{j}" for j in range(size)] for t in config.type_names]
     edge_types = []
     edge_type_ids = {}
-    edges = []
+    edges = [np.empty((0, 5), dtype=np.int64)]
     for template in config.templates:
         types = [type_ids[t] for t in template.node_types]
+        tuples = instances[template.name].reshape(-1, len(types))
         for i, j, etname in template.edges:
             if etname not in edge_type_ids:
                 edge_type_ids[etname] = len(edge_types)
                 edge_types.append(EdgeType(etname, False, types[i], types[j]))
-            et_id = edge_type_ids[etname]
-            for tup in instances[template.name].tolist():
-                edges.append((et_id, (types[i], tup[i]), (types[j], tup[j])))
-    hin = HIN(list(config.type_names), nodes_by_type, edge_types, edges)
+            ends = [edge_type_ids[etname], types[i], tuples[:, i], types[j], tuples[:, j]]
+            edges.append(np.column_stack(np.broadcast_arrays(*ends)))
+    hin = HIN(list(config.type_names), nodes_by_type, edge_types, np.concatenate(edges))
 
     labels = {
         f"{t}{j}": j // block for t in config.type_names for j in range(size)

@@ -19,8 +19,9 @@ import numpy as np
 
 # Indices are stored as int32; any mode larger than this cannot be addressed.
 MAX_INDEX = np.iinfo(np.int32).max
-# `write_tsv` formats this many rows per write call, which bounds the Python
-# objects it holds at once.
+# `write_tsv` formats this many rows per write call, each distinct cell of them
+# once (values by bit pattern, so -0.0 is not written as 0); the block bounds
+# the Python objects it holds at once.
 WRITE_BLOCK_ROWS = 1 << 14
 
 
@@ -44,12 +45,17 @@ class SparseTensor:
             raise ValueError("indices and values disagree on nnz")
         if indices.size and (indices.min() < 0 or np.any(indices >= np.asarray(dims, dtype=np.int64))):
             raise ValueError("index out of bounds")
-        # Sorting copies, so freezing the arrays below never freezes the caller's.
-        order = np.lexsort(indices.T[::-1])
-        indices = indices[order]
-        values = values[order]
-        if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
-            raise ValueError("duplicate index tuples")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        # Both paths copy, so freezing the arrays below never freezes the caller's.
+        cols = _packed(indices, dims)
+        if np.all(cols[0][1:] > cols[0][:-1]):  # a rising prefix: sorted and unique
+            indices, values = indices.copy(), values.copy()
+        else:
+            order = np.lexsort(cols[::-1])
+            indices, values = indices[order], values[order]
+            if not np.all(_first_of_runs([col[order] for col in cols])):
+                raise ValueError("duplicate index tuples")
         # Read-only: an in-place write would make `norm_sq` and `tree` stale.
         indices.flags.writeable = values.flags.writeable = False
         self.dims = dims
@@ -110,14 +116,17 @@ class SparseTensor:
     def write_tsv(self, path):
         """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>value`
         rows; `%.17g` values read back bit-exactly."""
-        row = "\t".join(["%d"] * self.order + ["%.17g"]) + "\n"
+        formats = ["%d\t"] * self.order + ["%.17g\n"]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("#dims " + " ".join(map(str, self.dims)) + "\n")
             for start in range(0, self.nnz, WRITE_BLOCK_ROWS):
                 block = slice(start, start + WRITE_BLOCK_ROWS)
-                idx = self.indices[block].astype(object)
-                cells = np.column_stack([idx, self.values[block].astype(object)])
-                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+                cells = []
+                for col, fmt in zip([*self.indices[block].T, self.values[block]], formats):
+                    keys, where = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+                    text = [fmt % key for key in keys.view(col.dtype).tolist()]
+                    cells.append(np.array(text, dtype=object)[where])
+                fh.write("".join(np.column_stack(cells).ravel().tolist()))
 
     @classmethod
     def read_tsv(cls, path):

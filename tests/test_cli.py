@@ -33,6 +33,16 @@ DEFAULT_TENSOR_SHA256 = {
 }
 
 
+def first_formula_key(data, motif_file):
+    """A tensor's cache key as first defined: sha256 over the cache format
+    tag, then the nodes, edges and motif files, each followed by a NUL byte."""
+    h = hashlib.sha256(cli.CACHE_FORMAT + b"\x00")
+    for name in ("nodes.tsv", "edges.tsv", motif_file):
+        h.update((data / name).read_bytes())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -253,6 +263,43 @@ class TestTranscribe:
         edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert not leftover.exists()
+
+    def test_key_keeps_its_formula(self, planted_dir, capsys):
+        config = planted_dir / "run.json"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        manifest = json.loads((planted_dir / "tensors" / "manifest.json").read_text())
+        assert manifest["pair"]["key"] == first_formula_key(planted_dir, "motif_pair.json")
+
+    def test_cache_written_by_an_earlier_version_is_served_warm(self, planted_dir, capsys, monkeypatch):
+        # The tensor file written one row at a time, and its manifest entry
+        # keyed by the first formula, as earlier versions wrote them.
+        rows = sorted(
+            (int(src[1:]), int(dst[1:]))
+            for src, dst, *_ in map(str.split, (planted_dir / "edges.tsv").read_text().splitlines())
+        )
+        text = "#dims 20 20\n" + "".join(f"{j}\t{k}\t1\n" for j, k in rows)
+        tensor_dir = planted_dir / "tensors"
+        tensor_dir.mkdir()
+        (tensor_dir / "tensor_pair.tsv").write_text(text, encoding="utf-8", newline="\n")
+        entry = {
+            "file": "tensor_pair.tsv",
+            "dims": [20, 20],
+            "nnz": len(rows),
+            "wall_time_s": 0.001,
+            "key": first_formula_key(planted_dir, "motif_pair.json"),
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
+        manifest = json.dumps({"pair": entry}, indent=2, sort_keys=True) + "\n"
+        (tensor_dir / "manifest.json").write_text(manifest, encoding="utf-8", newline="\n")
+        enumerated = []
+        real = cli.enumerate_instances
+        monkeypatch.setattr(
+            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        )
+        assert run_cli(capsys, "transcribe", "--config", str(planted_dir / "run.json"))[0] == 0
+        assert enumerated == []
+        assert (tensor_dir / "tensor_pair.tsv").read_text() == text
+        assert (tensor_dir / "manifest.json").read_text() == manifest
 
     def test_tagless_key_is_rebuilt(self, planted_dir, capsys, monkeypatch):
         """A manifest entry keyed without the cache format tag is not served."""

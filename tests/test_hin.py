@@ -1,9 +1,10 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
-from motifclust.hin import HIN, EdgeError, EdgeType, load_hin, write_hin
+from motifclust.hin import HIN, EdgeError, EdgeType, load_hin, orient, write_hin
 
 from conftest import TOY_EDGES, TOY_NODES
 from oracles import admit_edges, adjacency_pairs
@@ -127,6 +128,23 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match=r"e\.tsv line 3: edge type 'w' used between incompatible"):
             load_hin(*write_pair(tmp_path, nodes, "a1\tp1\tw\tu\n\na1\tt1\tw\tu\n"))
 
+    # One bad edge line of each kind, after the good line "a1 p1 w u", and the
+    # message it raises.
+    FAULTS = {
+        "columns": ("a1\tp1\tw\n", "expected 4 columns, got 3"),
+        "flag": ("a1\tp1\tw\tx\n", "direction must be 'd' or 'u'"),
+        "unknown node": ("a1\tzz\tw\tu\n", "unknown node id 'zz'"),
+        "direction": ("p1\ta1\tw\td\n", "edge type 'w' used with inconsistent direction flag"),
+        "admission": ("a1\ta1\tv\tu\n", "self-loop on 'a1'"),
+    }
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(FAULTS, 2))
+    def test_earliest_bad_line_wins(self, tmp_path, first, second):
+        (line, message), (later, _) = self.FAULTS[first], self.FAULTS[second]
+        edges = "a1\tp1\tw\tu\n# c\n" + line + "\n" + later
+        with pytest.raises(ValueError, match=rf"e\.tsv line 3: {message}$"):
+            load_hin(*write_pair(tmp_path, "a1\tA\np1\tP\n", edges))
+
     def test_duplicate_edges_warn_and_dedup(self, tmp_path, caplog):
         edges = "a1\tp1\tw\tu\np1\ta1\tw\tu\n"
         with caplog.at_level(logging.WARNING, logger="motifclust.hin"):
@@ -210,6 +228,37 @@ class TestAdmission:
         with pytest.raises(EdgeError) as info:
             HIN(type_names, nodes, edge_types, edges)
         assert info.value.index == refused
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_array_rows_admit_like_triples(self, seed):
+        rng = np.random.default_rng(seed)
+        edge_types = [EdgeType("same", False, 0, 0), EdgeType("ab", False, 0, 1), EdgeType("ba", True, 1, 0)]
+        nodes = [["a0", "a1", "a2"], ["b0", "b1"]]
+        edges = []
+        for _ in range(int(rng.integers(0, 12))):
+            etype = int(rng.integers(0, 3))
+            types = [edge_types[etype].src_type, edge_types[etype].dst_type]
+            if etype == 1 and rng.random() < 0.5:
+                types.reverse()  # the other way round the signature
+            src, dst = ((t, int(rng.integers(0, len(nodes[t])))) for t in types)
+            if src != dst:
+                edges.append((etype, src, dst))
+        rows = np.array([(e, *a, *b) for e, a, b in edges], dtype=np.int64).reshape(-1, 5)
+        before = rows.copy()
+        by_rows = HIN(["A", "B"], nodes, edge_types, rows)
+        by_triples = HIN(["A", "B"], nodes, edge_types, edges)
+        assert by_rows == by_triples and by_rows.duplicates == by_triples.duplicates
+        assert np.array_equal(rows, before)  # the caller's rows are not oriented in place
+
+    def test_orient_of_arrays_is_orient_of_each_edge(self):
+        ends = list(itertools.product(range(2), range(3)))
+        pairs = [(a, b) for a in ends for b in ends]
+        for et in (EdgeType("d", True, 0, 1), EdgeType("u", False, 0, 1), EdgeType("s", False, 1, 1)):
+            src, dst = (np.array(side).T for side in zip(*pairs))
+            (st, sj), (dt, dj) = orient(et, tuple(src), tuple(dst))
+            got = [((a, b), (c, d)) for a, b, c, d in zip(st.tolist(), sj.tolist(), dt.tolist(), dj.tolist())]
+            assert got == [orient(et, a, b) for a, b in pairs]
 
 
 class TestProperties:

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motifclust.hin import HIN, EdgeType
+from motifclust.motifs import Motif, PatternEdge, _visit_order, enumerate_instances, transcribe
 from motifclust.tensors import (
     MAX_INDEX,
+    WRITE_BLOCK_ROWS,
     SparseTensor,
+    _packed,
     gram_hadamard,
     mttkrp_sparse,
     residual_fro_sq,
@@ -98,6 +102,66 @@ class TestSparseTensor:
         vals[:] = 3.0
         assert x == SparseTensor((2, 3), [[0, 0], [1, 2]][:nnz], [7.0, 5.0][:nnz])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SparseTensor((2, 2), [[0, 0], [0, 1]], [1.0, value])
+
+
+class TestSortedFastPath:
+    """Rows that arrive sorted and unique are copied, not sorted; every other
+    input is sorted, and the result is the same either way."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_and_sorted_rows_build_equal_tensors(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 6, size=int(rng.integers(1, 5))))
+        x = random_sparse_tensor(rng, dims, int(rng.integers(0, 30)))
+        perm = rng.permutation(x.nnz)
+        shuffled = SparseTensor(dims, x.indices[perm], x.values[perm])
+        assert SparseTensor(dims, x.indices, x.values) == shuffled == x
+
+    def test_sorted_rows_with_an_adjacent_duplicate_are_refused(self):
+        with pytest.raises(ValueError, match="duplicate index tuples"):
+            SparseTensor((3, 3), [[0, 1], [1, 2], [1, 2], [2, 0]], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_dims_past_int64_still_sort(self, shuffle):
+        dims = (MAX_INDEX,) * 3
+        rows = [[0, 0, MAX_INDEX - 1], [0, 1, 0], [5, 0, 2], [5, 0, 3], [MAX_INDEX - 1, 0, 0]]
+        idx = np.array(rows[::-1] if shuffle else rows, dtype=np.int32)
+        assert len(_packed(idx, dims)) > 1  # the product of dims overflows int64
+        x = SparseTensor(dims, idx, np.arange(5.0)[::-1] if shuffle else np.arange(5.0))
+        assert x.indices.tolist() == rows and x.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError, match="duplicate index tuples"):
+            SparseTensor(dims, np.repeat(idx, 2, axis=0), np.ones(10))
+
+    def test_sorted_input_is_copied_not_aliased(self):
+        idx = np.array([[0, 0], [0, 2], [1, 1]], dtype=np.int32)
+        vals = np.array([1.0, 2.0, 3.0])
+        x = SparseTensor((2, 3), idx, vals)
+        assert not np.shares_memory(x.indices, idx) and not np.shares_memory(x.values, vals)
+        assert idx.flags.writeable and vals.flags.writeable
+        idx[:] = 0
+        vals[:] = 0.0
+        assert x.indices.tolist() == [[0, 0], [0, 2], [1, 1]] and x.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_motif_visited_out_of_position_order_transcribes_sorted(self):
+        # Type B is smaller, so the join starts at position 1 and emits its
+        # rows ordered by position 1 first.
+        hin = HIN(
+            ["A", "B"],
+            [["a0", "a1", "a2"], ["b0", "b1"]],
+            [EdgeType("ab", False, 0, 1)],
+            [(0, (0, j), (1, k)) for j in range(3) for k in range(2) if (j + k) % 3],
+        )
+        motif = Motif("ab", (0, 1), (PatternEdge(0, 1, 0),), frozenset({0, 1}))
+        assert _visit_order(hin, motif) == [1, 0]
+        rows = enumerate_instances(hin, motif)
+        assert rows.tolist() != sorted(rows.tolist())  # so the constructor must sort
+        x = transcribe(hin, motif, rows)
+        assert x.indices.tolist() == sorted(rows.tolist()) == hin.edges[:, 1:].tolist()
+
 
 def tsv_text(x):
     """The tensor file format, written out one row at a time."""
@@ -128,6 +192,14 @@ class TestTsvCodec:
     @given(x=sparse_tensors())
     @example(x=SparseTensor.empty((2, 0, 3)))
     @example(x=SparseTensor((7,), np.arange(7)[:, None], EDGE_VALUES))
+    @example(x=SparseTensor((3,), [[0], [1], [2]], [0.0, -0.0, 5e-324]))
+    @example(  # repeated indices and values on both sides of a block boundary
+        x=SparseTensor(
+            (WRITE_BLOCK_ROWS // 64 + 1, 64),
+            list(itertools.islice(np.ndindex(WRITE_BLOCK_ROWS // 64 + 1, 64), WRITE_BLOCK_ROWS + 1)),
+            np.resize([1 / 3, -0.0, 0.0, 1e300, 5e-324], WRITE_BLOCK_ROWS + 1),
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, x):
         path = tmp_path_factory.mktemp("codec") / "x.tsv"
@@ -163,6 +235,8 @@ class TestTsvCodec:
             ("#dims 2 2\n0\t2\t1.0\n", "out of bounds"),
             ("#dims 2 2\n-1\t0\t1.0\n", "out of bounds"),
             ("#dims 2 2\n0\t1\t1.0\n0\t1\t2.0\n", "duplicate"),
+            ("#dims 2 2\n0\t0\t1.0\n0\t1\tinf\n", "finite"),
+            ("#dims 2 2\n0\t1\tnan\n", "finite"),
         ],
     )
     def test_malformed_file_names_its_path(self, tmp_path, text, message):
