@@ -148,11 +148,23 @@ def _write_manifest(config, manifest):
 
 
 def _read_manifest(config):
-    manifest_path = config.tensor_dir / "manifest.json"
-    if manifest_path.is_file():
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+    """The cache's manifest. It is derived data: one that does not parse or is
+    not a JSON object reads as empty, and entries that are not objects drop."""
+    path = config.tensor_dir / "manifest.json"
+    if not path.is_file():
+        return {}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError(f"its top level is a {type(manifest).__name__}, not an object")
+    except ValueError as exc:
+        log.warning("%s: ignoring the manifest: %s", path, exc)
+        return {}
+    kept = {name: entry for name, entry in manifest.items() if isinstance(entry, dict)}
+    if len(kept) < len(manifest):
+        dropped = sorted(manifest.keys() - kept.keys())
+        log.warning("%s: ignoring entries that are not objects: %s", path, dropped)
+    return kept
 
 
 def _ensure_tensors(config):
@@ -212,7 +224,7 @@ def _ensure_tensors(config):
     return hin, motifs, tensors
 
 
-def _read_labels_tsv(path):
+def _read_labels_tsv(path, known=None):
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -225,6 +237,8 @@ def _read_labels_tsv(path):
             node_id, label = parts
             if node_id in out:
                 raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
+            if known is not None and node_id not in known:
+                raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
             try:
                 out[node_id] = int(label)
             except ValueError:
@@ -247,7 +261,7 @@ def cmd_transcribe(args):
 def cmd_fit(args):
     config = RunConfig.from_json(args.config)
     hin, motifs, tensors = _ensure_tensors(config)
-    seeds = _read_labels_tsv(config.seeds)
+    seeds = _read_labels_tsv(config.seeds, known=hin.node_index)
     state = init_model(hin, motifs, tensors, seeds, config.hyper)
     result = fit(state)
     assignments = assign_clusters(state)
@@ -273,17 +287,8 @@ def cmd_fit(args):
             ["iter", "obj", "residual", "l1", "consensus_gap", "seed_penalty", *mu_cols]
         )
         for rec in result.history:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    _fmt(rec.objective),
-                    _fmt(rec.residual),
-                    _fmt(rec.l1),
-                    _fmt(rec.consensus_gap),
-                    _fmt(rec.seed_penalty),
-                    *[_fmt(w) for w in rec.weights],
-                ]
-            )
+            terms = (rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty)
+            writer.writerow([rec.iteration, *map(_fmt, terms), *map(_fmt, rec.weights)])
     summary = {
         "converged": result.converged,
         "outer_iterations": len(result.history),

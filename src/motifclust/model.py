@@ -11,13 +11,15 @@ are refined by projected gradient descent with backtracking.
 The objective has four terms: the reconstruction residual of every motif
 tensor, an entrywise l1 penalty on the factors, the squared gap between each
 factor and its type's consensus, and the squared masked consensus entries.
+The last two are quadratic in the weights: a weight step evaluates its trials
+on per-type Gram matrices of the factors, built once per step.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -116,7 +118,9 @@ class ModelState:
 
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
-    enters the consensus of type t with coefficient mu[m] / k.
+    enters the consensus of type t with coefficient mu[m] / k. Per layout row,
+    types ascending, layout_motif, layout_k and layout_count hold m, k and
+    the number of rows of its type.
     """
 
     motif_names: list[str]
@@ -128,6 +132,9 @@ class ModelState:
     hyper: Hyperparameters
     type_sizes: dict[int, int] = field(init=False)
     layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
+    layout_motif: np.ndarray = field(init=False)
+    layout_k: np.ndarray = field(init=False)
+    layout_count: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = len(self.motif_names)
@@ -158,6 +165,8 @@ class ModelState:
                 if f.min() < 0:
                     raise ValueError("factors must be non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
+        rows = [(m, k, len(rs)) for _, rs in sorted(self.layout.items()) for m, _, k in rs]
+        self.layout_motif, self.layout_k, self.layout_count = map(np.array, zip(*rows))
         for t, mask in self.masks.items():
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
@@ -192,16 +201,6 @@ class ModelState:
         )
 
 
-def pos_part(a):
-    """Entrywise (|A| + A) / 2."""
-    return (np.abs(a) + a) / 2.0
-
-
-def neg_part(a):
-    """Entrywise (|A| - A) / 2."""
-    return (np.abs(a) - a) / 2.0
-
-
 def consensus(state, t, mu=None):
     """Coefficient-weighted sum of all factors of type t."""
     if t not in state.layout:
@@ -230,18 +229,42 @@ def _coupling_terms(state, mu):
     return h.consensus_weight * gap, h.mask_penalty * penalty
 
 
+def _weight_forms(state):
+    """`mu -> _coupling_terms(state, mu)` at the current factors, up to
+    roundoff, in O(P^2) scalars per call. With c = mu[m] / k per layout row,
+    a type's gap is tr G - 2*1'Gc + P*c'Gc and its penalty c'Hc, where
+    G[r, s] = <V_r, V_s>, H[r, s] = <M*V_r, V_s> (M is binary) and P counts
+    the type's rows; G and H are block-diagonal over the types ascending."""
+    h = state.hyper
+    gram = np.zeros((len(state.layout_motif),) * 2)
+    masked = np.zeros_like(gram)
+    start = 0
+    for t in state.clustered_types():
+        flat = np.stack([state.factors[m][i].ravel() for m, i, _ in state.layout[t]])
+        block = slice(start, start + len(flat))
+        gram[block, block] = flat @ flat.T
+        if t in state.masks:
+            masked[block, block] = (flat * state.masks[t].ravel()) @ flat.T
+        start += len(flat)
+
+    def terms(mu):
+        c = mu[state.layout_motif] / state.layout_k
+        gc = gram @ c
+        gap = float(np.trace(gram) - 2.0 * gc.sum() + np.dot(state.layout_count * c, gc))
+        penalty = float(c @ masked @ c)
+        return h.consensus_weight * max(gap, 0.0), h.mask_penalty * max(penalty, 0.0)
+
+    return terms
+
+
 def objective(state, mu=None, residual=None):
     """All four objective terms at the current factors (and optionally a
     candidate weight vector). Non-negative and finite on valid states.
     `residual` is the summed reconstruction residual of all motifs when the
     caller already knows it; otherwise every tensor's is computed."""
     if residual is None:
-        residual = sum(
-            residual_fro_sq(state.tensors[m], state.factors[m]) for m in range(state.n_motifs())
-        )
-    l1 = state.hyper.l1_weight * sum(
-        float(f.sum()) for fs in state.factors for f in fs
-    )
+        residual = sum(map(residual_fro_sq, state.tensors, state.factors))
+    l1 = state.hyper.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
     gap, penalty = _coupling_terms(state, state.mu if mu is None else mu)
     return ObjectiveTerms(residual, l1, gap, penalty)
 
@@ -250,7 +273,10 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
     """One multiplicative update of factor (m, i); never increases the
     objective and keeps exact zeros at zero. Returns the updated matrix.
     `mttkrp` (d, C) and `gram` (C, C) are mode i's `mttkrp_sparse` and
-    `gram_hadamard` of motif m when the caller has them already."""
+    `gram_hadamard` of motif m when the caller has them already. Each other
+    position r of the type adds eta times the positive part of
+    diff = V_r - (cons - eta*v) to the numerator, and eta times its negative
+    part (the positive part minus diff) plus eta*v to the denominator."""
     h = state.hyper
     t = state.motif_types[m][i]
     rows = state.layout[t]
@@ -261,21 +287,21 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
 
     if mttkrp is None:
         mttkrp = mttkrp_sparse(state.tensors[m], state.factors[m], i)
+    rest = cons - eta * v
     num = mttkrp.T.copy()
-    num += theta * (1.0 - eta) * (cons - eta * v)
+    num += theta * (1.0 - eta) * rest
     if gram is None:
         gram = gram_hadamard(state.factors[m], i)
     den = gram @ v
-    den += theta * (1.0 - eta) ** 2 * v
+    den += theta * ((1.0 - eta) ** 2 + (len(rows) - 1) * eta**2) * v
     mask = state.masks.get(t)
     if mask is not None:
         den += h.mask_penalty * eta * (mask * cons)
-    for m2, i2, _ in rows:
-        if (m2, i2) == (m, i):
-            continue
-        diff = state.factors[m2][i2] - cons + eta * v
-        num += theta * eta * pos_part(diff)
-        den += theta * eta * (neg_part(diff) + eta * v)
+    if len(rows) > 1:
+        diffs = [state.factors[m2][i2] - rest for m2, i2, _ in rows if (m2, i2) != (m, i)]
+        pos = sum(np.maximum(diff, 0.0) for diff in diffs)
+        num += theta * eta * pos
+        den += theta * eta * (pos - sum(diffs))
     den += h.l1_weight + EPS_DIV
     np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
 
@@ -349,19 +375,21 @@ def optimize_motif_weights(state, fixed=None):
     stops at the relative-change tolerance, a vanishing step, or the inner
     iteration cap. The subproblem is convex, so this reaches its optimum.
     Factors are fixed here, so terms 1 and 2 are constant during the search:
-    `fixed` is their sum when the caller knows it, else it is computed."""
+    `fixed` is their sum when the caller knows it, else it is computed. The
+    trials evaluate terms 3 and 4 on the Gram forms of `_weight_forms`."""
     h = state.hyper
     if fixed is None:
         base = objective(state)
         fixed = base.residual + base.l1
-    prev = fixed + sum(_coupling_terms(state, state.mu))
+    coupling = _weight_forms(state)
+    prev = fixed + sum(coupling(state.mu))
     for _ in range(h.max_inner_iters):
         grad = motif_weight_gradient(state)
         step = PGD_STEP
         accepted = None
         while step >= 1e-12:
             cand = project_simplex(state.mu - step * grad)
-            trial = fixed + sum(_coupling_terms(state, cand))
+            trial = fixed + sum(coupling(cand))
             if trial <= prev:
                 accepted = (cand, trial)
                 break
@@ -409,17 +437,7 @@ def fit(state):
         optimize_motif_weights(state, terms.residual + terms.l1)
         terms = objective(state, residual=terms.residual)
         current = terms.total
-        history.append(
-            IterationRecord(
-                outer,
-                current,
-                terms.residual,
-                terms.l1,
-                terms.consensus_gap,
-                terms.seed_penalty,
-                state.mu.copy(),
-            )
-        )
+        history.append(IterationRecord(outer, current, *astuple(terms), state.mu.copy()))
         log.debug("iteration %d: objective %.12g, residual %.12g", outer, current, terms.residual)
         if abs(prev - current) <= h.outer_tol * max(prev, 1e-300):
             converged = True

@@ -115,6 +115,16 @@ def dense_reconstruct(factors):
     return np.einsum(f"{subs}->{_LETTERS[:n]}", *factors)
 
 
+def pos_part(a):
+    """Entrywise (|A| + A) / 2."""
+    return (np.abs(a) + a) / 2.0
+
+
+def neg_part(a):
+    """Entrywise (|A| - A) / 2."""
+    return (np.abs(a) - a) / 2.0
+
+
 def matricize(dense, mode):
     """Mode-k unfolding: shape (prod of other dims, d_mode); column j is the
     slice with mode index j, remaining axes flattened in ascending order."""

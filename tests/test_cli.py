@@ -368,6 +368,46 @@ class TestTranscribe:
         assert enumerated == [1]
         assert json.loads(manifest_file.read_text())["pair"]["sha256"] == digest
 
+    @pytest.mark.parametrize("command", ["transcribe", "fit"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+            pytest.param(lambda text: "[]\n", id="top_level_list"),
+            pytest.param(lambda text: '{"pair": 7}\n', id="entry_not_object"),
+        ],
+    )
+    def test_malformed_manifest_is_rebuilt(self, planted_dir, capsys, monkeypatch, command, damage):
+        """The manifest is derived data: one that cannot be read is rebuilt,
+        with one warning naming it, and the next run is warm."""
+        cfg_path = planted_dir / "run.json"
+        config = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(dict(config, outer_tol=1e9)))  # fit converges, exit 0
+        tensor_dir = planted_dir / "tensors"
+        manifest_file = tensor_dir / "manifest.json"
+        assert run_cli(capsys, "transcribe", "--config", str(cfg_path))[0] == 0
+        manifest_file.write_text(damage(manifest_file.read_text()))
+        enumerated = []
+        real = cli.enumerate_instances
+        monkeypatch.setattr(
+            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        )
+        code, _, err = run_cli(capsys, command, "--config", str(cfg_path))
+        assert code == 0 and enumerated == [1]
+        lines = err.splitlines()
+        assert len(lines) == 1 and str(manifest_file) in lines[0]
+
+        def snapshot():
+            return {
+                p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in tensor_dir.iterdir()
+            }
+
+        before = snapshot()
+        code, _, err = run_cli(capsys, command, "--config", str(cfg_path))
+        assert code == 0 and err == "" and enumerated == [1]
+        assert snapshot() == before
+
     def test_default_params_tensors_are_pinned(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text("{}")
@@ -560,6 +600,15 @@ class TestErrors:
         assert diag["type"] == "ValueError"
         assert "missing config key 'clusters'" in diag["error"]
 
+
+    def test_unknown_seed_node_names_the_seeds_file(self, planted_dir, capsys):
+        seeds = planted_dir / "seeds.tsv"
+        seeds.write_text(seeds.read_text() + "nosuchnode\t0\n")
+        code, stdout, err = run_cli(capsys, "fit", "--config", str(planted_dir / "run.json"))
+        assert code == 1 and stdout == ""
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert str(seeds) in diag["error"] and "'nosuchnode'" in diag["error"]
 
     def test_unknown_config_key_rejected(self, planted_dir, capsys):
         cfg_path = planted_dir / "run.json"

@@ -13,10 +13,8 @@ from motifclust.model import (
     fit,
     init_model,
     motif_weight_gradient,
-    neg_part,
     objective,
     optimize_motif_weights,
-    pos_part,
     project_simplex,
     update_factor,
 )
@@ -24,7 +22,7 @@ from motifclust.motifs import enumerate_instances, parse_motif, transcribe
 from motifclust.tensors import SparseTensor
 
 from conftest import random_state
-from oracles import dense_reconstruct, from_tuples, todense
+from oracles import dense_reconstruct, from_tuples, neg_part, pos_part, todense
 
 
 def dense_objective_oracle(state):

@@ -22,10 +22,10 @@ from motifclust.model import (
     optimize_motif_weights,
     update_factor,
 )
-from motifclust.tensors import SparseTensor, residual_fro_sq
+from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
-from conftest import random_state
-from oracles import dense_reconstruct, from_tuples
+from conftest import random_sparse_tensor, random_state
+from oracles import dense_reconstruct, from_tuples, neg_part, pos_part
 
 
 def reference_contributors(state, t):
@@ -75,6 +75,47 @@ def reference_motif_weight_gradient(state):
                 total += 2.0 * h.mask_penalty * float(np.vdot(mask * cons[t], slope))
         grad[l] = total
     return grad
+
+
+def reference_update_factor(state, m, i, mttkrp=None, gram=None):
+    """`update_factor` as first written: each other position of the type
+    adds its own sign-split terms, eta*v included, to both sides."""
+    h = state.hyper
+    t = state.motif_types[m][i]
+    rows = state.layout[t]
+    eta = next(float(state.mu[m]) / k for m2, i2, k in rows if (m2, i2) == (m, i))
+    v = state.factors[m][i]
+    cons = model.consensus(state, t)
+    theta = h.consensus_weight
+
+    if mttkrp is None:
+        mttkrp = mttkrp_sparse(state.tensors[m], state.factors[m], i)
+    num = mttkrp.T.copy()
+    num += theta * (1.0 - eta) * (cons - eta * v)
+    if gram is None:
+        gram = gram_hadamard(state.factors[m], i)
+    den = gram @ v
+    den += theta * (1.0 - eta) ** 2 * v
+    mask = state.masks.get(t)
+    if mask is not None:
+        den += h.mask_penalty * eta * (mask * cons)
+    for m2, i2, _ in rows:
+        if (m2, i2) == (m, i):
+            continue
+        diff = state.factors[m2][i2] - cons + eta * v
+        num += theta * eta * pos_part(diff)
+        den += theta * eta * (neg_part(diff) + eta * v)
+    den += h.l1_weight + model.EPS_DIV
+    np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
+
+    updated = v * np.sqrt(num / den)
+    if not np.all(np.isfinite(updated)):
+        raise FloatingPointError(
+            f"non-finite factor update for motif {state.motif_names[m]!r} position {i} "
+            f"(max factor entry {v.max():.3e}, max numerator {num.max():.3e})"
+        )
+    state.factors[m][i] = updated
+    return updated
 
 
 def reference_fit(state):
@@ -129,6 +170,27 @@ def repeated_type_state(rng, with_mask):
     )
 
 
+def single_position_state(rng):
+    """Types 0 and 2 are held by one position each; motif 1 has weight 0."""
+    c = 3
+    sizes = {0: 5, 1: 6, 2: 4}
+    motif_types = [(0, 1), (1, 2)]
+    tensors = [random_sparse_tensor(rng, tuple(sizes[t] for t in ts), 10) for ts in motif_types]
+    factors = [[rng.uniform(0.1, 1.1, (c, sizes[t])) for t in ts] for ts in motif_types]
+    mask = np.zeros((c, sizes[1]))
+    mask[:, 2] = 1.0
+    mask[0, 2] = 0.0
+    return ModelState(
+        motif_names=["lone", "zero"],
+        motif_types=motif_types,
+        tensors=tensors,
+        factors=factors,
+        mu=np.array([1.0, 0.0]),
+        masks={1: mask},
+        hyper=Hyperparameters(n_clusters=c),
+    )
+
+
 def states():
     rng = np.random.default_rng(2024)
     out = []
@@ -167,6 +229,80 @@ def test_fit_equals_reference(state):
     for fs, ref_fs in zip(state.factors, ref.factors):
         for f, ref_f in zip(fs, ref_fs):
             assert np.array_equal(f, ref_f)
+
+
+@pytest.mark.parametrize("state", [*states(), single_position_state(np.random.default_rng(9))])
+def test_update_factor_equals_reference(state):
+    for _ in range(2):
+        for m in range(state.n_motifs()):
+            for i in range(len(state.motif_types[m])):
+                want = reference_update_factor(state.copy(), m, i)
+                got = update_factor(state, m, i)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("state", states())
+def test_weight_forms_equal_coupling_terms(state):
+    """Equal within 1e-12 relative. A gap that cancels (one motif, a type
+    held once) is a roundoff-sized difference of Gram sums, so it is held to
+    1e-12 of tr G, the scale of those sums."""
+    rng = np.random.default_rng(5)
+    coupling = model._weight_forms(state)
+    trace = sum(float(np.vdot(f, f)) for fs in state.factors for f in fs)
+    for mu in rng.dirichlet(np.ones(state.n_motifs()), size=50):
+        gap, penalty = coupling(mu)
+        want_gap, want_penalty = model._coupling_terms(state, mu)
+        scale = state.hyper.consensus_weight * trace
+        np.testing.assert_allclose(gap, want_gap, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(penalty, want_penalty, rtol=1e-12, atol=0)
+
+
+def test_weight_forms_gap_cancels():
+    """Every motif covers both types and all factors of a type are equal:
+    the consensus is that factor at any weights, so the gap is zero up to
+    roundoff of the Gram sums, and the clamp keeps it from going negative."""
+    rng = np.random.default_rng(11)
+    c, sizes = 3, {0: 6, 1: 5}
+    motif_types = [(0, 0, 1), (1, 0)]
+    shared = {t: rng.uniform(0.1, 1.1, (c, d)) for t, d in sizes.items()}
+    state = ModelState(
+        motif_names=["aab", "ba"],
+        motif_types=motif_types,
+        tensors=[random_sparse_tensor(rng, tuple(sizes[t] for t in ts), 8) for ts in motif_types],
+        factors=[[shared[t].copy() for t in ts] for ts in motif_types],
+        mu=np.array([0.5, 0.5]),
+        masks={},
+        hyper=Hyperparameters(n_clusters=c),
+    )
+    trace = sum(float(np.vdot(f, f)) for fs in state.factors for f in fs)
+    coupling = model._weight_forms(state)
+    for mu in [state.mu, np.array([1.0, 0.0]), *rng.dirichlet(np.ones(2), size=20)]:
+        gap, penalty = coupling(mu)
+        assert 0.0 <= gap <= 1e-12 * trace
+        assert penalty == 0.0
+
+
+def test_weight_step_builds_forms_once(monkeypatch):
+    """A weight step with `fixed` given builds the forms once and evaluates
+    every trial on them, never on the direct terms."""
+    built = []
+    real_forms = model._weight_forms
+
+    def counting_forms(state):
+        built.append(1)
+        return real_forms(state)
+
+    def direct(*args, **kwargs):
+        raise AssertionError("the weight step evaluated the direct terms")
+
+    monkeypatch.setattr(model, "_weight_forms", counting_forms)
+    monkeypatch.setattr(model, "objective", direct)
+    monkeypatch.setattr(model, "_coupling_terms", direct)
+    state = repeated_type_state(np.random.default_rng(7), with_mask=True)
+    before = state.mu.copy()
+    optimize_motif_weights(state, 1.0)
+    assert built == [1]
+    assert not np.array_equal(state.mu, before)
 
 
 def single_motif_state(x, factors, **hyper):
