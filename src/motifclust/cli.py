@@ -60,8 +60,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path):
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_object(path)
         base = path.parent
         knob_names = {f.name for f in fields(Hyperparameters)} - {"n_clusters"}
         unknown = sorted(set(raw) - set(RUN_KEYS) - knob_names)
@@ -98,6 +97,18 @@ class RunConfig:
             if not p.is_file():
                 raise ValueError(f"{path}: referenced file {p} does not exist")
         return cfg
+
+
+def _read_object(path):
+    """The JSON object in file `path`; anything else raises a ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if type(raw) is not dict:
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _typed(path, key, value, kind):
@@ -360,8 +371,7 @@ def _template_from_dict(path, k, raw):
 
 
 def cmd_gen_planted(args):
-    with open(args.params, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_object(args.params)
     unknown = sorted(set(raw) - {PARAM_KEYS.get(f.name, f.name) for f in fields(PlantedConfig)})
     if unknown:
         raise ValueError(f"{args.params}: unknown params key(s) {unknown}")

@@ -11,8 +11,10 @@ are refined by projected gradient descent with backtracking.
 The objective has four terms: the reconstruction residual of every motif
 tensor, an entrywise l1 penalty on the factors, the squared gap between each
 factor and its type's consensus, and the squared masked consensus entries.
-The last two are quadratic in the weights: a weight step evaluates its trials
-on per-type Gram matrices of the factors, built once per step.
+Each term has one evaluation. The residual comes from one mode's MTTKRP and
+Gram product (`residual_from_mode`). The last two are quadratic in the
+weights; they and their gradient come from per-type Gram matrices of the
+factors (`_weight_forms`), built once per weight step for all its trials.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import astuple, dataclass, field, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -201,51 +202,37 @@ class ModelState:
         )
 
 
-def consensus(state, t, mu=None):
+def consensus(state, t):
     """Coefficient-weighted sum of all factors of type t."""
     if t not in state.layout:
         raise ValueError(f"type {t} appears in no motif and cannot be clustered")
-    mu = state.mu if mu is None else mu
     out = np.zeros((state.hyper.n_clusters, state.type_sizes[t]))
     for m, i, k in state.layout[t]:
-        out += float(mu[m]) / k * state.factors[m][i]
+        out += float(state.mu[m]) / k * state.factors[m][i]
     return out
 
 
-def _coupling_terms(state, mu):
-    """Objective terms 3 and 4 (the only ones depending on the motif weights)."""
-    h = state.hyper
-    gap = 0.0
-    penalty = 0.0
-    for t in state.clustered_types():
-        cons = consensus(state, t, mu)
-        for m, i, _ in state.layout[t]:
-            diff = state.factors[m][i] - cons
-            gap += float(np.vdot(diff, diff))
-        mask = state.masks.get(t)
-        if mask is not None:
-            masked = mask * cons
-            penalty += float(np.vdot(masked, masked))
-    return h.consensus_weight * gap, h.mask_penalty * penalty
-
-
 def _weight_forms(state):
-    """`mu -> _coupling_terms(state, mu)` at the current factors, up to
-    roundoff, in O(P^2) scalars per call. With c = mu[m] / k per layout row,
-    a type's gap is tr G - 2*1'Gc + P*c'Gc and its penalty c'Hc, where
+    """Objective terms 3 and 4, the only ones depending on the motif weights,
+    and their weight gradient, as functions of mu at the current factors;
+    each call costs O(P^2) scalars. With c = mu[m] / k per layout row, a
+    type's gap is tr G - 2*1'Gc + P*c'Gc and its penalty c'Hc, where
     G[r, s] = <V_r, V_s>, H[r, s] = <M*V_r, V_s> (M is binary) and P counts
-    the type's rows; G and H are block-diagonal over the types ascending."""
+    the type's rows; G and H are block-diagonal over the types ascending.
+    Their gradient in c is 2(P*Gc - G1) and 2Hc, and a row's entry adds to
+    its motif's weight divided by k."""
     h = state.hyper
     gram = np.zeros((len(state.layout_motif),) * 2)
     masked = np.zeros_like(gram)
     start = 0
-    for t in state.clustered_types():
-        flat = np.stack([state.factors[m][i].ravel() for m, i, _ in state.layout[t]])
-        block = slice(start, start + len(flat))
+    for t, rows in sorted(state.layout.items()):
+        flat = np.concatenate([state.factors[m][i].ravel() for m, i, _ in rows])
+        flat = flat.reshape(len(rows), -1)  # one concatenate is cheaper than np.stack
+        block = slice(start, start + len(rows))
         gram[block, block] = flat @ flat.T
         if t in state.masks:
             masked[block, block] = (flat * state.masks[t].ravel()) @ flat.T
-        start += len(flat)
+        start += len(rows)
 
     def terms(mu):
         c = mu[state.layout_motif] / state.layout_k
@@ -254,7 +241,15 @@ def _weight_forms(state):
         penalty = float(c @ masked @ c)
         return h.consensus_weight * max(gap, 0.0), h.mask_penalty * max(penalty, 0.0)
 
-    return terms
+    def gradient(mu):
+        c = mu[state.layout_motif] / state.layout_k
+        spread = state.layout_count * (gram @ c) - gram.sum(axis=1)
+        slope = 2.0 * h.consensus_weight * spread + 2.0 * h.mask_penalty * (masked @ c)
+        return np.bincount(
+            state.layout_motif, weights=slope / state.layout_k, minlength=state.n_motifs()
+        )
+
+    return terms, gradient
 
 
 def objective(state, mu=None, residual=None):
@@ -265,7 +260,7 @@ def objective(state, mu=None, residual=None):
     if residual is None:
         residual = sum(map(residual_fro_sq, state.tensors, state.factors))
     l1 = state.hyper.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
-    gap, penalty = _coupling_terms(state, state.mu if mu is None else mu)
+    gap, penalty = _weight_forms(state)[0](state.mu if mu is None else mu)
     return ObjectiveTerms(residual, l1, gap, penalty)
 
 
@@ -280,7 +275,7 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
     h = state.hyper
     t = state.motif_types[m][i]
     rows = state.layout[t]
-    eta = next(float(state.mu[m]) / k for m2, i2, k in rows if (m2, i2) == (m, i))
+    eta = float(state.mu[m]) / state.motif_types[m].count(t)
     v = state.factors[m][i]
     cons = consensus(state, t)
     theta = h.consensus_weight
@@ -330,30 +325,8 @@ def _sweep(state, m):
 
 
 def motif_weight_gradient(state):
-    """Gradient of the coupling terms with respect to the motif weights.
-
-    The consensus of type t is linear in the weights; the partial derivative
-    of it along motif l is the mean of l's type-t factors. Types are visited
-    in ascending order, so each motif's entry sums its types in that order."""
-    h = state.hyper
-    grad = np.zeros(state.n_motifs())
-    for t in state.clustered_types():
-        rows = state.layout[t]
-        cons = consensus(state, t)
-        spread = -len(rows) * cons
-        for m, i, _ in rows:
-            spread += state.factors[m][i]
-        mask = state.masks.get(t)
-        masked = None if mask is None else mask * cons
-        for l, own in groupby(rows, key=lambda row: row[0]):
-            slope = np.zeros_like(cons)
-            for _, i, k in own:
-                slope += state.factors[l][i]
-            slope /= k  # every row of motif l carries its multiplicity
-            grad[l] += -2.0 * h.consensus_weight * float(np.vdot(spread, slope))
-            if masked is not None:
-                grad[l] += 2.0 * h.mask_penalty * float(np.vdot(masked, slope))
-    return grad
+    """Gradient of the coupling terms in the motif weights, at state.mu."""
+    return _weight_forms(state)[1](state.mu)
 
 
 def project_simplex(v):
@@ -376,15 +349,16 @@ def optimize_motif_weights(state, fixed=None):
     iteration cap. The subproblem is convex, so this reaches its optimum.
     Factors are fixed here, so terms 1 and 2 are constant during the search:
     `fixed` is their sum when the caller knows it, else it is computed. The
-    trials evaluate terms 3 and 4 on the Gram forms of `_weight_forms`."""
+    gradients and trials evaluate terms 3 and 4 on the Gram forms of
+    `_weight_forms`, built once per call."""
     h = state.hyper
     if fixed is None:
         base = objective(state)
         fixed = base.residual + base.l1
-    coupling = _weight_forms(state)
+    coupling, gradient = _weight_forms(state)
     prev = fixed + sum(coupling(state.mu))
     for _ in range(h.max_inner_iters):
-        grad = motif_weight_gradient(state)
+        grad = gradient(state.mu)
         step = PGD_STEP
         accepted = None
         while step >= 1e-12:

@@ -2,13 +2,13 @@
 
 Factor matrices are plain numpy arrays of shape ``(C, d)`` where ``C`` is the
 cluster count and column ``j`` holds the soft cluster membership of node ``j``.
-The three sparse kernels (`mttkrp_sparse`, `gram_hadamard`, `residual_fro_sq`)
-touch only the nonzero entries and small Gram matrices, so their cost is
-governed by ``nnz`` and the mode sizes rather than the full tensor volume.
-`mttkrp_sparse` sums over the distinct index tuples of the tensor's
-dimension tree (`SparseTensor.tree`) below its root, the nonzeros.
-`residual_from_mode` gets the same residual from one mode's MTTKRP and Gram
-product without another pass over the nonzeros.
+The kernels touch only the nonzero entries and small Gram matrices, so their
+cost is governed by ``nnz`` and the mode sizes rather than the full tensor
+volume. `mttkrp_sparse` sums over the distinct index tuples of the tensor's
+dimension tree (`SparseTensor.tree`) below its root, the nonzeros, and
+`gram_hadamard` multiplies the Gram matrices of all factors but one mode.
+The residual has one evaluation, `residual_from_mode`, from one mode's
+MTTKRP and Gram product; `residual_fro_sq` applies it to mode 0.
 """
 
 from __future__ import annotations
@@ -280,11 +280,11 @@ def _descend(tree, node, sibling, partial, factors):
     return np.stack([np.bincount(group, weights=row, minlength=len(keys)) for row in prod])
 
 
-def gram_hadamard(factors, mode=None):
+def gram_hadamard(factors, mode):
     """Hadamard product of the C x C Gram matrices of all factors but `mode`.
 
-    With factors of shape (C, d) each Gram is V V^T. Passing mode=None includes
-    every factor. The result is symmetric PSD (Schur product of PSD matrices).
+    With factors of shape (C, d) each Gram is V V^T. The result is symmetric
+    PSD (Schur product of PSD matrices).
     """
     c = factors[0].shape[0]
     out = np.ones((c, c))
@@ -296,40 +296,24 @@ def gram_hadamard(factors, mode=None):
     return out
 
 
-def _combine_residual(norm_x, cross, recon):
-    """||X||^2 - 2<X, [[V]]> + ||[[V]]||^2, with tiny negative results from
-    cancellation clamped to zero and larger ones raised as an error."""
-    res = norm_x - 2.0 * cross + recon
-    if res < -1e-6 * (1.0 + norm_x + recon):
-        raise FloatingPointError(f"residual {res} is negative beyond roundoff")
-    return max(res, 0.0)
-
-
 def residual_fro_sq(x, factors):
-    """Squared Frobenius norm of (X minus its rank-C reconstruction).
-
-    Evaluated without materializing the reconstruction:
-    ||X||^2 - 2 * sum over nonzeros of value * sum_c prod_i V_i[c, j_i]
-    plus the total sum of the all-factor Gram Hadamard product.
-    """
-    c = _check_factors(x, factors)
-    prod = np.ones((c, x.nnz))
-    for i, f in enumerate(factors):
-        prod *= f.take(x.indices[:, i], axis=1)
-    cross = float(x.values @ prod.sum(axis=0))
-    recon = float(gram_hadamard(factors).sum())
-    return _combine_residual(x.norm_sq, cross, recon)
+    """||X - [[V]]||^2, by `residual_from_mode` on mode 0's kernels."""
+    return residual_from_mode(x, factors[0], mttkrp_sparse(x, factors, 0), gram_hadamard(factors, 0))
 
 
 def residual_from_mode(x, factor, mttkrp, gram):
-    """`residual_fro_sq` from the kernels of one mode, with no nonzero pass.
+    """||X - [[V]]||^2 from the kernels of one mode, with no nonzero pass.
 
     `mttkrp` and `gram` are `mttkrp_sparse` and `gram_hadamard` of that mode,
     computed from the other factors, and `factor` is the mode's (C, d) factor,
     which they do not depend on. Then <X, [[V]]> = <mttkrp, factor^T> and
     ||[[V]]||^2 = sum(gram * factor factor^T) (the fit computation of
-    Bader & Kolda's `cp_als`).
+    Bader & Kolda's `cp_als`). A tiny negative result of cancellation is
+    clamped to zero and a larger one raised as an error.
     """
     cross = float(np.sum(mttkrp.T * factor))
     recon = float((gram * (factor @ factor.T)).sum())
-    return _combine_residual(x.norm_sq, cross, recon)
+    res = x.norm_sq - 2.0 * cross + recon
+    if res < -1e-6 * (1.0 + x.norm_sq + recon):
+        raise FloatingPointError(f"residual {res} is negative beyond roundoff")
+    return max(res, 0.0)

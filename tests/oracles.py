@@ -7,7 +7,7 @@ verification only and are not part of the package.
 import numpy as np
 
 from motifclust.planted import _sample_tuples
-from motifclust.tensors import SparseTensor, _combine_residual, gram_hadamard
+from motifclust.tensors import SparseTensor
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -92,9 +92,19 @@ def mttkrp_tree_nonzero_major(x, factors, mode):
     return out
 
 
+def reconstruction_norm_sq(factors):
+    """||[[V]]||^2 as the sum of the Hadamard product of all factors' Grams."""
+    c = factors[0].shape[0]
+    out = np.ones((c, c))
+    for f in factors:
+        out *= f @ f.T
+    return float(out.sum())
+
+
 def residual_nonzero_major(x, factors):
-    """`residual_fro_sq` with its cross term from an (nnz, C) product whose
-    rows (one per nonzero) are summed over the clusters."""
+    """`residual_fro_sq` as one flat pass: the cross term from an (nnz, C)
+    product whose rows (one per nonzero) are summed over the clusters, and a
+    negative result of cancellation clamped to zero."""
     c = factors[0].shape[0]
     cross = 0.0
     if x.nnz:
@@ -102,8 +112,28 @@ def residual_nonzero_major(x, factors):
         for i, f in enumerate(factors):
             prod *= f.T[x.indices[:, i], :]
         cross = float(x.values @ prod.sum(axis=1))
-    recon = float(gram_hadamard(factors).sum())
-    return _combine_residual(x.norm_sq, cross, recon)
+    return max(x.norm_sq - 2.0 * cross + reconstruction_norm_sq(factors), 0.0)
+
+
+def coupling_terms(state, mu):
+    """Objective terms 3 and 4 by the direct pass over the factors: each
+    type's consensus at weights `mu`, the squared gap of each of its factors
+    to it and, for a seeded type, its squared masked entries."""
+    h = state.hyper
+    gap = 0.0
+    penalty = 0.0
+    for t in state.clustered_types():
+        cons = np.zeros((h.n_clusters, state.type_sizes[t]))
+        for m, i, k in state.layout[t]:
+            cons += float(mu[m]) / k * state.factors[m][i]
+        for m, i, _ in state.layout[t]:
+            diff = state.factors[m][i] - cons
+            gap += float(np.vdot(diff, diff))
+        mask = state.masks.get(t)
+        if mask is not None:
+            masked = mask * cons
+            penalty += float(np.vdot(masked, masked))
+    return h.consensus_weight * gap, h.mask_penalty * penalty
 
 
 def dense_reconstruct(factors):

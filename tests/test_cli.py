@@ -610,6 +610,34 @@ class TestErrors:
         assert diag["type"] == "ValueError"
         assert str(seeds) in diag["error"] and "'nosuchnode'" in diag["error"]
 
+    @pytest.mark.parametrize("kind", ["run", "params"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"5", "top level must be a JSON object, got int"),
+            (b'"nodes"', "top level must be a JSON object, got str"),
+            (b"[]", "top level must be a JSON object, got list"),
+            (b"null", "top level must be a JSON object, got NoneType"),
+            (b"{", "not valid JSON"),
+            (b"", "not valid JSON"),
+            (b"\xff{}", "not valid JSON"),  # not UTF-8
+        ],
+    )
+    def test_config_not_a_json_object(self, planted_dir, capsys, kind, text, message):
+        """A run.json or gen-planted params file must hold one JSON object."""
+        path = planted_dir / f"{kind}.json"
+        path.write_bytes(text)
+        out = planted_dir / "data"
+        if kind == "run":
+            argv = ["transcribe", "--config", str(path)]
+        else:
+            argv = ["gen-planted", "--params", str(path), "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == "" and not out.exists()
+        diag = json.loads(err)
+        assert diag["type"] == "ValueError"
+        assert diag["error"].startswith(f"{path}: ") and message in diag["error"]
+
     def test_unknown_config_key_rejected(self, planted_dir, capsys):
         cfg_path = planted_dir / "run.json"
         config = json.loads(cfg_path.read_text())

@@ -26,6 +26,7 @@ from oracles import (
     matricize,
     mttkrp_nonzero_major,
     mttkrp_tree_nonzero_major,
+    reconstruction_norm_sq,
     residual_nonzero_major,
     todense,
 )
@@ -287,6 +288,12 @@ class TestClusterMajorBitIdentity:
     the same products and sums in the (nnz, C) layout."""
 
     @staticmethod
+    def residual_tree(x, f):
+        """The residual from mode 0 of the oracle that groups the MTTKRP's
+        sums as the dimension tree does."""
+        return residual_from_mode(x, f[0], mttkrp_tree_nonzero_major(x, f, 0), gram_hadamard(f, 0))
+
+    @staticmethod
     def case(order, c, values, seed):
         """A tensor whose top 3 indices of every mode are unused, so a result
         row only exists through `bincount`'s `minlength`, and its factors."""
@@ -316,23 +323,22 @@ class TestClusterMajorBitIdentity:
         x, f = SparseTensor.empty(dims), random_factors(rng, dims, c)
         for mode in range(order):
             assert np.array_equal(mttkrp_sparse(x, f, mode), np.zeros((dims[mode], c)))
-        assert residual_fro_sq(x, f) == residual_nonzero_major(x, f)
+        assert residual_fro_sq(x, f) == self.residual_tree(x, f)
 
     @pytest.mark.parametrize("values", ["binary", "random"])
     @pytest.mark.parametrize("c", [2, 3, 8, 12])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_residual_matches_nonzero_major(self, order, c, values):
         x, f = self.case(order, c, values, seed=100 * order + c + 50)
-        got, want = residual_fro_sq(x, f), residual_nonzero_major(x, f)
-        if c < 8:
-            assert got == want
-        else:
-            # numpy sums a contiguous row of 8 or more clusters pairwise, while
-            # the (C, nnz) layout adds its rows in sequence: each nonzero's sum
-            # may differ by (C - 1) roundings and the dot over the nonzeros by
-            # nnz more. With non-negative terms, cross <= (||X||^2 + recon) / 2.
-            scale = x.norm_sq + float(gram_hadamard(f).sum())
-            assert abs(got - want) <= 4 * (c + x.nnz) * np.finfo(np.float64).eps * scale
+        got = residual_fro_sq(x, f)
+        assert got == self.residual_tree(x, f)
+        # The tree groups the cross term's sums differently from a flat pass
+        # over the nonzeros: each nonzero's sum over the clusters may differ
+        # by (C - 1) roundings and the sum over the nonzeros by nnz more. With
+        # non-negative terms, cross <= (||X||^2 + recon) / 2.
+        scale = x.norm_sq + reconstruction_norm_sq(f)
+        want = residual_nonzero_major(x, f)
+        assert abs(got - want) <= 4 * (c + x.nnz) * np.finfo(np.float64).eps * scale
 
 
 def tree_ranges(lo, hi):
