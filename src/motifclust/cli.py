@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-
 from .hin import load_hin, write_hin
 from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
@@ -67,31 +66,36 @@ class RunConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config key(s) {unknown}")
 
-        def need(key):
-            if key not in raw:
+        def get(key, kind, default=None):  # a None default: the key is required
+            if key in raw:
+                return _typed(path, key, raw[key], kind)
+            if default is None:
                 raise ValueError(f"{path}: missing config key {key!r}")
-            return raw[key]
+            return default
 
-        motifs = [base / p for p in raw.get("motifs", [])]
+        motifs = [base / p for p in get("motifs", tuple, ())]
         if not motifs:
             raise ValueError(f"{path}: config lists no motifs")
         # Every other Hyperparameters field is read under its own name, with
         # the type of its default; absent keys keep the dataclass default.
         knobs = {
-            f.name: _typed(path, f.name, raw[f.name], type(f.default))
-            for f in fields(Hyperparameters)
-            if f.name in knob_names and f.name in raw
+            f.name: get(f.name, type(f.default), f.default)
+            for f in fields(Hyperparameters) if f.name in knob_names
         }
-        hyper = Hyperparameters(n_clusters=_typed(path, "clusters", need("clusters"), int), **knobs)
+        knobs["n_clusters"] = get("clusters", int)
+        try:
+            hyper = Hyperparameters(**knobs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         cfg = cls(
-            nodes=base / need("nodes"),
-            edges=base / need("edges"),
+            nodes=base / get("nodes", str),
+            edges=base / get("edges", str),
             motifs=motifs,
-            seeds=base / need("seeds"),
-            out_dir=base / raw.get("out_dir", "out"),
-            tensor_dir=base / raw.get("tensor_dir", "tensors"),
+            seeds=base / get("seeds", str),
+            out_dir=base / get("out_dir", str, "out"),
+            tensor_dir=base / get("tensor_dir", str, "tensors"),
             hyper=hyper,
-            threads=_typed(path, "threads", raw.get("threads", 0), int) or (os.cpu_count() or 1),
+            threads=get("threads", int, 0) or (os.cpu_count() or 1),
         )
         for p in [cfg.nodes, cfg.edges, cfg.seeds, *cfg.motifs]:
             if not p.is_file():
@@ -113,11 +117,13 @@ def _read_object(path):
 
 def _typed(path, key, value, kind):
     """A JSON config value as field type `kind`: an int field takes only a JSON
-    integer, a float field any JSON number (a boolean is neither) and a tuple
-    field a JSON list of strings."""
+    integer, a float field any JSON number (a boolean is neither), a str field
+    a JSON string and a tuple field a JSON list of strings."""
     if kind is tuple:
         if type(value) is not list or not all(type(v) is str for v in value):
             raise ValueError(f"{path}: {key} must be a list of strings, got {json.dumps(value)}")
+    elif kind is str and type(value) is not str:
+        raise ValueError(f"{path}: {key} must be a string, got {json.dumps(value)}")
     elif kind in (int, float) and type(value) not in (int, kind):
         wanted = "an integer" if kind is int else "a number"
         raise ValueError(f"{path}: {key} must be {wanted}, got {json.dumps(value)}")
@@ -472,26 +478,12 @@ def build_parser():
     return parser
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes to whatever `sys.stderr` is when a record is emitted."""
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-    @stream.setter
-    def stream(self, _):
-        pass
-
-
-_LOG_HANDLER = _StderrHandler()
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     package_log = logging.getLogger(__package__)
     package_log.setLevel(args.log_level)
-    package_log.addHandler(_LOG_HANDLER)  # a no-op when main runs again
+    handler = logging.StreamHandler()  # the sys.stderr of this call
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -502,6 +494,8 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 1
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -82,24 +82,28 @@ class HIN:
 
         # Edge admission, the one home of these rules, over (n, 5) int rows
         # `(edge type id, src type, src index, dst type, dst index)` or
-        # `(edge type id, (type, index), (type, index))` triples: stored order
-        # fits the signature (see `orient`), endpoints exist, no self-loops,
-        # and a repeated edge is dropped and counted in `duplicates`.
+        # `(edge type id, (type, index), (type, index))` triples: the edge
+        # type exists, stored order fits the signature (see `orient`),
+        # endpoints exist, no self-loops, and a repeated edge is dropped and
+        # counted in `duplicates`. A row of an unknown edge type reads the
+        # padding signature (-1, -1) and type size 0 after the real ones.
         if not isinstance(edges, np.ndarray):
             edges = [(etype, *src, *dst) for etype, src, dst in edges]
         edges = np.array(edges, dtype=np.int64).reshape(-1, 5)
         etype = edges[:, 0]
-        sig = np.array([(et.src_type, et.dst_type) for et in self.edge_types], dtype=np.int64)
-        sig = sig.reshape(-1, 2)[etype].T
+        known = (etype >= 0) & (etype < len(self.edge_types))
+        sig = np.array([(et.src_type, et.dst_type) for et in self.edge_types] + [(-1, -1)])
+        sig = sig[np.where(known, etype, -1)].T
         for k, et in enumerate(self.edge_types):
             rows = etype == k
             src, dst = orient(et, edges[rows, 1:3].T, edges[rows, 3:].T)
             edges[rows, 1:] = np.vstack([src, dst]).T
         st, sj, dt, dj = edges[:, 1:].T
-        sizes = np.array([len(names) for names in self.nodes_by_type], dtype=np.int64)
+        sizes = np.array([len(names) for names in self.nodes_by_type] + [0], dtype=np.int64)
         incompatible = "edge type {!r} used between incompatible node types"
         unknown = "edge references unknown node index {} of type {}"
         faults = [  # (refused rows, reason for refused row k), in checking order
+            (~known, lambda k: f"unknown edge type id {etype[k]}"),
             ((st != sig[0]) | (dt != sig[1]), lambda k: incompatible.format(self.edge_types[etype[k]].name)),
             ((sj < 0) | (sj >= sizes[sig[0]]), lambda k: unknown.format(sj[k], st[k])),
             ((dj < 0) | (dj >= sizes[sig[1]]), lambda k: unknown.format(dj[k], dt[k])),

@@ -61,13 +61,13 @@ class Hyperparameters:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
-        for name in ("consensus_weight", "mask_penalty", "l1_weight"):
+        for name in ("consensus_weight", "mask_penalty", "l1_weight", "init_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("inner_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_inner_iters", "max_outer_iters"):
+        for name in ("max_inner_iters", "max_outer_iters", "seed_boost"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -312,7 +312,8 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
 
 def _sweep(state, m):
     """Update every factor of motif m once, in position order, and return
-    m's residual afterwards. The MTTKRPs share one cache, so each node of
+    m's residual afterwards. The MTTKRPs share one cache dict, fresh per
+    sweep; `update_factor` replaces each factor it moves, so each node of
     the tensor's dimension tree is computed once per sweep. The residual
     comes from the MTTKRP and Gram product of the last update: no other
     factor of m moves after they are computed."""

@@ -208,49 +208,33 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     partial product over its n keys from its parent's (`_descend`), and the
     leaf's partial holds the result's nonzero rows.
 
-    `cache` serves one Gauss-Seidel sweep: a dict, empty at the sweep's
-    start, passed to one call per mode in ascending mode order, where the
-    caller may replace factors[i] after the call for mode i. Each node's
-    partial is then computed once per sweep, as it depends only on the
-    factors outside the node's mode range, and the results equal cache-free
-    calls bit for bit. A call that breaks this protocol raises a ValueError.
+    `cache` is a dict that calls may share. It keeps each node's partial
+    with its inputs, the tensor and the factor objects outside the node's
+    range, and serves it while each input is the same object; callers
+    replace factors rather than write into them. Any call sequence then
+    returns the cache-free results bit for bit, and a Gauss-Seidel sweep
+    (ascending modes, factors[i] replaced after mode i) computes each node once.
     """
     c = _check_factors(x, factors)
-    if cache is not None:
-        _claim(cache, x, factors, mode)
     out = np.zeros((c, x.dims[mode]))
     if x.nnz == 0:
         return out.T
+    cache = {} if cache is None else cache
     lo, hi, partial = 0, x.order, x.values
     while hi - lo > 1:
         mid = (lo + hi) // 2
         node, sibling = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
-        child = None if cache is None else cache.get(node)
-        if child is None:
-            child = _descend(x.tree, node, sibling, partial, factors)
-            if cache is not None:
-                cache[node] = child
-        (lo, hi), partial = node, child
+        inputs = (x, *factors[: node[0]], *factors[node[1] :])
+        # The tensor comes first: once it matches, so does the inputs' length.
+        kept = cache.get(node)
+        if kept and all(a is b for a, b in zip(kept[0], inputs)):
+            partial = kept[1]
+        else:
+            partial = _descend(x.tree, node, sibling, partial, factors)
+            cache[node] = inputs, partial
+        lo, hi = node
     out[:, x.tree[lo, hi][0][:, 0]] = partial
     return out.T
-
-
-def _claim(cache, x, factors, mode):
-    """Record in `cache` that it serves `mode` of `x` now, after checking that
-    its partials are current: the modes rise, and since the last call no
-    factor moved but those of the modes from the last served one up to
-    `mode`, which every cached node on the way to `mode` contains."""
-    if cache:
-        last, seen = cache["mode"], cache["inputs"]
-        if mode <= last:
-            raise ValueError(f"a sweep cache that served mode {last} cannot serve mode {mode}")
-        moved = [k for k, (f, g) in enumerate(zip(factors, seen[1:])) if f is not g]
-        if seen[0] is not x or any(not last <= k < mode for k in moved):
-            raise ValueError(
-                f"a sweep cache that served mode {last} cannot serve mode {mode} "
-                f"of another tensor or after factors {moved} moved"
-            )
-    cache["mode"], cache["inputs"] = mode, (x, *factors)
 
 
 def _descend(tree, node, sibling, partial, factors):

@@ -662,12 +662,14 @@ class TestLogLevel:
             lines = err.splitlines()
             assert len(lines) == 1 and message in lines[0]  # one motif, one line
             handlers = handlers or list(package_log.handlers)
-            assert package_log.handlers == handlers
+            assert package_log.handlers == handlers == []  # main removes its handler
         code, _, err = run_cli(capsys, "--log-level", "DEBUG", "fit", "--config", config)
         assert "iteration 1: objective" in err and "fit " in err
         code, _, err = run_cli(capsys, "fit", "--config", config)  # default WARNING
         assert code in (0, 3) and err == ""
         assert package_log.handlers == handlers
+        code, _, _ = run_cli(capsys, "fit", "--config", str(planted_dir / "missing.json"))
+        assert code == 1 and package_log.handlers == []
 
 
 class TestRunConfig:
@@ -708,6 +710,19 @@ class TestRunConfig:
             ("outer_tol", float("nan"), "outer_tol must be finite"),
             ("l1_weight", float("inf"), "l1_weight must be finite"),
             ("consensus_weight", float("-inf"), "consensus_weight must be finite"),
+            ("clusters", 1, "n_clusters must be at least 2"),
+            ("mask_penalty", -1, "mask_penalty must be non-negative"),
+            ("seed_boost", 0.5, "seed_boost must be at least 1"),
+            ("seed_boost", -3, "seed_boost must be at least 1"),
+            ("init_seed", -1, "init_seed must be non-negative"),
+            ("motifs", "motif_pair.json", "motifs must be a list of strings, got \"motif_pair.json\""),
+            ("motifs", 5, "motifs must be a list of strings, got 5"),
+            ("motifs", [], "config lists no motifs"),
+            ("nodes", 5, "nodes must be a string, got 5"),
+            ("edges", ["edges.tsv"], "edges must be a string"),
+            ("seeds", None, "seeds must be a string, got null"),
+            ("out_dir", 1, "out_dir must be a string"),
+            ("tensor_dir", False, "tensor_dir must be a string, got false"),
         ],
     )
     def test_non_numbers_rejected(self, planted_dir, capsys, knob, value, message):
@@ -716,3 +731,4 @@ class TestRunConfig:
         assert code == 1 and stdout == "" and not (planted_dir / "tensors").exists()
         diag = json.loads(err)
         assert diag["type"] == "ValueError" and message in diag["error"]
+        assert diag["error"].startswith(f"{path}: ")

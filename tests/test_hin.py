@@ -184,6 +184,17 @@ class TestAdmission:
             HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], [(0, (0, 0), (0, 1)), edge])
         assert info.value.index == 1 and isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("etype", [-1, 1])
+    def test_unknown_edge_type_id_refused(self, etype):
+        edge_types = [EdgeType("d", True, 0, 0)]
+        good, bad = (0, (0, 0), (0, 1)), (etype, (0, 0), (0, 1))
+        with pytest.raises(EdgeError, match=f"unknown edge type id {etype}") as info:
+            HIN(["A"], [["a1", "a2"]], edge_types, [good, bad, bad])
+        assert info.value.index == 1
+        with pytest.raises(EdgeError, match="self-loop") as info:  # the first refused row
+            HIN(["A"], [["a1", "a2"]], edge_types, [good, (0, (0, 1), (0, 1)), bad])
+        assert info.value.index == 1
+
     @pytest.mark.parametrize("seed", range(30))
     def test_random_admission_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)

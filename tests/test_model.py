@@ -81,6 +81,17 @@ class TestHyperparameters:
             Hyperparameters(n_clusters=2, **{name: 0})
         assert getattr(Hyperparameters(n_clusters=2, **{name: 1}), name) == 1
 
+    @pytest.mark.parametrize("value", [0.5, 0.0, -3.0])
+    def test_seed_boost_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="seed_boost must be at least 1"):
+            Hyperparameters(n_clusters=2, seed_boost=value)
+        assert Hyperparameters(n_clusters=2, seed_boost=1.0).seed_boost == 1.0
+
+    def test_negative_init_seed_rejected(self):
+        with pytest.raises(ValueError, match="init_seed must be non-negative"):
+            Hyperparameters(n_clusters=2, init_seed=-1)
+        assert Hyperparameters(n_clusters=2, init_seed=0).init_seed == 0
+
 
 class TestParts:
     def test_sign_split(self):

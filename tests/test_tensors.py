@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motifclust import tensors
 from motifclust.hin import HIN, EdgeType
 from motifclust.motifs import Motif, PatternEdge, _visit_order, enumerate_instances, transcribe
 from motifclust.tensors import (
@@ -401,22 +402,47 @@ class TestDimensionTree:
                 f[i] = rng.uniform(0.0, 1.0, size=f[i].shape)
         assert_tree_matches_unique(x)
 
-    def test_cache_refuses_stale_partials(self):
-        x, f = self.case(4, 3, "random", seed=5)
-        y = SparseTensor(x.dims, x.indices, 2.0 * x.values)
+    @pytest.mark.parametrize("kind", ["random", "repeated"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cache_serves_any_call_order(self, seed, kind):
+        order = 2 + seed % 5
+        x, f = self.case(order, 3, kind, seed=seed)
+        # Same dims, other nonzeros: a shared dict must not serve x's partials.
+        y = random_sparse_tensor(np.random.default_rng(seed + 100), x.dims, 60)
+        rng = np.random.default_rng(seed)
         cache = {}
-        mttkrp_sparse(x, f, 1, cache=cache)
-        for mode in (0, 1):
-            with pytest.raises(ValueError, match="served mode 1 cannot serve mode"):
-                mttkrp_sparse(x, f, mode, cache=cache)
-        with pytest.raises(ValueError, match="another tensor"):
-            mttkrp_sparse(y, f, 2, cache=cache)
-        kept = f[3]
-        f[3] = 2.0 * kept  # a factor the cached node (0, 2) depends on
-        with pytest.raises(ValueError, match=r"factors \[3\] moved"):
-            mttkrp_sparse(x, f, 2, cache=cache)
-        f[1], f[2], f[3] = 2.0 * f[1], 2.0 * f[2], kept  # the served mode and a skipped one
-        assert np.array_equal(mttkrp_sparse(x, f, 3, cache=cache), mttkrp_sparse(x, f, 3))
+        for _ in range(40):
+            tensor = x if rng.random() < 0.7 else y
+            mode = int(rng.integers(0, order))  # repeats and descending modes too
+            got = mttkrp_sparse(tensor, f, mode, cache=cache)
+            assert np.array_equal(got, mttkrp_sparse(tensor, f, mode))
+            for i in np.flatnonzero(rng.random(order) < 0.3):
+                f[i] = rng.uniform(0.0, 1.0, size=f[i].shape)
+            if kind == "repeated" and rng.random() < 0.3:  # one new object at every type-0 position
+                shared = rng.uniform(0.0, 1.0, size=f[0].shape)
+                for i in range(order):
+                    if i in (0, 2, 3, 5):
+                        f[i] = shared
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_sweep_computes_each_node_once(self, order, monkeypatch):
+        calls, descend = [], tensors._descend
+
+        def counted(*args):
+            calls.append(args[1])  # the node computed
+            return descend(*args)
+
+        monkeypatch.setattr(tensors, "_descend", counted)
+        x, f = self.case(order, 3, "random", seed=order)
+        rng = np.random.default_rng(order)
+        for _ in range(2):
+            cache = {}
+            calls.clear()
+            for i in range(order):
+                mttkrp_sparse(x, f, i, cache=cache)
+                f[i] = rng.uniform(0.0, 1.0, size=f[i].shape)
+            assert sorted(calls) == sorted(child for _, child in tree_ranges(0, order))
+            assert len(calls) == 2 * order - 2
 
     def test_tree_is_built_on_first_use(self, tmp_path):
         x = random_sparse_tensor(np.random.default_rng(4), (5, 6, 7), 30)
