@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -256,12 +257,9 @@ def _read_labels_tsv(path, known=None):
                 raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
             if known is not None and node_id not in known:
                 raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
-            try:
-                out[node_id] = int(label)
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {lineno}: cluster index {label!r} is not an integer"
-                ) from None
+            if not re.fullmatch("-?[0-9]+", label):
+                raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not an integer")
+            out[node_id] = int(label)
     return out
 
 
@@ -325,9 +323,7 @@ def cmd_evaluate(args):
             f"node ids differ between files (e.g. only in --pred: {only_pred}, "
             f"only in --truth: {only_truth})"
         )
-    excluded = set()
-    if args.seeds and not args.include_seeds:
-        excluded = set(_read_labels_tsv(args.seeds))
+    excluded = set(_read_labels_tsv(args.seeds)) if args.seeds else set()
     ids = sorted(set(pred) - excluded)
     if not ids:
         raise ValueError("no nodes left to evaluate")
@@ -468,7 +464,6 @@ def build_parser():
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--seeds")
-    p.add_argument("--include-seeds", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gen-planted", help="generate a planted-block benchmark dataset")

@@ -12,7 +12,8 @@ once, as `HIN.edges`: sorted `(edge type, src index, dst index)` int64 rows in
 
 File formats (UTF-8, LF, `#` comment lines skipped):
   nodes TSV: ``node_id<TAB>type_name`` per line; an optional directive line
-             ``#types name1 name2 ...`` pre-registers types (allows empty ones)
+             ``#types name1 name2 ...`` (first token exactly ``#types``)
+             pre-registers types (allows empty ones)
   edges TSV: ``src_id<TAB>dst_id<TAB>edge_type_name<TAB>d|u``
 """
 
@@ -79,6 +80,12 @@ class HIN:
                 self.node_index[name] = (t, j)
         self.edge_types = list(edge_types)
         self.edge_type_ids = {et.name: i for i, et in enumerate(self.edge_types)}
+        for et in self.edge_types:
+            if not {et.src_type, et.dst_type} <= set(range(len(self.type_names))):
+                raise ValueError(
+                    f"edge type {et.name!r} joins node type ids {et.src_type} and "
+                    f"{et.dst_type}, outside 0..{len(self.type_names) - 1}"
+                )
 
         # Edge admission, the one home of these rules, over (n, 5) int rows
         # `(edge type id, src type, src index, dst type, dst index)` or
@@ -214,7 +221,7 @@ def load_hin(nodes_path, edges_path):
         return type_ids[name]
 
     for lineno, line in _read_lines(nodes_path):
-        if line.startswith("#types"):
+        if line.split()[:1] == ["#types"]:
             for name in line.split()[1:]:
                 intern_type(name)
             continue

@@ -12,9 +12,9 @@ The objective has four terms: the reconstruction residual of every motif
 tensor, an entrywise l1 penalty on the factors, the squared gap between each
 factor and its type's consensus, and the squared masked consensus entries.
 Each term has one evaluation. The residual comes from one mode's MTTKRP and
-Gram product (`residual_from_mode`). The last two are quadratic in the
-weights; they and their gradient come from per-type Gram matrices of the
-factors (`_weight_forms`), built once per weight step for all its trials.
+Gram product (`residual_from_mode`). The last two are one quadratic in the
+weights; it and its gradient come from per-type Gram matrices of the factors
+(`_weight_forms`), built once per weight step for all its trials.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class ModelState:
 
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
-    enters the consensus of type t with coefficient mu[m] / k. Per layout row,
-    types ascending, layout_motif, layout_k and layout_count hold m, k and
-    the number of rows of its type.
+    enters the consensus of type t with coefficient mu[m] / k. weight_map is
+    the (P, n) matrix of those coefficients over all P layout rows, types
+    ascending: 1/k at (row, m), so that weight_map @ mu lists them.
     """
 
     motif_names: list[str]
@@ -133,9 +133,7 @@ class ModelState:
     hyper: Hyperparameters
     type_sizes: dict[int, int] = field(init=False)
     layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
-    layout_motif: np.ndarray = field(init=False)
-    layout_k: np.ndarray = field(init=False)
-    layout_count: np.ndarray = field(init=False)
+    weight_map: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = len(self.motif_names)
@@ -166,8 +164,8 @@ class ModelState:
                 if f.min() < 0:
                     raise ValueError("factors must be non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
-        rows = [(m, k, len(rs)) for _, rs in sorted(self.layout.items()) for m, _, k in rs]
-        self.layout_motif, self.layout_k, self.layout_count = map(np.array, zip(*rows))
+        motif, k = np.array([(m, k) for _, rs in sorted(self.layout.items()) for m, _, k in rs]).T
+        self.weight_map = np.eye(n)[motif] / k[:, None]
         for t, mask in self.masks.items():
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
@@ -214,40 +212,36 @@ def consensus(state, t):
 
 def _weight_forms(state):
     """Objective terms 3 and 4, the only ones depending on the motif weights,
-    and their weight gradient, as functions of mu at the current factors;
-    each call costs O(P^2) scalars. With c = mu[m] / k per layout row, a
-    type's gap is tr G - 2*1'Gc + P*c'Gc and its penalty c'Hc, where
-    G[r, s] = <V_r, V_s>, H[r, s] = <M*V_r, V_s> (M is binary) and P counts
-    the type's rows; G and H are block-diagonal over the types ascending.
-    Their gradient in c is 2(P*Gc - G1) and 2Hc, and a row's entry adds to
-    its motif's weight divided by k."""
+    and their weight gradient, as functions of mu at the current factors.
+    Per type t, G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over its P_t
+    layout rows (M is binary), and W_t is their block of weight_map. Built
+    once per call, b = W'G1, A = sum_t P_t * W_t'G W_t and B = W'H W make the
+    gap tr G - 2b'mu + mu'A mu and the penalty mu'B mu, with gradients
+    2(A mu - b) and 2B mu; each evaluation costs O(n^2) for n motifs."""
     h = state.hyper
-    gram = np.zeros((len(state.layout_motif),) * 2)
-    masked = np.zeros_like(gram)
+    n = state.n_motifs()
+    trace, b, quad, masked = 0.0, np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
     start = 0
     for t, rows in sorted(state.layout.items()):
         flat = np.concatenate([state.factors[m][i].ravel() for m, i, _ in rows])
         flat = flat.reshape(len(rows), -1)  # one concatenate is cheaper than np.stack
-        block = slice(start, start + len(rows))
-        gram[block, block] = flat @ flat.T
+        w = state.weight_map[start:start + len(rows)]
+        gram = flat @ flat.T
+        wg = w.T @ gram
+        trace += gram.trace()
+        b += wg.sum(axis=1)
+        quad += len(rows) * (wg @ w)
         if t in state.masks:
-            masked[block, block] = (flat * state.masks[t].ravel()) @ flat.T
+            masked += w.T @ ((flat * state.masks[t].ravel()) @ flat.T) @ w
         start += len(rows)
 
     def terms(mu):
-        c = mu[state.layout_motif] / state.layout_k
-        gc = gram @ c
-        gap = float(np.trace(gram) - 2.0 * gc.sum() + np.dot(state.layout_count * c, gc))
-        penalty = float(c @ masked @ c)
+        gap = float(trace - 2.0 * (b @ mu) + mu @ quad @ mu)
+        penalty = float(mu @ masked @ mu)
         return h.consensus_weight * max(gap, 0.0), h.mask_penalty * max(penalty, 0.0)
 
     def gradient(mu):
-        c = mu[state.layout_motif] / state.layout_k
-        spread = state.layout_count * (gram @ c) - gram.sum(axis=1)
-        slope = 2.0 * h.consensus_weight * spread + 2.0 * h.mask_penalty * (masked @ c)
-        return np.bincount(
-            state.layout_motif, weights=slope / state.layout_k, minlength=state.n_motifs()
-        )
+        return 2.0 * h.consensus_weight * (quad @ mu - b) + 2.0 * h.mask_penalty * (masked @ mu)
 
     return terms, gradient
 
@@ -342,22 +336,21 @@ def project_simplex(v):
     return np.maximum(v - shifted[k] / ranks[k], 0.0)
 
 
-def optimize_motif_weights(state, fixed=None):
-    """Projected gradient descent on the motif weights with factors fixed.
+def optimize_motif_weights(state, terms):
+    """Projected gradient descent on the motif weights with factors fixed,
+    starting from `terms`, the objective terms at the current state; returns
+    the terms at the weights it reaches, which equal `objective(state)` then.
 
     Each step halves the trial step until the objective does not increase;
     stops at the relative-change tolerance, a vanishing step, or the inner
     iteration cap. The subproblem is convex, so this reaches its optimum.
-    Factors are fixed here, so terms 1 and 2 are constant during the search:
-    `fixed` is their sum when the caller knows it, else it is computed. The
-    gradients and trials evaluate terms 3 and 4 on the Gram forms of
-    `_weight_forms`, built once per call."""
+    Factors are fixed here, so terms 1 and 2 are constant during the search,
+    and the gradients and trials evaluate terms 3 and 4 on the quadratic
+    forms of `_weight_forms`, built once per call."""
     h = state.hyper
-    if fixed is None:
-        base = objective(state)
-        fixed = base.residual + base.l1
+    fixed = terms.residual + terms.l1
     coupling, gradient = _weight_forms(state)
-    prev = fixed + sum(coupling(state.mu))
+    prev = fixed + (terms.consensus_gap + terms.seed_penalty)  # grouped as the trials are
     for _ in range(h.max_inner_iters):
         grad = gradient(state.mu)
         step = PGD_STEP
@@ -373,10 +366,9 @@ def optimize_motif_weights(state, fixed=None):
             break
         state.mu, trial = accepted
         if abs(prev - trial) <= h.inner_tol * max(prev, 1e-300):
-            prev = trial
             break
         prev = trial
-    return state.mu
+    return ObjectiveTerms(terms.residual, terms.l1, *coupling(state.mu))
 
 
 def fit(state):
@@ -387,7 +379,8 @@ def fit(state):
     The returned history holds one record per outer iteration; the objective
     column is non-increasing by construction of both update types. The loop
     evaluates each state's objective once: a motif's sweeps start from the
-    last value computed before them. Each motif's residual is computed over
+    last value computed before them, and the weight step returns the terms
+    at the weights it reaches. Each motif's residual is computed over
     its nonzeros once, at the start, and cached: a sweep of motif m replaces
     entry m with the residual it gets from its own kernels, and no other
     entry goes stale, since the sweep and the weight step move no other
@@ -409,8 +402,7 @@ def fit(state):
                 if abs(inner_prev - current) <= h.inner_tol * max(inner_prev, 1e-300):
                     break
                 inner_prev = current
-        optimize_motif_weights(state, terms.residual + terms.l1)
-        terms = objective(state, residual=terms.residual)
+        terms = optimize_motif_weights(state, terms)
         current = terms.total
         history.append(IterationRecord(outer, current, *astuple(terms), state.mu.copy()))
         log.debug("iteration %d: objective %.12g, residual %.12g", outer, current, terms.residual)

@@ -78,7 +78,6 @@ class PlantedData:
     labels: dict            # node id -> block index, all nodes of all types
     seeds: dict             # node id -> block index, the exported guidance
     instances: dict         # template name -> (n, order) int array of tuples
-    config: PlantedConfig
 
 
 def _draw_tuple(rng, template, pool):
@@ -251,4 +250,4 @@ def generate_planted_hin(config):
                 chosen = rng.choice(blocks[b], size=per_block_seeds, replace=False)
                 for j in sorted(int(x) for x in chosen):
                     seeds[f"{t}{j}"] = b
-    return PlantedData(hin, labels, seeds, instances, config)
+    return PlantedData(hin, labels, seeds, instances)

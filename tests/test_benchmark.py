@@ -1,14 +1,28 @@
 """The benchmark harness drives the library through names it wraps and reads;
 a traced repetition must keep running against the current sources."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from motifclust.cli import main
+import pytest
 
-REP = Path(__file__).resolve().parent.parent / "benchmarks" / "rep.py"
+from motifclust.cli import RunConfig, main
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+REP = BENCHMARKS / "rep.py"
+
+
+def load_run_module():
+    spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARKS / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN = load_run_module()
 
 
 def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):
@@ -34,3 +48,16 @@ def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):
     # the tracer counts instances as len() of what enumerate_instances returns
     manifest = json.loads((data / run["tensor_dir"] / "manifest.json").read_text())
     assert result["layers"]["motifs.instances.quad"] == manifest["quad"]["nnz"] > 0
+
+
+@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
+def test_untimed_workload_setup_runs(workload, tmp_path):
+    """The steps the benchmark runs before timing anything: generating the
+    workload's inputs, recording the environment and reading its run.json."""
+    data = tmp_path / workload
+    RUN.generate(workload, 0, data)
+    env = RUN.environment(workload, 0, data)
+    config = RunConfig.from_json(data / "run.json")
+    assert env["workload"] == workload and env["enum_threads_resolved"] == config.threads
+    for key, value in RUN.WORKLOADS[workload]["run"].items():
+        assert getattr(config.hyper, key) == value

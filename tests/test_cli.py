@@ -542,10 +542,7 @@ class TestEvaluate:
         )
         assert json.loads(out_excl)["n_evaluated"] == 2
         assert json.loads(out_excl)["accuracy"] == 1.0
-        _, out_incl, _ = run_cli(
-            capsys, "evaluate", "--pred", str(pred), "--truth", str(truth),
-            "--seeds", str(seeds), "--include-seeds",
-        )
+        _, out_incl, _ = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
         assert json.loads(out_incl)["n_evaluated"] == 3
 
     def test_non_integer_label_names_file_and_line(self, tmp_path, capsys):
@@ -555,6 +552,16 @@ class TestEvaluate:
         assert code == 1
         error = json.loads(err)["error"]
         assert f"{pred} line 2" in error and "'x'" in error
+
+    @pytest.mark.parametrize("label", ["1_0", " 3", "3 ", "+3", "\uff13"])
+    def test_label_must_be_ascii_digits(self, tmp_path, capsys, label):
+        pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", label)])
+        truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
+        code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
+        assert code == 1
+        assert json.loads(err)["error"] == (
+            f"{pred} line 2: cluster index {label!r} is not an integer"
+        )
 
     def test_id_mismatch_errors(self, tmp_path, capsys):
         pred = self.write(tmp_path / "p.tsv", [("a", 0)])

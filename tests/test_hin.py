@@ -79,6 +79,11 @@ class TestLoad:
         hin = load_hin(*write_pair(tmp_path, "#types A B\na1\tA\n", ""))
         assert hin.nodes_of_type(hin.type_id("B")) == []
 
+    def test_types_directive_is_a_whole_token(self, tmp_path):
+        nodes = "#typeset by hand\n#types\tA  B\na1\tA\nb1\tB\n"
+        hin = load_hin(*write_pair(tmp_path, nodes, ""))
+        assert hin.type_names == ["A", "B"]
+
     def test_unknown_type_query(self, toy_paths):
         hin = load_hin(*toy_paths)
         with pytest.raises(KeyError):
@@ -194,6 +199,12 @@ class TestAdmission:
         with pytest.raises(EdgeError, match="self-loop") as info:  # the first refused row
             HIN(["A"], [["a1", "a2"]], edge_types, [good, (0, (0, 1), (0, 1)), bad])
         assert info.value.index == 1
+
+    @pytest.mark.parametrize("src, dst", [(0, 5), (-1, 0)])
+    def test_edge_type_endpoints_must_be_type_ids(self, src, dst):
+        for edges in ([], [(0, (0, 0), (0, 1))]):
+            with pytest.raises(ValueError, match="edge type 'd' joins node type ids"):
+                HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, src, dst)], edges)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_admission_matches_oracle(self, seed):

@@ -136,7 +136,7 @@ def reference_fit(state):
                 if abs(inner_prev - current) <= h.inner_tol * max(inner_prev, 1e-300):
                     break
                 inner_prev = current
-        optimize_motif_weights(state)
+        optimize_motif_weights(state, objective(state))
         terms = objective(state)
         history.append((terms, state.mu.copy()))
         if abs(prev - terms.total) <= h.outer_tol * max(prev, 1e-300):
@@ -306,8 +306,8 @@ def test_weight_forms_gap_cancels():
 
 
 def test_weight_step_builds_forms_once(monkeypatch):
-    """A weight step with `fixed` given builds the forms once and evaluates
-    every gradient and trial on them, never on a consensus."""
+    """A weight step builds the forms once and evaluates every gradient and
+    trial, and the terms it returns, on them, never on a consensus."""
     built = []
     real_forms = model._weight_forms
 
@@ -318,20 +318,21 @@ def test_weight_step_builds_forms_once(monkeypatch):
     def direct(*args, **kwargs):
         raise AssertionError("the weight step evaluated the direct terms")
 
+    state = repeated_type_state(np.random.default_rng(7), with_mask=True)
+    terms = objective(state)
     monkeypatch.setattr(model, "_weight_forms", counting_forms)
     monkeypatch.setattr(model, "objective", direct)
     monkeypatch.setattr(model, "motif_weight_gradient", direct)
     monkeypatch.setattr(model, "consensus", direct)
-    state = repeated_type_state(np.random.default_rng(7), with_mask=True)
     before = state.mu.copy()
-    optimize_motif_weights(state, 1.0)
+    optimize_motif_weights(state, terms)
     assert built == [1]
     assert not np.array_equal(state.mu, before)
 
 
 def test_objective_and_weight_step_build_no_consensus(monkeypatch):
-    """The objective and a whole weight step, its own objective included,
-    take the coupling terms from the Gram forms alone."""
+    """The objective and a whole weight step take the coupling terms from the
+    Gram forms alone."""
 
     def direct(*args, **kwargs):
         raise AssertionError("a consensus was built")
@@ -340,8 +341,26 @@ def test_objective_and_weight_step_build_no_consensus(monkeypatch):
     monkeypatch.setattr(model, "consensus", direct)
     assert objective(state).total > 0.0
     before = state.mu.copy()
-    optimize_motif_weights(state)
+    optimize_motif_weights(state, objective(state))
     assert not np.array_equal(state.mu, before)
+
+
+@pytest.mark.parametrize("state", states())
+def test_weight_step_returns_objective_at_reached_weights(state, monkeypatch):
+    """The terms a weight step returns equal `objective` at the weights it
+    reaches, bit for bit. Then, with its gradient turned uphill, every trial
+    raises the objective, and the step keeps mu and returns the terms there."""
+    assert optimize_motif_weights(state, objective(state)) == objective(state)
+    start = state.mu.copy()
+    real_forms = model._weight_forms
+
+    def uphill_forms(state):
+        coupling, gradient = real_forms(state)
+        return coupling, lambda mu: -gradient(mu)
+
+    monkeypatch.setattr(model, "_weight_forms", uphill_forms)
+    assert optimize_motif_weights(state, objective(state)) == objective(state)
+    np.testing.assert_array_equal(state.mu, start)
 
 
 def single_motif_state(x, factors, **hyper):
@@ -404,8 +423,8 @@ def test_history_residual_equals_full_pass(state, monkeypatch):
     full = []
     real_weights = model.optimize_motif_weights
 
-    def recording_weights(state, fixed=None):
-        out = real_weights(state, fixed)
+    def recording_weights(state, terms):
+        out = real_weights(state, terms)
         full.append(sum(residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)))
         return out
 
@@ -417,9 +436,10 @@ def test_history_residual_equals_full_pass(state, monkeypatch):
 
 
 def test_fit_evaluates_each_state_once(monkeypatch):
-    """One objective for the initial state, one per inner sweep and one per
-    outer iteration, after the weight step; one MTTKRP per factor update;
-    one full residual pass per motif for the whole fit."""
+    """One objective for the initial state and one per inner sweep, and none
+    after a weight step, which returns the terms at the weights it reaches;
+    one MTTKRP per factor update; one full residual pass per motif for the
+    whole fit."""
     calls = {"objective": 0, "sweeps": 0, "updates": 0, "mttkrp": 0, "residual": 0}
     real_objective, real_update = model.objective, model.update_factor
     real_mttkrp, real_residual = model.mttkrp_sparse, model.residual_fro_sq
@@ -448,6 +468,6 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     state = repeated_type_state(np.random.default_rng(7), with_mask=True)
     result = fit(state)
     assert calls["sweeps"] > len(result.history) > 1
-    assert calls["objective"] == 1 + calls["sweeps"] + len(result.history)
+    assert calls["objective"] == 1 + calls["sweeps"]
     assert calls["mttkrp"] == calls["updates"]
     assert calls["residual"] == state.n_motifs()
