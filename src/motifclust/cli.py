@@ -18,16 +18,17 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .hin import load_hin, write_hin
+from .hin import _read_lines, load_hin, write_hin
 from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
@@ -36,8 +37,8 @@ from .tensors import SparseTensor
 
 EXIT_MAX_ITERS = 3
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters", "threads")
-# gen-planted params named other than their PlantedConfig field.
-PARAM_KEYS = {"n_clusters": "clusters", "type_names": "types"}
+# Dataclass fields read from run.json or params under another key.
+FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
 # Hashed into every tensor cache key: a change to the tensor file format or
 # to what a tensor means must change this, so no older file is served.
 CACHE_FORMAT = b"tsv-1"
@@ -62,10 +63,7 @@ class RunConfig:
         path = Path(path)
         raw = _read_object(path)
         base = path.parent
-        knob_names = {f.name for f in fields(Hyperparameters)} - {"n_clusters"}
-        unknown = sorted(set(raw) - set(RUN_KEYS) - knob_names)
-        if unknown:
-            raise ValueError(f"{path}: unknown config key(s) {unknown}")
+        _check_keys(path, raw, "config", Hyperparameters, RUN_KEYS)
 
         def get(key, kind, default=None):  # a None default: the key is required
             if key in raw:
@@ -77,12 +75,7 @@ class RunConfig:
         motifs = [base / p for p in get("motifs", tuple, ())]
         if not motifs:
             raise ValueError(f"{path}: config lists no motifs")
-        # Every other Hyperparameters field is read under its own name, with
-        # the type of its default; absent keys keep the dataclass default.
-        knobs = {
-            f.name: get(f.name, type(f.default), f.default)
-            for f in fields(Hyperparameters) if f.name in knob_names
-        }
+        knobs = _read_fields(path, raw, Hyperparameters)
         knobs["n_clusters"] = get("clusters", int)
         try:
             hyper = Hyperparameters(**knobs)
@@ -114,6 +107,25 @@ def _read_object(path):
     if type(raw) is not dict:
         raise ValueError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
     return raw
+
+
+def _check_keys(where, raw, what, cls, extra=()):
+    """Refuse any key of `raw` that is neither a field key of dataclass `cls`
+    (see `_read_fields`) nor in `extra`."""
+    unknown = sorted(set(raw) - {FIELD_KEYS.get(f.name, f.name) for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ValueError(f"{where}: unknown {what} key(s) {unknown}")
+
+
+def _read_fields(path, raw, cls):
+    """Keyword arguments for dataclass `cls` from the JSON object `raw`: each
+    field with a plain default is read under its key (its name, or its
+    FIELD_KEYS entry) and typed as its default; an absent key keeps the default."""
+    return {
+        f.name: _typed(path, key, raw[key], type(f.default))
+        for f in fields(cls)
+        if f.default is not MISSING and (key := FIELD_KEYS.get(f.name, f.name)) in raw
+    }
 
 
 def _typed(path, key, value, kind):
@@ -157,12 +169,13 @@ def _write_atomic(path, write):
     os.replace(tmp, path)
 
 
-def _write_manifest(config, manifest):
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_atomic(
-        config.tensor_dir / "manifest.json",
-        lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"),
-    )
+def _write_text(path, text):
+    """`text` as UTF-8 with no newline translation, through `_write_atomic`."""
+    _write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+
+
+def _write_json(path, obj, **kwargs):
+    _write_text(path, json.dumps(obj, indent=2, **kwargs) + "\n")
 
 
 def _read_manifest(config):
@@ -220,8 +233,8 @@ def _ensure_tensors(config):
         if not rebuilt:
             for stale in config.tensor_dir.glob("*.tmp"):
                 stale.unlink()  # left by a run killed mid-write
-        if manifest.pop(motif.name, None) is not None:
-            _write_manifest(config, manifest)  # never trust a half-rebuilt entry
+        if manifest.pop(motif.name, None) is not None:  # never trust a half-rebuilt entry
+            _write_json(config.tensor_dir / "manifest.json", manifest, sort_keys=True)
         start = time.perf_counter()
         tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         elapsed = time.perf_counter() - start
@@ -238,28 +251,26 @@ def _ensure_tensors(config):
         tensors.append(tensor)
         rebuilt += 1
     if rebuilt:
-        _write_manifest(config, manifest)
+        _write_json(config.tensor_dir / "manifest.json", manifest, sort_keys=True)
     return hin, motifs, tensors
 
 
 def _read_labels_tsv(path, known=None):
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path} line {lineno}: expected 2 columns")
-            node_id, label = parts
-            if node_id in out:
-                raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
-            if known is not None and node_id not in known:
-                raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
-            if not re.fullmatch("-?[0-9]+", label):
-                raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not an integer")
-            out[node_id] = int(label)
+    for lineno, line in _read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path} line {lineno}: expected 2 columns")
+        node_id, label = parts
+        if node_id in out:
+            raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
+        if known is not None and node_id not in known:
+            raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
+        if not re.fullmatch("-?[0-9]+", label):
+            raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not an integer")
+        out[node_id] = int(label)
     return out
 
 
@@ -282,28 +293,24 @@ def cmd_fit(args):
     assignments = assign_clusters(state)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(config.out_dir / "consensus.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for t, assign in sorted(assignments.items()):
-            tname = hin.type_names[t]
-            for j, node in enumerate(hin.nodes_of_type(t)):
-                row = "\t".join(_fmt(x) for x in assign.consensus[:, j])
-                fh.write(f"{tname}\t{node}\t{row}\n")
-    with open(config.out_dir / "labels.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for t, assign in sorted(assignments.items()):
-            for j, node in enumerate(hin.nodes_of_type(t)):
-                fh.write(f"{node}\t{int(assign.labels[j])}\n")
-    with open(config.out_dir / "weights.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for name, w in zip(state.motif_names, state.mu):
-            fh.write(f"{name}\t{_fmt(w)}\n")
-    with open(config.out_dir / "history.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        mu_cols = [f"mu_{name}" for name in state.motif_names]
-        writer.writerow(
-            ["iter", "obj", "residual", "l1", "consensus_gap", "seed_penalty", *mu_cols]
-        )
-        for rec in result.history:
-            terms = (rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty)
-            writer.writerow([rec.iteration, *map(_fmt, terms), *map(_fmt, rec.weights)])
+    consensus, labels = [], []
+    for t, assign in sorted(assignments.items()):
+        for j, node in enumerate(hin.nodes_of_type(t)):
+            row = "\t".join(_fmt(x) for x in assign.consensus[:, j])
+            consensus.append(f"{hin.type_names[t]}\t{node}\t{row}\n")
+            labels.append(f"{node}\t{int(assign.labels[j])}\n")
+    _write_text(config.out_dir / "consensus.tsv", "".join(consensus))
+    _write_text(config.out_dir / "labels.tsv", "".join(labels))
+    weights = (f"{name}\t{_fmt(w)}\n" for name, w in zip(state.motif_names, state.mu))
+    _write_text(config.out_dir / "weights.tsv", "".join(weights))
+    history = io.StringIO()  # csv rows end in CRLF
+    writer = csv.writer(history)
+    mu_cols = [f"mu_{name}" for name in state.motif_names]
+    writer.writerow(["iter", "obj", "residual", "l1", "consensus_gap", "seed_penalty", *mu_cols])
+    for rec in result.history:
+        terms = (rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty)
+        writer.writerow([rec.iteration, *map(_fmt, terms), *map(_fmt, rec.weights)])
+    _write_text(config.out_dir / "history.csv", history.getvalue())
     summary = {
         "converged": result.converged,
         "outer_iterations": len(result.history),
@@ -351,9 +358,7 @@ def _template_from_dict(path, k, raw):
     where = f"{path}: template {raw['name']!r}"
     if "/" in raw["name"] or "\\" in raw["name"]:
         raise ValueError(f"{where}: name must not contain '/' or '\\'")
-    unknown = sorted(set(raw) - {f.name for f in fields(MotifTemplate)})
-    if unknown:
-        raise ValueError(f"{where}: unknown template key(s) {unknown}")
+    _check_keys(where, raw, "template", MotifTemplate)
     if type(raw["edges"]) is not list:
         raise ValueError(f"{where}: edges must be a list, got {json.dumps(raw['edges'])}")
     if not isinstance(raw.get("signal", True), bool):
@@ -374,24 +379,14 @@ def _template_from_dict(path, k, raw):
 
 def cmd_gen_planted(args):
     raw = _read_object(args.params)
-    unknown = sorted(set(raw) - {PARAM_KEYS.get(f.name, f.name) for f in fields(PlantedConfig)})
-    if unknown:
-        raise ValueError(f"{args.params}: unknown params key(s) {unknown}")
-    # Each PlantedConfig field is read under its params key, with the type of
-    # its default; absent keys keep the dataclass default.
-    kwargs = {}
-    for f in fields(PlantedConfig):
-        key = PARAM_KEYS.get(f.name, f.name)
-        if key not in raw:
-            continue
-        if f.name == "templates":
-            ts = raw[key]
-            if type(ts) is not list or not all(type(t) is dict for t in ts):
-                raise ValueError(f"{args.params}: templates must be a list of objects, "
-                                 f"got {json.dumps(ts)}")
-            kwargs[f.name] = tuple(_template_from_dict(args.params, k, t) for k, t in enumerate(ts))
-        else:
-            kwargs[f.name] = _typed(args.params, key, raw[key], type(f.default))
+    _check_keys(args.params, raw, "params", PlantedConfig)
+    kwargs = _read_fields(args.params, raw, PlantedConfig)
+    if "templates" in raw:
+        ts = raw["templates"]
+        if type(ts) is not list or not all(type(t) is dict for t in ts):
+            raise ValueError(f"{args.params}: templates must be a list of objects, "
+                             f"got {json.dumps(ts)}")
+        kwargs["templates"] = tuple(_template_from_dict(args.params, *kt) for kt in enumerate(ts))
     config = PlantedConfig(**kwargs)
     try:
         data = generate_planted_hin(config)
@@ -400,18 +395,12 @@ def cmd_gen_planted(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_hin(data.hin, out / "nodes.tsv", out / "edges.tsv")
-    with open(out / "truth.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for node in sorted(data.labels):
-            fh.write(f"{node}\t{data.labels[node]}\n")
-    with open(out / "seeds.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for node in sorted(data.seeds):
-            fh.write(f"{node}\t{data.seeds[node]}\n")
+    for name, labels in (("truth.tsv", data.labels), ("seeds.tsv", data.seeds)):
+        _write_text(out / name, "".join(f"{node}\t{labels[node]}\n" for node in sorted(labels)))
     motif_files = []
     for template in config.templates:
         name = f"motif_{template.name}.json"
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(template.motif_spec(), fh, indent=2)
-            fh.write("\n")
+        _write_json(out / name, template.motif_spec())
         motif_files.append(name)
     run = {
         "nodes": "nodes.tsv",
@@ -424,20 +413,14 @@ def cmd_gen_planted(args):
         "init_seed": 0,
         "seed_boost": 10.0,
     }
-    with open(out / "run.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(run, fh, indent=2)
-        fh.write("\n")
-    print(
-        json.dumps(
-            {
-                "nodes": sum(len(ns) for ns in data.hin.nodes_by_type),
-                "edges": len(data.hin.edges),
-                "seeds": len(data.seeds),
-                "instances": {k: int(v.shape[0]) for k, v in data.instances.items()},
-            },
-            sort_keys=True,
-        )
-    )
+    _write_json(out / "run.json", run)
+    stats = {
+        "nodes": sum(len(ns) for ns in data.hin.nodes_by_type),
+        "edges": len(data.hin.edges),
+        "seeds": len(data.seeds),
+        "instances": {k: int(v.shape[0]) for k, v in data.instances.items()},
+    }
+    print(json.dumps(stats, sort_keys=True))
     return 0
 
 

@@ -80,6 +80,8 @@ class HIN:
                 self.node_index[name] = (t, j)
         self.edge_types = list(edge_types)
         self.edge_type_ids = {et.name: i for i, et in enumerate(self.edge_types)}
+        if len(self.edge_type_ids) != len(self.edge_types):
+            raise ValueError("duplicate edge type names")
         for et in self.edge_types:
             if not {et.src_type, et.dst_type} <= set(range(len(self.type_names))):
                 raise ValueError(

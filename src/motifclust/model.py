@@ -161,7 +161,7 @@ class ModelState:
                         f"factor for motif {self.motif_names[m]!r} position {i} has shape "
                         f"{f.shape}, expected ({c}, {d})"
                     )
-                if f.min() < 0:
+                if np.any(f < 0):
                     raise ValueError("factors must be non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
         motif, k = np.array([(m, k) for _, rs in sorted(self.layout.items()) for m, _, k in rs]).T

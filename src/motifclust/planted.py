@@ -145,6 +145,12 @@ def generate_planted_hin(config):
     seeds."""
     c = config.n_clusters
     size = config.nodes_per_type
+    if c < 2:
+        raise ValueError("n_clusters must be at least 2")
+    if size < 1:
+        raise ValueError("nodes_per_type must be at least 1")
+    if not config.templates:
+        raise ValueError("templates must not be empty")
     if size % c != 0:
         raise ValueError("nodes_per_type must be divisible by n_clusters")
     block = size // c

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def first_formula_key(data, motif_file):
         h.update((data / name).read_bytes())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def hand_dataset(tmp_path, nodes, edges, seeds, motifs):
+    """A run.json over hand-written nodes, edges and seeds lines and motif
+    specs given as `name: (node types, [(i, j, edge type name)])`."""
+    for name, lines in (("nodes.tsv", nodes), ("edges.tsv", edges), ("seeds.tsv", seeds)):
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+    for name, (types, pattern) in motifs.items():
+        spec = {
+            "name": name,
+            "nodes": [{"id": f"n{i}", "type": t} for i, t in enumerate(types)],
+            "edges": [{"src": f"n{i}", "dst": f"n{j}", "etype": et, "dir": "u"} for i, j, et in pattern],
+        }
+        (tmp_path / f"motif_{name}.json").write_text(json.dumps(spec))
+    run = {"nodes": "nodes.tsv", "edges": "edges.tsv", "seeds": "seeds.tsv", "clusters": 2,
+           "motifs": [f"motif_{name}.json" for name in motifs]}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    return tmp_path / "run.json"
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +176,11 @@ class TestGenPlanted:
             ),
             ({"templates": [dict(PAIR, name="a/b")]}, r"template 'a/b': name must not contain"),
             ({"templates": [dict(PAIR, name="a\\b")]}, r"template 'a\\\\b': name must not contain"),
+            ({"clusters": 0}, "n_clusters must be at least 2"),
+            ({"clusters": -3}, "n_clusters must be at least 2"),
+            ({"clusters": 1}, "n_clusters must be at least 2"),
+            ({"nodes_per_type": 0}, "nodes_per_type must be at least 1"),
+            ({"templates": []}, "templates must not be empty"),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -499,6 +523,64 @@ class TestFit:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_motif_over_a_type_without_nodes(self, tmp_path, capsys):
+        config = hand_dataset(
+            tmp_path,
+            nodes=["#types A B", "a1\tA", "a2\tA", "a3\tA"],
+            edges=["a1\ta2\taa\tu", "a2\ta3\taa\tu"],
+            seeds=["a1\t0", "a3\t1"],
+            motifs={"aa": (["A", "A"], [(0, 1, "aa")]), "b": (["B"], [])},
+        )
+        code, stdout, err = run_cli(capsys, "fit", "--config", str(config))
+        assert code in (0, 3), err
+        labels = (tmp_path / "out" / "labels.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in labels] == ["a1", "a2", "a3"]
+
+    def test_motif_without_instances(self, tmp_path, capsys):
+        path = [f"a{k}" for k in range(8)]
+        config = hand_dataset(
+            tmp_path,
+            nodes=[f"{a}\tA" for a in path],
+            edges=[f"{a}\t{b}\taa\tu" for a, b in zip(path, path[1:])],
+            seeds=["a0\t0", "a7\t1"],
+            motifs={
+                "edge": (["A", "A"], [(0, 1, "aa")]),
+                "triangle": (["A", "A", "A"], [(0, 1, "aa"), (1, 2, "aa"), (2, 0, "aa")]),
+            },
+        )
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        manifest = json.loads((tmp_path / "tensors" / "manifest.json").read_text())
+        assert manifest["triangle"]["nnz"] == 0 and manifest["edge"]["nnz"] > 0
+        code, _, err = run_cli(capsys, "fit", "--config", str(config))
+        assert code in (0, 3), err
+        weights = [float(line.split("\t")[1])
+                   for line in (tmp_path / "out" / "weights.tsv").read_text().splitlines()]
+        assert min(weights) >= 0 and abs(sum(weights) - 1) < 1e-9
+        rows = (tmp_path / "out" / "history.csv").read_text().splitlines()[1:]
+        objs = [float(line.split(",")[1]) for line in rows]
+        for a, b in zip(objs, objs[1:]):
+            assert b <= a + 1e-9 * (1 + abs(a))
+
+    def test_failed_output_write_keeps_the_previous_file(self, planted_dir, capsys, monkeypatch):
+        config = planted_dir / "run.json"
+        labels = planted_dir / "out" / "labels.tsv"
+        assert run_cli(capsys, "fit", "--config", str(config))[0] in (0, 3)
+        before = labels.stat().st_ino, labels.read_bytes()
+        real = Path.write_text
+
+        def die_mid_labels(path, text, *args, **kwargs):
+            if path.name != "labels.tsv.tmp":
+                return real(path, text, *args, **kwargs)
+            real(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_text", die_mid_labels)
+            code, stdout, err = run_cli(capsys, "fit", "--config", str(config))
+        assert code == 1 and stdout == "" and json.loads(err)["error"] == "disk full"
+        assert (labels.stat().st_ino, labels.read_bytes()) == before
+        assert not list((planted_dir / "out").glob("*.tmp"))
 
 
 class TestEvaluate:

@@ -206,6 +206,11 @@ class TestAdmission:
             with pytest.raises(ValueError, match="edge type 'd' joins node type ids"):
                 HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, src, dst)], edges)
 
+    def test_duplicate_edge_type_names_refused(self):
+        edge_types = [EdgeType("d", True, 0, 0), EdgeType("d", False, 0, 0)]
+        with pytest.raises(ValueError, match="duplicate edge type names"):
+            HIN(["A"], [["a1", "a2"]], edge_types, [(1, (0, 0), (0, 1))])
+
     @pytest.mark.parametrize("seed", range(30))
     def test_random_admission_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
