@@ -14,14 +14,14 @@ factor and its type's consensus, and the squared masked consensus entries.
 Each term has one evaluation. The residual comes from one mode's MTTKRP and
 Gram product (`residual_from_mode`). The last two are one quadratic in the
 weights; it and its gradient come from per-type Gram matrices of the factors
-(`_weight_forms`), built once per weight step for all its trials.
+(`_weight_forms`), whose rows are recomputed only for replaced factors.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -120,8 +120,12 @@ class ModelState:
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
     enters the consensus of type t with coefficient mu[m] / k. weight_map is
-    the (P, n) matrix of those coefficients over all P layout rows, types
-    ascending: 1/k at (row, m), so that weight_map @ mu lists them.
+    the (P, n) matrix of those coefficients over the P positions, in motif
+    then position order as listed in positions: 1/k at (row, m), so that
+    weight_map @ mu lists them. same_type marks pairs of rows of one type,
+    type_count[r] counts the rows of r's type and mask_rows holds each row's
+    raveled seed mask, zero-padded like gram_cache's rows (`_gram_rows`).
+    Factors and masks are read-only copies: factors are replaced, not written.
     """
 
     motif_names: list[str]
@@ -134,17 +138,27 @@ class ModelState:
     type_sizes: dict[int, int] = field(init=False)
     layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
     weight_map: np.ndarray = field(init=False)
+    positions: list[tuple[int, int]] = field(init=False)
+    same_type: np.ndarray = field(init=False)
+    type_count: np.ndarray = field(init=False)
+    mask_rows: np.ndarray = field(init=False)
+    gram_cache: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        # Read-only copies, since the Gram rows of `_gram_rows` outlive a call.
+        self.factors = [[np.array(f, dtype=np.float64) for f in fs] for fs in self.factors]
+        self.masks = {t: np.array(mask, dtype=np.float64) for t, mask in self.masks.items()}
+        for a in [f for fs in self.factors for f in fs] + list(self.masks.values()):
+            a.flags.writeable = False
         n = len(self.motif_names)
         if not n or len(self.motif_types) != n or len(self.tensors) != n or len(self.factors) != n:
             raise ValueError("motif names, types, tensors and factors must align")
         c = self.hyper.n_clusters
-        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.mu = np.array(self.mu, dtype=np.float64)
         if self.mu.shape != (n,):
             raise ValueError(f"expected {n} motif weights")
-        if self.mu.min() < 0 or abs(self.mu.sum() - 1.0) > 1e-9:
-            raise ValueError("motif weights must lie on the standard simplex")
+        if not np.all(np.isfinite(self.mu)) or self.mu.min() < 0 or abs(self.mu.sum() - 1.0) > 1e-9:
+            raise ValueError("motif weights must be finite and lie on the standard simplex")
         self.type_sizes = {}
         self.layout = {}
         for m in range(n):
@@ -161,11 +175,16 @@ class ModelState:
                         f"factor for motif {self.motif_names[m]!r} position {i} has shape "
                         f"{f.shape}, expected ({c}, {d})"
                     )
-                if np.any(f < 0):
-                    raise ValueError("factors must be non-negative")
+                if not np.all(np.isfinite(f)) or np.any(f < 0):
+                    raise ValueError("factors must be finite and non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
-        motif, k = np.array([(m, k) for _, rs in sorted(self.layout.items()) for m, _, k in rs]).T
+        rows = [(m, i, types.count(t), t) for m, types in enumerate(self.motif_types) for i, t in enumerate(types)]
+        motif, _, k, row_type = np.array(rows).T
         self.weight_map = np.eye(n)[motif] / k[:, None]
+        self.positions = [(m, i) for m, i, _, _ in rows]
+        self.same_type = np.equal.outer(row_type, row_type)
+        self.type_count = self.same_type.sum(axis=0)
+        self.mask_rows = np.zeros((len(rows), c * max(self.type_sizes.values())))
         for t, mask in self.masks.items():
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
@@ -174,6 +193,9 @@ class ModelState:
             cols = mask.sum(axis=0)
             if not np.all(np.isin(mask, (0.0, 1.0))) or not np.all(np.isin(cols, (0, c - 1))):
                 raise ValueError("mask columns must be all-zero or have exactly C-1 ones")
+            self.mask_rows[row_type == t, : mask.size] = mask.ravel()
+        p = len(rows)  # held factor objects, their raveled rows, G over H, and l1 sums
+        self.gram_cache = [None] * p, np.zeros_like(self.mask_rows), np.zeros((2, p, p)), np.zeros(p)
 
     # -- structure lookups ----------------------------------------------------
 
@@ -189,15 +211,7 @@ class ModelState:
         return [(m, i) for m, i, _ in self.layout.get(t, ())]
 
     def copy(self):
-        return ModelState(
-            motif_names=list(self.motif_names),
-            motif_types=[tuple(t) for t in self.motif_types],
-            tensors=self.tensors,
-            factors=[[f.copy() for f in fs] for fs in self.factors],
-            mu=self.mu.copy(),
-            masks={t: m.copy() for t, m in self.masks.items()},
-            hyper=self.hyper,
-        )
+        return replace(self)  # `__post_init__` copies the arrays and rebuilds the rest
 
 
 def consensus(state, t):
@@ -210,30 +224,44 @@ def consensus(state, t):
     return out
 
 
+def _gram_rows(state):
+    """G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over the P positions
+    (zero unless r and s have one type; M is its binary mask) as one
+    (2, P, P) array, and each row's l1 sum. Like the MTTKRP cache, each row
+    is kept with the factor object it came from; only rows whose factor was
+    replaced, and their mirrored columns, are recomputed, by one product."""
+    held, flat, gram, l1 = state.gram_cache
+    stale = [r for r, (m, i) in enumerate(state.positions) if state.factors[m][i] is not held[r]]
+    if not stale:
+        return gram, l1
+    for r in stale:
+        m, i = state.positions[r]
+        f = held[r] = state.factors[m][i]
+        flat[r, : f.size] = f.ravel()
+    if stale[-1] - stale[0] == len(stale) - 1:  # as after a sweep; a slice indexes faster
+        stale = slice(stale[0], stale[-1] + 1)
+    rows = flat[stale]
+    l1[stale] = rows.sum(axis=1)
+    both = np.concatenate([rows, rows * state.mask_rows[stale]]) @ flat.T
+    both = both.reshape(2, len(rows), -1) * state.same_type[stale]
+    gram[:, stale] = both
+    gram[:, :, stale] = both.transpose(0, 2, 1)
+    return gram, l1
+
+
 def _weight_forms(state):
     """Objective terms 3 and 4, the only ones depending on the motif weights,
     and their weight gradient, as functions of mu at the current factors.
-    Per type t, G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over its P_t
-    layout rows (M is binary), and W_t is their block of weight_map. Built
-    once per call, b = W'G1, A = sum_t P_t * W_t'G W_t and B = W'H W make the
-    gap tr G - 2b'mu + mu'A mu and the penalty mu'B mu, with gradients
+    With G and H of `_gram_rows` and W = weight_map, b = W'G1,
+    A = sum_t P_t * W_t'G_t W_t over the per-type blocks and B = W'H W make
+    the gap tr G - 2b'mu + mu'A mu and the penalty mu'B mu, with gradients
     2(A mu - b) and 2B mu; each evaluation costs O(n^2) for n motifs."""
     h = state.hyper
-    n = state.n_motifs()
-    trace, b, quad, masked = 0.0, np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
-    start = 0
-    for t, rows in sorted(state.layout.items()):
-        flat = np.concatenate([state.factors[m][i].ravel() for m, i, _ in rows])
-        flat = flat.reshape(len(rows), -1)  # one concatenate is cheaper than np.stack
-        w = state.weight_map[start:start + len(rows)]
-        gram = flat @ flat.T
-        wg = w.T @ gram
-        trace += gram.trace()
-        b += wg.sum(axis=1)
-        quad += len(rows) * (wg @ w)
-        if t in state.masks:
-            masked += w.T @ ((flat * state.masks[t].ravel()) @ flat.T) @ w
-        start += len(rows)
+    gram, _ = _gram_rows(state)
+    w = state.weight_map
+    wg, wh = w.T @ gram
+    trace, b = np.trace(gram[0]), wg.sum(axis=1)
+    quad, masked = (wg * state.type_count) @ w, wh @ w
 
     def terms(mu):
         gap = float(trace - 2.0 * (b @ mu) + mu @ quad @ mu)
@@ -249,11 +277,11 @@ def _weight_forms(state):
 def objective(state, mu=None, residual=None):
     """All four objective terms at the current factors (and optionally a
     candidate weight vector). Non-negative and finite on valid states.
-    `residual` is the summed reconstruction residual of all motifs when the
-    caller already knows it; otherwise every tensor's is computed."""
+    `residual` is the motifs' summed residual when the caller knows it, else
+    computed; the rest costs only the Gram rows of replaced factors."""
     if residual is None:
         residual = sum(map(residual_fro_sq, state.tensors, state.factors))
-    l1 = state.hyper.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
+    l1 = state.hyper.l1_weight * float(_gram_rows(state)[1].sum())
     gap, penalty = _weight_forms(state)[0](state.mu if mu is None else mu)
     return ObjectiveTerms(residual, l1, gap, penalty)
 
@@ -295,6 +323,7 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
     np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
 
     updated = v * np.sqrt(num / den)
+    updated.flags.writeable = False
     if not np.all(np.isfinite(updated)):
         raise FloatingPointError(
             f"non-finite factor update for motif {state.motif_names[m]!r} position {i} "
@@ -380,11 +409,11 @@ def fit(state):
     column is non-increasing by construction of both update types. The loop
     evaluates each state's objective once: a motif's sweeps start from the
     last value computed before them, and the weight step returns the terms
-    at the weights it reaches. Each motif's residual is computed over
-    its nonzeros once, at the start, and cached: a sweep of motif m replaces
-    entry m with the residual it gets from its own kernels, and no other
-    entry goes stale, since the sweep and the weight step move no other
-    motif's factors."""
+    at the weights it reaches. A sweep of motif m moves only m's factors, so
+    each evaluation after it recomputes only m's Gram rows, and the weight
+    step none; and m's residual, cached per motif from one pass over the
+    nonzeros at the start, is replaced by the one the sweep's own kernels
+    give, while no other motif's goes stale."""
     h = state.hyper
     history = []
     residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]

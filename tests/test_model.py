@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifclust.model as model
 from motifclust.planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from motifclust.model import (
     Hyperparameters,
@@ -23,6 +24,7 @@ from motifclust.tensors import SparseTensor
 
 from conftest import random_state
 from oracles import dense_reconstruct, from_tuples, neg_part, pos_part, todense
+from test_model_reference import gram_trace, repeated_type_state, states
 
 
 def dense_objective_oracle(state):
@@ -112,6 +114,128 @@ class TestParts:
         assert pos_part(a).min() >= 0 and neg_part(a).min() >= 0
 
 
+class TestModelState:
+    def _state(self, factor=None, mu=(0.5, 0.5), mask=None):
+        """Two one-position motifs over type 0 (3 nodes, C = 2)."""
+        rng = np.random.default_rng(3)
+        first = rng.uniform(0.1, 1.1, (2, 3)) if factor is None else factor
+        factors = [[first], [rng.uniform(0.1, 1.1, (2, 3))]]
+        return ModelState(
+            motif_names=["a", "b"],
+            motif_types=[(0,), (0,)],
+            tensors=[from_tuples((3,), [(0,)]), from_tuples((3,), [(1,)])],
+            factors=factors,
+            mu=np.array(mu),
+            masks={} if mask is None else {0: mask},
+            hyper=Hyperparameters(n_clusters=2),
+        )
+
+    def test_factor_shape_checked(self):
+        with pytest.raises(ValueError, match=r"has shape \(3, 2\), expected \(2, 3\)"):
+            self._state(factor=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("mu", [(0.6, 0.6), (1.5, -0.5)])
+    def test_weights_off_the_simplex_rejected(self, mu):
+        with pytest.raises(ValueError, match="standard simplex"):
+            self._state(mu=mu)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_factor_rejected(self, value):
+        factor = np.ones((2, 3))
+        factor[1, 2] = value
+        with pytest.raises(ValueError, match="factors must be finite and non-negative"):
+            self._state(factor=factor)
+
+    @pytest.mark.parametrize("mu", [(np.nan, 0.5), (np.inf, 0.5)])
+    def test_non_finite_weights_rejected(self, mu):
+        with pytest.raises(ValueError, match="motif weights must be finite"):
+            self._state(mu=mu)
+
+    def test_factors_and_masks_are_read_only_copies(self):
+        factor, mask = np.ones((2, 3)), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        state = self._state(factor=factor, mask=mask)
+        factor[0, 0] = mask[0, 0] = 2.0  # the caller's arrays stay its own
+        assert state.factors[0][0][0, 0] == 1.0 and state.masks[0][0, 0] == 0.0
+        update_factor(state, 1, 0)
+        for s in (state, state.copy()):
+            for f in (s.factors[0][0], s.factors[1][0]):
+                with pytest.raises(ValueError, match="read-only"):
+                    f[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                s.masks[0][1, 1] = 1.0
+
+
+class TestGramRows:
+    """`_gram_rows` keeps each position's Gram rows with its factor object;
+    the forms they give must equal those of a fresh copy of the state, to
+    the tolerances of `test_weight_forms_equal_coupling_terms`, after any
+    replacement: one position, one motif's, any set of them, or all."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        index=st.integers(0, len(states()) - 1),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["position", "motif", "some", "all"]), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_kept_rows_equal_a_fresh_state(self, index, steps):
+        state = states()[index]
+        objective(state)
+        for kind, seed in steps:
+            rng = np.random.default_rng(seed)
+            if kind == "position":
+                chosen = [state.positions[rng.integers(len(state.positions))]]
+            elif kind == "motif":
+                m = int(rng.integers(state.n_motifs()))
+                chosen = [(m, i) for i in range(len(state.motif_types[m]))]
+            elif kind == "some":  # rows that need not be adjacent
+                chosen = [pos for pos in state.positions if rng.random() < 0.5]
+            else:
+                chosen = state.positions
+            for m, i in chosen:
+                f = state.factors[m][i]
+                state.factors[m][i] = f * rng.uniform(0.5, 2.0, f.shape)
+            fresh = state.copy()
+            coupling, gradient = model._weight_forms(state)
+            want_coupling, want_gradient = model._weight_forms(fresh)
+            scale = state.hyper.consensus_weight * gram_trace(fresh)
+            for mu in rng.dirichlet(np.ones(state.n_motifs()), size=20):
+                (gap, penalty), (want_gap, want_penalty) = coupling(mu), want_coupling(mu)
+                np.testing.assert_allclose(gap, want_gap, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(penalty, want_penalty, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                gradient(state.mu), want_gradient(state.mu), rtol=1e-12, atol=1e-12 * scale
+            )
+            l1 = state.hyper.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
+            np.testing.assert_allclose(objective(state).l1, objective(fresh).l1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(objective(state).l1, l1, rtol=1e-12, atol=0)
+
+    def test_no_product_without_a_replacement(self):
+        """Once the rows are kept, the objective, the forms and a weight step
+        compute no Gram product until a factor is replaced; then one."""
+        products = []
+
+        class CountingRows(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                inputs = [a.view(np.ndarray) if isinstance(a, CountingRows) else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        state = repeated_type_state(np.random.default_rng(7), with_mask=True)
+        terms = objective(state)
+        held, rows, gram, l1 = state.gram_cache
+        state.gram_cache = held, rows.view(CountingRows), gram, l1
+        assert objective(state) == terms
+        optimize_motif_weights(state, terms)
+        motif_weight_gradient(state)
+        assert products == []
+        state.factors[1][0] = state.factors[1][0] * 0.5
+        objective(state)
+        assert products == [np.matmul]
+
+
 class TestConsensus:
     def test_single_contributor_identity(self):
         rng = np.random.default_rng(0)
@@ -191,7 +315,9 @@ class TestConsensus:
                 for t in state.clustered_types()
             }
             assert state.layout == expected
-            coeffs = [state.mu[m] / k for t in sorted(expected) for m, _, k in expected[t]]
+            positions = [(m, i) for m, ts in enumerate(state.motif_types) for i in range(len(ts))]
+            assert state.positions == positions
+            coeffs = [state.mu[m] / state.motif_types[m].count(state.motif_types[m][i]) for m, i in positions]
             np.testing.assert_allclose(state.weight_map @ state.mu, coeffs, rtol=1e-15, atol=0)
             for t in state.clustered_types():
                 assert state.contributors(t) == [(m, i) for m, i, _ in expected[t]]
@@ -202,9 +328,7 @@ class TestObjective:
     def test_zero_factors_leave_tensor_norms(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, hyper_overrides={"l1_weight": 1e-3})
-        for fs in state.factors:
-            for f in fs:
-                f[:] = 0.0
+        state.factors = [[np.zeros_like(f) for f in fs] for fs in state.factors]
         terms = objective(state)
         expected = sum(t.nnz for t in state.tensors)  # binary tensors
         assert terms.residual == pytest.approx(expected)
@@ -298,8 +422,10 @@ class TestUpdateFactor:
     def test_zeros_stay_zero_and_nonnegative(self):
         rng = np.random.default_rng(11)
         state = random_state(rng)
-        state.factors[0][0][0, :] = 0.0
-        state.factors[0][0][:, 0] = 0.0
+        f = state.factors[0][0].copy()
+        f[0, :] = 0.0
+        f[:, 0] = 0.0
+        state.factors[0][0] = f
         for _ in range(3):
             for m in range(state.n_motifs()):
                 for i in range(len(state.motif_types[m])):
@@ -564,9 +690,7 @@ class TestAssign:
         rng = np.random.default_rng(21)
         state = random_state(rng)
         base = {t: a.labels.copy() for t, a in assign_clusters(state).items()}
-        for fs in state.factors:
-            for f in fs:
-                f *= 37.5
+        state.factors = [[37.5 * f for f in fs] for fs in state.factors]
         scaled = assign_clusters(state)
         for t in base:
             np.testing.assert_array_equal(base[t], scaled[t].labels)
