@@ -120,12 +120,11 @@ class ModelState:
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
     enters the consensus of type t with coefficient mu[m] / k. weight_map is
-    the (P, n) matrix of those coefficients over the P positions, in motif
-    then position order as listed in positions: 1/k at (row, m), so that
-    weight_map @ mu lists them. same_type marks pairs of rows of one type,
-    type_count[r] counts the rows of r's type and mask_rows holds each row's
-    raveled seed mask, zero-padded like gram_cache's rows (`_gram_rows`).
-    Factors and masks are read-only copies: factors are replaced, not written.
+    the (P, n) matrix of those coefficients over all P layout rows, types
+    ascending: 1/k at (row, m), so that weight_map @ mu lists them. The rows
+    of type t are the slice blocks[t], and type_count[r] counts the rows of
+    r's type. Factors and masks are read-only: factors are replaced, not
+    written (`_gram_rows` keeps rows computed from them).
     """
 
     motif_names: list[str]
@@ -138,10 +137,8 @@ class ModelState:
     type_sizes: dict[int, int] = field(init=False)
     layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
     weight_map: np.ndarray = field(init=False)
-    positions: list[tuple[int, int]] = field(init=False)
-    same_type: np.ndarray = field(init=False)
+    blocks: dict[int, slice] = field(init=False)
     type_count: np.ndarray = field(init=False)
-    mask_rows: np.ndarray = field(init=False)
     gram_cache: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -178,13 +175,6 @@ class ModelState:
                 if not np.all(np.isfinite(f)) or np.any(f < 0):
                     raise ValueError("factors must be finite and non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
-        rows = [(m, i, types.count(t), t) for m, types in enumerate(self.motif_types) for i, t in enumerate(types)]
-        motif, _, k, row_type = np.array(rows).T
-        self.weight_map = np.eye(n)[motif] / k[:, None]
-        self.positions = [(m, i) for m, i, _, _ in rows]
-        self.same_type = np.equal.outer(row_type, row_type)
-        self.type_count = self.same_type.sum(axis=0)
-        self.mask_rows = np.zeros((len(rows), c * max(self.type_sizes.values())))
         for t, mask in self.masks.items():
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
@@ -193,9 +183,15 @@ class ModelState:
             cols = mask.sum(axis=0)
             if not np.all(np.isin(mask, (0.0, 1.0))) or not np.all(np.isin(cols, (0, c - 1))):
                 raise ValueError("mask columns must be all-zero or have exactly C-1 ones")
-            self.mask_rows[row_type == t, : mask.size] = mask.ravel()
-        p = len(rows)  # held factor objects, their raveled rows, G over H, and l1 sums
-        self.gram_cache = [None] * p, np.zeros_like(self.mask_rows), np.zeros((2, p, p)), np.zeros(p)
+        self.layout = dict(sorted(self.layout.items()))
+        motif, k = np.array([(m, k) for rs in self.layout.values() for m, _, k in rs]).T
+        self.weight_map = np.eye(n)[motif] / k[:, None]
+        sizes = [len(rs) for rs in self.layout.values()]
+        self.blocks = {t: slice(e - p, e) for t, p, e in zip(self.layout, sizes, np.cumsum(sizes))}
+        self.type_count = np.repeat(sizes, sizes)
+        # Per type, the factor objects held and their raveled rows; G over H; l1 sums.
+        rows = {t: ([None] * p, np.zeros((p, c * self.type_sizes[t]))) for t, p in zip(self.layout, sizes)}
+        self.gram_cache = rows, np.zeros((2, len(motif), len(motif))), np.zeros(len(motif))
 
     # -- structure lookups ----------------------------------------------------
 
@@ -225,27 +221,30 @@ def consensus(state, t):
 
 
 def _gram_rows(state):
-    """G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over the P positions
+    """G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over the P layout rows
     (zero unless r and s have one type; M is its binary mask) as one
     (2, P, P) array, and each row's l1 sum. Like the MTTKRP cache, each row
-    is kept with the factor object it came from; only rows whose factor was
-    replaced, and their mirrored columns, are recomputed, by one product."""
-    held, flat, gram, l1 = state.gram_cache
-    stale = [r for r, (m, i) in enumerate(state.positions) if state.factors[m][i] is not held[r]]
-    if not stale:
-        return gram, l1
-    for r in stale:
-        m, i = state.positions[r]
-        f = held[r] = state.factors[m][i]
-        flat[r, : f.size] = f.ravel()
-    if stale[-1] - stale[0] == len(stale) - 1:  # as after a sweep; a slice indexes faster
-        stale = slice(stale[0], stale[-1] + 1)
-    rows = flat[stale]
-    l1[stale] = rows.sum(axis=1)
-    both = np.concatenate([rows, rows * state.mask_rows[stale]]) @ flat.T
-    both = both.reshape(2, len(rows), -1) * state.same_type[stale]
-    gram[:, stale] = both
-    gram[:, :, stale] = both.transpose(0, 2, 1)
+    is kept with the factor object it came from, which is made read-only.
+    Per type, the rows from the first to the last replaced factor, and their
+    mirrored columns, are recomputed by one product; after a sweep of motif
+    m, these are exactly m's rows of the type."""
+    per_type, gram, l1 = state.gram_cache
+    for t, block in state.blocks.items():
+        held, flat = per_type[t]
+        stale = [j for j, (m, i, _) in enumerate(state.layout[t]) if state.factors[m][i] is not held[j]]
+        if not stale:
+            continue
+        for j in stale:
+            m, i, _ = state.layout[t][j]
+            f = held[j] = state.factors[m][i]
+            f.flags.writeable = False
+            flat[j] = f.ravel()
+        rows = flat[stale[0] : stale[-1] + 1]
+        new = slice(block.start + stale[0], block.start + stale[-1] + 1)
+        l1[new] = rows.sum(axis=1)
+        both = np.concatenate([rows, rows * np.ravel(state.masks.get(t, 0.0))]) @ flat.T
+        gram[:, new, block] = both = both.reshape(2, len(rows), -1)
+        gram[:, block, new] = both.transpose(0, 2, 1)
     return gram, l1
 
 
@@ -323,7 +322,6 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
     np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
 
     updated = v * np.sqrt(num / den)
-    updated.flags.writeable = False
     if not np.all(np.isfinite(updated)):
         raise FloatingPointError(
             f"non-finite factor update for motif {state.motif_names[m]!r} position {i} "

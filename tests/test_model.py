@@ -157,12 +157,15 @@ class TestModelState:
         factor[0, 0] = mask[0, 0] = 2.0  # the caller's arrays stay its own
         assert state.factors[0][0][0, 0] == 1.0 and state.masks[0][0, 0] == 0.0
         update_factor(state, 1, 0)
+        assigned = state.factors[0][0] = np.full((2, 3), 0.5)
+        objective(state)  # the Gram rows now hold both new factors
         for s in (state, state.copy()):
             for f in (s.factors[0][0], s.factors[1][0]):
                 with pytest.raises(ValueError, match="read-only"):
                     f[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
                 s.masks[0][1, 1] = 1.0
+        assert state.factors[0][0] is assigned
 
 
 class TestGramRows:
@@ -182,17 +185,18 @@ class TestGramRows:
     def test_kept_rows_equal_a_fresh_state(self, index, steps):
         state = states()[index]
         objective(state)
+        positions = [(m, i) for m, ts in enumerate(state.motif_types) for i in range(len(ts))]
         for kind, seed in steps:
             rng = np.random.default_rng(seed)
             if kind == "position":
-                chosen = [state.positions[rng.integers(len(state.positions))]]
+                chosen = [positions[rng.integers(len(positions))]]
             elif kind == "motif":
                 m = int(rng.integers(state.n_motifs()))
                 chosen = [(m, i) for i in range(len(state.motif_types[m]))]
             elif kind == "some":  # rows that need not be adjacent
-                chosen = [pos for pos in state.positions if rng.random() < 0.5]
+                chosen = [pos for pos in positions if rng.random() < 0.5]
             else:
-                chosen = state.positions
+                chosen = positions
             for m, i in chosen:
                 f = state.factors[m][i]
                 state.factors[m][i] = f * rng.uniform(0.5, 2.0, f.shape)
@@ -225,8 +229,9 @@ class TestGramRows:
 
         state = repeated_type_state(np.random.default_rng(7), with_mask=True)
         terms = objective(state)
-        held, rows, gram, l1 = state.gram_cache
-        state.gram_cache = held, rows.view(CountingRows), gram, l1
+        per_type, gram, l1 = state.gram_cache
+        per_type = {t: (held, rows.view(CountingRows)) for t, (held, rows) in per_type.items()}
+        state.gram_cache = per_type, gram, l1
         assert objective(state) == terms
         optimize_motif_weights(state, terms)
         motif_weight_gradient(state)
@@ -315,9 +320,7 @@ class TestConsensus:
                 for t in state.clustered_types()
             }
             assert state.layout == expected
-            positions = [(m, i) for m, ts in enumerate(state.motif_types) for i in range(len(ts))]
-            assert state.positions == positions
-            coeffs = [state.mu[m] / state.motif_types[m].count(state.motif_types[m][i]) for m, i in positions]
+            coeffs = [state.mu[m] / k for t in sorted(expected) for m, _, k in expected[t]]
             np.testing.assert_allclose(state.weight_map @ state.mu, coeffs, rtol=1e-15, atol=0)
             for t in state.clustered_types():
                 assert state.contributors(t) == [(m, i) for m, i, _ in expected[t]]
