@@ -91,6 +91,8 @@ class RunConfig:
             hyper=hyper,
             threads=get("threads", int, 0) or (os.cpu_count() or 1),
         )
+        if cfg.threads < 0:
+            raise ValueError(f"{path}: threads must be non-negative")
         for p in [cfg.nodes, cfg.edges, cfg.seeds, *cfg.motifs]:
             if not p.is_file():
                 raise ValueError(f"{path}: referenced file {p} does not exist")
@@ -394,7 +396,8 @@ def cmd_gen_planted(args):
         raise ValueError(f"{args.params}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_hin(data.hin, out / "nodes.tsv", out / "edges.tsv")
+    _write_atomic(out / "nodes.tsv", lambda nodes: _write_atomic(
+        out / "edges.tsv", lambda edges: write_hin(data.hin, nodes, edges)))
     for name, labels in (("truth.tsv", data.labels), ("seeds.tsv", data.seeds)):
         _write_text(out / name, "".join(f"{node}\t{labels[node]}\n" for node in sorted(labels)))
     motif_files = []

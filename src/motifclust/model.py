@@ -273,13 +273,11 @@ def _weight_forms(state):
     return terms, gradient
 
 
-def objective(state, mu=None, residual=None):
-    """All four objective terms at the current factors (and optionally a
-    candidate weight vector). Non-negative and finite on valid states.
-    `residual` is the motifs' summed residual when the caller knows it, else
-    computed; the rest costs only the Gram rows of replaced factors."""
-    if residual is None:
-        residual = sum(map(residual_fro_sq, state.tensors, state.factors))
+def objective(state, residual, mu=None):
+    """All four objective terms at the current factors and weights `mu`
+    (default state.mu). `residual`, term 1, is the motifs' summed residual,
+    which the caller tracks; terms 2-4 cost only the Gram rows of replaced
+    factors. Non-negative and finite on valid states."""
     l1 = state.hyper.l1_weight * float(_gram_rows(state)[1].sum())
     gap, penalty = _weight_forms(state)[0](state.mu if mu is None else mu)
     return ObjectiveTerms(residual, l1, gap, penalty)
@@ -366,7 +364,7 @@ def project_simplex(v):
 def optimize_motif_weights(state, terms):
     """Projected gradient descent on the motif weights with factors fixed,
     starting from `terms`, the objective terms at the current state; returns
-    the terms at the weights it reaches, which equal `objective(state)` then.
+    the terms at the weights it reaches, which equal `objective` then.
 
     Each step halves the trial step until the objective does not increase;
     stops at the relative-change tolerance, a vanishing step, or the inner
@@ -415,7 +413,7 @@ def fit(state):
     h = state.hyper
     history = []
     residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]
-    terms = objective(state, residual=sum(residuals))
+    terms = objective(state, sum(residuals))
     current = terms.total
     converged = False
     for outer in range(1, h.max_outer_iters + 1):
@@ -424,7 +422,7 @@ def fit(state):
             inner_prev = current
             for _ in range(h.max_inner_iters):
                 residuals[m] = _sweep(state, m)
-                terms = objective(state, residual=sum(residuals))
+                terms = objective(state, sum(residuals))
                 current = terms.total
                 if abs(inner_prev - current) <= h.inner_tol * max(inner_prev, 1e-300):
                     break
@@ -458,30 +456,14 @@ def assign_clusters(state):
     return out
 
 
-def build_seed_mask(n_clusters, type_sizes, seeds):
-    """Masks from seeds given as {type id: {node index: cluster}}: a seed
-    column has a zero at its permitted cluster and ones elsewhere."""
-    masks = {}
-    for t, per_node in seeds.items():
-        if not per_node:
-            continue
-        mask = np.zeros((n_clusters, type_sizes[t]))
-        for j, c in per_node.items():
-            if not 0 <= c < n_clusters:
-                raise ValueError(f"seed label {c} outside 0..{n_clusters - 1}")
-            mask[:, j] = 1.0
-            mask[c, j] = 0.0
-        masks[t] = mask
-    return masks
-
-
 def init_model(hin, motifs, tensors, seeds, hyper):
     """Assemble a ready-to-fit state from parsed motifs and their tensors.
 
     seeds maps node id to cluster index. Factors start i.i.d. uniform on
     (0.1, 1.1) (strictly positive, since multiplicative updates lock zeros)
-    drawn from init_seed; weights start uniform. With seed_boost > 1 the
-    permitted-cluster entry of every seed column is scaled by it."""
+    drawn from init_seed; weights start uniform. Each seed then sets its
+    column of its type's mask and scales its permitted-cluster entry of every
+    factor of its type by seed_boost (exact at the default 1)."""
     if len(motifs) != len(tensors):
         raise ValueError("one tensor per motif is required")
     for motif, tensor in zip(motifs, tensors):
@@ -490,37 +472,33 @@ def init_model(hin, motifs, tensors, seeds, hyper):
             raise ValueError(
                 f"tensor dims {tensor.dims} do not match motif {motif.name!r} dims {expected}"
             )
-    clustered = {t for motif in motifs for t in motif.node_types}
-    by_type = {}
-    for node_id, label in seeds.items():
-        t, j = hin.lookup(node_id)
-        if t not in clustered:
-            raise ValueError(
-                f"seed node {node_id!r} has type {hin.type_names[t]!r}, which no motif covers"
-            )
-        if not 0 <= label < hyper.n_clusters:
-            raise ValueError(f"seed node {node_id!r}: label {label} outside 0..{hyper.n_clusters - 1}")
-        by_type.setdefault(t, {})[j] = label
-
-    type_sizes = {t: hin.num_nodes(t) for t in clustered}
-    masks = build_seed_mask(hyper.n_clusters, type_sizes, by_type)
     rng = np.random.default_rng(hyper.init_seed)
     factors = [
         [rng.uniform(0.1, 1.1, size=(hyper.n_clusters, hin.num_nodes(t))) for t in motif.node_types]
         for motif in motifs
     ]
-    if hyper.seed_boost > 1.0:
-        for motif, fs in zip(motifs, factors):
-            for t, f in zip(motif.node_types, fs):
-                for j, c in by_type.get(t, {}).items():
-                    f[c, j] *= hyper.seed_boost
-    n = len(motifs)
+    masks = {}
+    for node_id, label in seeds.items():
+        t, j = hin.lookup(node_id)
+        of_type = [f for motif, fs in zip(motifs, factors) for u, f in zip(motif.node_types, fs) if u == t]
+        if not of_type:
+            raise ValueError(
+                f"seed node {node_id!r} has type {hin.type_names[t]!r}, which no motif covers"
+            )
+        if not 0 <= label < hyper.n_clusters:
+            raise ValueError(f"seed node {node_id!r}: label {label} outside 0..{hyper.n_clusters - 1}")
+        if t not in masks:
+            masks[t] = np.zeros(of_type[0].shape)
+        masks[t][:, j] = 1.0
+        masks[t][label, j] = 0.0
+        for f in of_type:
+            f[label, j] *= hyper.seed_boost
     return ModelState(
         motif_names=[m.name for m in motifs],
         motif_types=[m.node_types for m in motifs],
         tensors=list(tensors),
         factors=factors,
-        mu=np.full(n, 1.0 / n),
+        mu=np.full(len(motifs), 1.0 / len(motifs)),
         masks=masks,
         hyper=hyper,
     )

@@ -6,8 +6,9 @@ verification only and are not part of the package.
 
 import numpy as np
 
+from motifclust.model import ModelState, objective
 from motifclust.planted import _sample_tuples
-from motifclust.tensors import SparseTensor
+from motifclust.tensors import SparseTensor, residual_fro_sq
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -113,6 +114,47 @@ def residual_nonzero_major(x, factors):
             prod *= f.T[x.indices[:, i], :]
         cross = float(x.values @ prod.sum(axis=1))
     return max(x.norm_sq - 2.0 * cross + reconstruction_norm_sq(factors), 0.0)
+
+
+def objective_from_scratch(state, mu=None):
+    """`objective` with its residual term from a full pass over every motif
+    tensor, for callers that do not track the residual as `fit` does."""
+    return objective(state, sum(map(residual_fro_sq, state.tensors, state.factors)), mu)
+
+
+def init_model_two_pass(hin, motifs, tensors, seeds, hyper):
+    """`init_model` for valid seeds as two passes: the seeds are grouped by
+    type and made into masks before the factors are drawn, and a second loop
+    then scales each factor's seed entries when seed_boost > 1."""
+    by_type = {}
+    for node_id, label in seeds.items():
+        t, j = hin.lookup(node_id)
+        by_type.setdefault(t, {})[j] = label
+    masks = {}
+    for t, per_node in by_type.items():
+        mask = masks[t] = np.zeros((hyper.n_clusters, hin.num_nodes(t)))
+        for j, c in per_node.items():
+            mask[:, j] = 1.0
+            mask[c, j] = 0.0
+    rng = np.random.default_rng(hyper.init_seed)
+    factors = [
+        [rng.uniform(0.1, 1.1, size=(hyper.n_clusters, hin.num_nodes(t))) for t in motif.node_types]
+        for motif in motifs
+    ]
+    if hyper.seed_boost > 1.0:
+        for motif, fs in zip(motifs, factors):
+            for t, f in zip(motif.node_types, fs):
+                for j, c in by_type.get(t, {}).items():
+                    f[c, j] *= hyper.seed_boost
+    return ModelState(
+        motif_names=[m.name for m in motifs],
+        motif_types=[m.node_types for m in motifs],
+        tensors=list(tensors),
+        factors=factors,
+        mu=np.full(len(motifs), 1.0 / len(motifs)),
+        masks=masks,
+        hyper=hyper,
+    )
 
 
 def coupling_terms(state, mu):

@@ -103,6 +103,28 @@ class TestGenPlanted:
         lines = (planted_dir / "truth.tsv").read_text().strip().splitlines()
         assert len(lines) == 40
 
+    def test_failed_graph_write_keeps_the_previous_files(self, tmp_path, capsys, monkeypatch):
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        out = tmp_path / "data"
+        argv = ["gen-planted", "--params", str(params), "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        graph = [out / "nodes.tsv", out / "edges.tsv"]
+        before = [(p.stat().st_ino, p.read_bytes()) for p in graph]
+        real = cli.write_hin
+
+        def die_mid_edges(hin, nodes_path, edges_path):
+            real(hin, nodes_path, edges_path)
+            text = Path(edges_path).read_bytes()
+            Path(edges_path).write_bytes(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_hin", die_mid_edges)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == "" and json.loads(err)["error"] == "disk full"
+        assert [(p.stat().st_ino, p.read_bytes()) for p in graph] == before
+        assert not list(out.glob("*.tmp"))
+
     def test_default_params_outputs_are_pinned(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text("{}")
@@ -794,6 +816,7 @@ class TestRunConfig:
             ("clusters", True, "clusters must be an integer, got true"),
             ("init_seed", "3", "init_seed must be an integer"),
             ("threads", 1.5, "threads must be an integer"),
+            ("threads", -1, "threads must be non-negative"),
             ("mask_penalty", "5", "mask_penalty must be a number"),
             ("seed_boost", True, "seed_boost must be a number"),
             ("outer_tol", float("nan"), "outer_tol must be finite"),

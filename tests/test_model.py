@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,10 @@ from motifclust.model import (
     Hyperparameters,
     ModelState,
     assign_clusters,
-    build_seed_mask,
     consensus,
     fit,
     init_model,
     motif_weight_gradient,
-    objective,
     optimize_motif_weights,
     project_simplex,
     update_factor,
@@ -23,7 +23,10 @@ from motifclust.motifs import enumerate_instances, parse_motif, transcribe
 from motifclust.tensors import SparseTensor
 
 from conftest import random_state
-from oracles import dense_reconstruct, from_tuples, neg_part, pos_part, todense
+from oracles import (
+    dense_reconstruct, from_tuples, init_model_two_pass, neg_part, objective_from_scratch, pos_part,
+    todense,
+)
 from test_model_reference import gram_trace, repeated_type_state, states
 
 
@@ -158,7 +161,7 @@ class TestModelState:
         assert state.factors[0][0][0, 0] == 1.0 and state.masks[0][0, 0] == 0.0
         update_factor(state, 1, 0)
         assigned = state.factors[0][0] = np.full((2, 3), 0.5)
-        objective(state)  # the Gram rows now hold both new factors
+        objective_from_scratch(state)  # the Gram rows now hold both new factors
         for s in (state, state.copy()):
             for f in (s.factors[0][0], s.factors[1][0]):
                 with pytest.raises(ValueError, match="read-only"):
@@ -184,7 +187,7 @@ class TestGramRows:
     )
     def test_kept_rows_equal_a_fresh_state(self, index, steps):
         state = states()[index]
-        objective(state)
+        objective_from_scratch(state)
         positions = [(m, i) for m, ts in enumerate(state.motif_types) for i in range(len(ts))]
         for kind, seed in steps:
             rng = np.random.default_rng(seed)
@@ -212,8 +215,9 @@ class TestGramRows:
                 gradient(state.mu), want_gradient(state.mu), rtol=1e-12, atol=1e-12 * scale
             )
             l1 = state.hyper.l1_weight * sum(float(f.sum()) for fs in state.factors for f in fs)
-            np.testing.assert_allclose(objective(state).l1, objective(fresh).l1, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(objective(state).l1, l1, rtol=1e-12, atol=0)
+            got = objective_from_scratch(state).l1
+            np.testing.assert_allclose(got, objective_from_scratch(fresh).l1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, l1, rtol=1e-12, atol=0)
 
     def test_no_product_without_a_replacement(self):
         """Once the rows are kept, the objective, the forms and a weight step
@@ -228,16 +232,16 @@ class TestGramRows:
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         state = repeated_type_state(np.random.default_rng(7), with_mask=True)
-        terms = objective(state)
+        terms = objective_from_scratch(state)
         per_type, gram, l1 = state.gram_cache
         per_type = {t: (held, rows.view(CountingRows)) for t, (held, rows) in per_type.items()}
         state.gram_cache = per_type, gram, l1
-        assert objective(state) == terms
+        assert objective_from_scratch(state) == terms
         optimize_motif_weights(state, terms)
         motif_weight_gradient(state)
         assert products == []
         state.factors[1][0] = state.factors[1][0] * 0.5
-        objective(state)
+        objective_from_scratch(state)
         assert products == [np.matmul]
 
 
@@ -332,7 +336,7 @@ class TestObjective:
         rng = np.random.default_rng(5)
         state = random_state(rng, hyper_overrides={"l1_weight": 1e-3})
         state.factors = [[np.zeros_like(f) for f in fs] for fs in state.factors]
-        terms = objective(state)
+        terms = objective_from_scratch(state)
         expected = sum(t.nnz for t in state.tensors)  # binary tensors
         assert terms.residual == pytest.approx(expected)
         assert terms.l1 == 0.0 and terms.consensus_gap == 0.0 and terms.seed_penalty == 0.0
@@ -352,13 +356,13 @@ class TestObjective:
             residual_fro_sq(state.tensors[m], state.factors[m])
             for m in range(state.n_motifs())
         )
-        assert objective(state).total == pytest.approx(expected, rel=1e-12)
+        assert objective_from_scratch(state).total == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             state = random_state(rng)
-            got = objective(state).total
+            got = objective_from_scratch(state).total
             np.testing.assert_allclose(got, dense_objective_oracle(state), rtol=1e-9)
 
 
@@ -417,9 +421,9 @@ class TestUpdateFactor:
             state = random_state(rng)
             m = int(rng.integers(0, state.n_motifs()))
             i = int(rng.integers(0, len(state.motif_types[m])))
-            before = objective(state).total
+            before = objective_from_scratch(state).total
             update_factor(state, m, i)
-            after = objective(state).total
+            after = objective_from_scratch(state).total
             assert after <= before + 1e-9 * (1.0 + abs(before))
 
     def test_zeros_stay_zero_and_nonnegative(self):
@@ -455,7 +459,7 @@ class TestWeightGradient:
         state = random_state(rng, n_motifs=1)
         grad = motif_weight_gradient(state)
         assert grad.shape == (1,)
-        optimize_motif_weights(state, objective(state))
+        optimize_motif_weights(state, objective_from_scratch(state))
         np.testing.assert_array_equal(state.mu, np.array([1.0]))
 
     def test_matches_central_differences(self):
@@ -470,7 +474,8 @@ class TestWeightGradient:
                 down = state.mu.copy()
                 up[l] += h
                 down[l] -= h
-                fd[l] = (objective(state, mu=up).total - objective(state, mu=down).total) / (2 * h)
+                up_total = objective_from_scratch(state, mu=up).total
+                fd[l] = (up_total - objective_from_scratch(state, mu=down).total) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -502,9 +507,9 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(16)
         for _ in range(20):
             state = random_state(rng, n_motifs=3)
-            before = objective(state).total
-            optimize_motif_weights(state, objective(state))
-            after = objective(state).total
+            before = objective_from_scratch(state).total
+            optimize_motif_weights(state, objective_from_scratch(state))
+            after = objective_from_scratch(state).total
             assert after <= before + 1e-9 * (1 + abs(before))
             assert abs(state.mu.sum() - 1.0) <= 1e-9 and state.mu.min() >= 0
 
@@ -529,10 +534,10 @@ class TestOptimizeWeights:
             masks={0: mask},
             hyper=Hyperparameters(n_clusters=c, mask_penalty=100.0),
         )
-        before = objective(state).total
-        optimize_motif_weights(state, objective(state))
+        before = objective_from_scratch(state).total
+        optimize_motif_weights(state, objective_from_scratch(state))
         assert state.mu[0] > 0.5
-        assert objective(state).total < before
+        assert objective_from_scratch(state).total < before
 
     def test_multi_start_agreement_on_convex_subproblem(self):
         rng = np.random.default_rng(18)
@@ -549,8 +554,8 @@ class TestOptimizeWeights:
                 inner_tol=1e-12,
                 max_inner_iters=5000,
             )
-            optimize_motif_weights(trial, objective(trial))
-            finals.append(objective(trial).total)
+            optimize_motif_weights(trial, objective_from_scratch(trial))
+            finals.append(objective_from_scratch(trial).total)
         finals = np.asarray(finals)
         assert (finals.max() - finals.min()) <= 1e-6 * (1 + finals.min())
 
@@ -768,6 +773,79 @@ class TestInitModel:
         assert boosted.factors[0][0][1, 0] == pytest.approx(10 * plain.factors[0][0][1, 0])
         assert boosted.factors[0][0][0, 0] == plain.factors[0][0][0, 0]
 
-    def test_mask_builder_validates_labels(self):
-        with pytest.raises(ValueError, match="outside"):
-            build_seed_mask(3, {0: 4}, {0: {1: 7}})
+    def _three_motifs(self, hin):
+        """ap, apa (type A at positions 0 and 2) and pt, with their tensors."""
+        specs = [
+            ("ap", [("a", "A"), ("p", "P")], [("a", "p", "writes")]),
+            (
+                "apa", [("a", "A"), ("p", "P"), ("b", "A")],
+                [("a", "p", "writes"), ("b", "p", "writes")],
+            ),
+            ("pt", [("p", "P"), ("t", "T")], [("p", "t", "uses")]),
+        ]
+        motifs = [
+            parse_motif(json.dumps({
+                "name": name,
+                "nodes": [{"id": i, "type": t} for i, t in nodes],
+                "edges": [{"src": a, "dst": b, "etype": e, "dir": "u"} for a, b, e in edges],
+            }), hin)
+            for name, nodes, edges in specs
+        ]
+        return motifs, [transcribe(hin, m, enumerate_instances(hin, m)) for m in motifs]
+
+    @pytest.mark.parametrize("seed_boost", [1.0, 10.0])
+    def test_equals_two_pass_reference(self, toy_paths, seed_boost):
+        """Factors, masks and weights equal the two-pass construction bit for
+        bit, for random seed sets over the types the motifs cover."""
+        from motifclust.hin import load_hin
+
+        hin = load_hin(*toy_paths)
+        motifs, tensors = self._three_motifs(hin)
+        nodes = [n for t in "APT" for n in hin.nodes_of_type(hin.type_id(t))]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            c = int(rng.integers(2, 5))
+            chosen = rng.choice(nodes, size=int(rng.integers(0, len(nodes) + 1)), replace=False)
+            seeds = {str(n): int(rng.integers(c)) for n in chosen}
+            hyper = Hyperparameters(
+                n_clusters=c, init_seed=int(rng.integers(100)), seed_boost=seed_boost
+            )
+            got = init_model(hin, motifs, tensors, seeds, hyper)
+            want = init_model_two_pass(hin, motifs, tensors, seeds, hyper)
+            for fs, want_fs in zip(got.factors, want.factors):
+                for f, want_f in zip(fs, want_fs):
+                    np.testing.assert_array_equal(f, want_f)
+            assert got.masks.keys() == want.masks.keys()
+            for t in got.masks:
+                np.testing.assert_array_equal(got.masks[t], want.masks[t])
+            np.testing.assert_array_equal(got.mu, want.mu)
+
+    def test_seed_boosts_every_factor_of_its_type_once(self, toy_paths):
+        from motifclust.hin import load_hin
+
+        hin = load_hin(*toy_paths)
+        motifs, tensors = self._three_motifs(hin)
+        seeds = {"a2": 1, "p3": 0}
+        plain = init_model(hin, motifs, tensors, seeds, Hyperparameters(n_clusters=3))
+        hyper = Hyperparameters(n_clusters=3, seed_boost=10.0)
+        boosted = init_model(hin, motifs, tensors, seeds, hyper)
+        for m, motif in enumerate(motifs):
+            for i, t in enumerate(motif.node_types):
+                want = plain.factors[m][i].copy()
+                if hin.type_names[t] == "A":
+                    want[1, 1] *= 10.0
+                elif hin.type_names[t] == "P":
+                    want[0, 2] *= 10.0
+                np.testing.assert_array_equal(boosted.factors[m][i], want)
+
+    def test_tensors_must_match_motifs(self, toy_paths):
+        from motifclust.hin import load_hin
+
+        hin = load_hin(*toy_paths)
+        motifs, tensors = self._three_motifs(hin)
+        hyper = Hyperparameters(n_clusters=2)
+        with pytest.raises(ValueError, match="one tensor per motif is required"):
+            init_model(hin, motifs, tensors[:2], {}, hyper)
+        message = r"tensor dims \(4, 5\) do not match motif 'ap' dims \(3, 4\)"
+        with pytest.raises(ValueError, match=message):
+            init_model(hin, motifs[:1], tensors[2:], {}, hyper)
