@@ -8,7 +8,9 @@ Subcommands:
 
 Tensor files are cached: each motif's tensor carries a content hash of the
 node/edge files and the motif spec, and is rebuilt when that changes or when
-the file's sha256 differs from the one its manifest entry records.
+the file's sha256 differs from the one its manifest entry records. Beside
+them, `graph.npz` holds a snapshot of the graph keyed by the hash of the
+node/edge files, so a warm run parses no graph text.
 Errors exit nonzero with a one-line JSON diagnostic on stderr; `fit` exits 0
 on convergence and 3 when it stops at the iteration cap.
 """
@@ -28,7 +30,7 @@ import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .hin import _read_lines, load_hin, write_hin
+from .hin import _read_lines, load_hin, read_snapshot, write_hin, write_snapshot
 from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
@@ -39,9 +41,11 @@ EXIT_MAX_ITERS = 3
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters", "threads")
 # Dataclass fields read from run.json or params under another key.
 FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
-# Hashed into every tensor cache key: a change to the tensor file format or
-# to what a tensor means must change this, so no older file is served.
+# Hashed into every cache key, of each tensor and of the graph snapshot: a
+# change to the tensor or snapshot file format, or to what a tensor means,
+# must change this, so no older file is served.
 CACHE_FORMAT = b"tsv-1"
+GRAPH_SNAPSHOT = "graph.npz"  # in the tensor directory
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 log = logging.getLogger(__name__)
@@ -152,7 +156,8 @@ def _fmt(x):
 def _content_key(graph, motif_path):
     """`graph` (hashing the cache format tag and graph files) plus the motif file."""
     h = graph.copy()
-    h.update(motif_path.read_bytes() + b"\x00")
+    h.update(motif_path.read_bytes())
+    h.update(b"\x00")
     return h.hexdigest()
 
 
@@ -200,20 +205,44 @@ def _read_manifest(config):
     return kept
 
 
+def _read_graph(config, key):
+    """The HIN of the graph snapshot if it holds `key`, else None."""
+    path = config.tensor_dir / GRAPH_SNAPSHOT
+    if not path.is_file():
+        return None
+    try:
+        hin = read_snapshot(path, key, config.edges)
+    except ValueError as exc:
+        log.warning("%s: ignoring the graph snapshot: %s", path, exc)
+        return None
+    log.debug("graph read from the snapshot %s", path)
+    return hin
+
+
 def _ensure_tensors(config):
-    """Return (hin, motifs, tensors), transcribing only what the cache lacks."""
-    hin = load_hin(config.nodes, config.edges)
+    """Return (hin, motifs, tensors), transcribing only what the cache lacks
+    and parsing the graph files only when the snapshot is missing or refused."""
+    graph = hashlib.sha256(CACHE_FORMAT + b"\x00")
+    for p in (config.nodes, config.edges):
+        graph.update(p.read_bytes())
+        graph.update(b"\x00")
+    graph_key = graph.hexdigest()
+    hin = _read_graph(config, graph_key)
+    parsed = hin is None
+    if parsed:
+        hin = load_hin(config.nodes, config.edges)
+        log.debug("graph parsed from %s and %s", config.nodes, config.edges)
     motifs = [load_motif(p, hin) for p in config.motifs]
     names = [m.name for m in motifs]
     if len(set(names)) != len(names):
         raise ValueError("motif names must be unique")
     config.tensor_dir.mkdir(parents=True, exist_ok=True)
+    if parsed:
+        snapshot = config.tensor_dir / GRAPH_SNAPSHOT
+        _write_atomic(snapshot, lambda tmp: write_snapshot(hin, tmp, graph_key))
     manifest = _read_manifest(config)
     tensors = []
     rebuilt = 0
-    graph = hashlib.sha256(CACHE_FORMAT + b"\x00")
-    for p in (config.nodes, config.edges):
-        graph.update(p.read_bytes() + b"\x00")
     for motif, path in zip(motifs, config.motifs):
         key = _content_key(graph, path)
         entry = manifest.get(motif.name)

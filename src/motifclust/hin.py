@@ -15,11 +15,16 @@ File formats (UTF-8, LF, `#` comment lines skipped):
              ``#types name1 name2 ...`` (first token exactly ``#types``)
              pre-registers types (allows empty ones)
   edges TSV: ``src_id<TAB>dst_id<TAB>edge_type_name<TAB>d|u``
+
+`write_snapshot` stores a loaded HIN in numpy's `.npz` format, under a key
+that names the files it came from, and `read_snapshot` rebuilds it through
+`HIN.__init__` without parsing text.
 """
 
 from __future__ import annotations
 
 import logging
+import zipfile
 from array import array
 from dataclasses import dataclass
 
@@ -278,9 +283,13 @@ def load_hin(nodes_path, edges_path):
         rows.extend((et_id, src, dst, lineno))
 
     hin = admit()
+    _warn_duplicates(hin, edges_path)
+    return hin
+
+
+def _warn_duplicates(hin, edges_path):
     if hin.duplicates:
         log.warning("%s: %d duplicate edge(s) dropped", edges_path, hin.duplicates)
-    return hin
 
 
 def write_hin(hin, nodes_path, edges_path):
@@ -296,3 +305,86 @@ def write_hin(hin, nodes_path, edges_path):
             et = hin.edge_types[etype]
             ends = hin.node_name(et.src_type, src), hin.node_name(et.dst_type, dst)
             fh.write("\t".join((*ends, et.name, "d" if et.directed else "u")) + "\n")
+
+
+# The arrays of a snapshot: name -> (dtype, shape), None for any length.
+# Strings are stored as UTF-8 bytes and end offsets, since numpy's fixed-width
+# unicode dtype drops trailing NULs.
+SNAPSHOT_ARRAYS = {
+    "key": (np.uint8, (None,)),  # the key it was written under
+    "strings": (np.uint8, (None,)),  # type names, node ids by type, edge type names
+    "ends": (np.int64, (None,)),  # end offset of each string
+    "nodes": (np.int64, (None,)),  # node count per type
+    "edge_types": (np.int64, (None, 3)),  # (directed, src type, dst type)
+    "edges": (np.int64, (None, 3)),  # `HIN.edges`
+    "duplicates": (np.int64, ()),  # `HIN.duplicates`
+}
+
+
+def write_snapshot(hin, path, key):
+    """Store `hin` at `path` under the string `key`; see `read_snapshot`."""
+    nodes = (name for names in hin.nodes_by_type for name in names)
+    strings = [*hin.type_names, *nodes, *(et.name for et in hin.edge_types)]
+    encoded = [s.encode("utf-8") for s in strings]
+    signatures = [(et.directed, et.src_type, et.dst_type) for et in hin.edge_types]
+    arrays = {
+        "key": np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
+        "strings": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        "ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
+        "nodes": np.array([len(ns) for ns in hin.nodes_by_type], dtype=np.int64),
+        "edge_types": np.array(signatures, dtype=np.int64).reshape(-1, 3),
+        "edges": hin.edges,
+        "duplicates": np.array(hin.duplicates, dtype=np.int64),
+    }
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def read_snapshot(path, key, edges_path):
+    """The HIN that `write_snapshot` stored at `path` under `key`, equal to the
+    `load_hin` one it was taken from and warning of its dropped duplicates as
+    that did, naming `edges_path`. A file written under another key, or one
+    that does not read as a snapshot, raises a ValueError saying why."""
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
+                if archive["key"].tobytes() != key.encode("utf-8"):
+                    raise ValueError("written for other graph files or another cache format")
+                arrays = {name: archive[name] for name in SNAPSHOT_ARRAYS}
+    except (zipfile.BadZipFile, EOFError, KeyError) as exc:
+        raise ValueError(f"unreadable: {exc}") from None
+    for name, (dtype, shape) in SNAPSHOT_ARRAYS.items():
+        a = arrays[name]
+        if a.dtype != dtype or len(a.shape) != len(shape) or a.shape[1:] != shape[1:]:
+            raise ValueError(f"array {name!r} is {a.dtype} of shape {a.shape}")
+    counts, signatures = arrays["nodes"].tolist(), arrays["edge_types"]
+    cuts = np.cumsum([len(counts), *counts]).tolist()
+    bounds = [0, *arrays["ends"].tolist()]
+    consistent = (
+        min(counts, default=0) >= 0
+        and len(bounds) == cuts[-1] + len(signatures) + 1
+        and bounds == sorted(bounds)
+        and bounds[-1] == len(arrays["strings"])
+    )
+    if not consistent:
+        raise ValueError("string offsets do not match the node and edge type counts")
+    text = arrays["strings"].tobytes()
+    strings = [text[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    edge_types = [
+        EdgeType(name, bool(directed), src_type, dst_type)
+        for name, (directed, src_type, dst_type) in zip(strings[cuts[-1] :], signatures.tolist())
+    ]
+    # Endpoint types from the signatures turn the stored rows into admission
+    # rows. An edge type id out of range reads a clipped row (the padding row
+    # keeps the table non-empty), and `HIN` refuses it as unknown.
+    edges = arrays["edges"]
+    st, dt = np.vstack([signatures[:, 1:], [(-1, -1)]]).take(edges[:, 0], axis=0, mode="clip").T
+    rows = np.column_stack([edges[:, 0], st, edges[:, 1], dt, edges[:, 2]])
+    nodes_by_type = [strings[a:b] for a, b in zip(cuts, cuts[1:])]
+    hin = HIN(strings[: len(counts)], nodes_by_type, edge_types, rows)
+    hin.duplicates = int(arrays["duplicates"])  # dropped from the edges file, not from `rows`
+    _warn_duplicates(hin, edges_path)
+    return hin

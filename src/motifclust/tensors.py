@@ -80,16 +80,17 @@ class SparseTensor:
         """The static binary dimension tree that `mttkrp_sparse` walks, built
         on first use and kept.
 
-        Maps each mode range (lo, hi) to (keys, starts, group). keys holds the
-        distinct index tuples over modes lo..hi-1, one row each, sorted
-        lexicographically; the root (0, N) holds the tensor's own indices. A
-        range of two or more modes splits at mid = (lo + hi) // 2. Its left
-        child (lo, mid) takes a prefix of the parent's columns, so each child
-        key covers one contiguous run of parent rows, and `starts` holds the
-        first parent row of each run. Its right child (mid, hi) takes the
-        suffix, and `group` holds the child row of every parent row (int32).
+        Maps each mode range (lo, hi) to (keys, starts, lengths, group). keys
+        holds the distinct index tuples over modes lo..hi-1, one row each,
+        sorted lexicographically; the root (0, N) holds the tensor's own
+        indices. A range of two or more modes splits at mid = (lo + hi) // 2.
+        Its left child (lo, mid) takes a prefix of the parent's columns, so
+        each child key covers one contiguous run of parent rows; `starts`
+        holds the first parent row of each run and `lengths` its row count.
+        Its right child (mid, hi) takes the suffix, and `group` holds the
+        child row of every parent row (int32).
         """
-        tree = {(0, self.order): (self.indices, None, None)}
+        tree = {(0, self.order): (self.indices, None, None, None)}
         ranges = [(0, self.order)]
         while ranges:
             lo, hi = ranges.pop()
@@ -104,8 +105,8 @@ class SparseTensor:
             first = _first_of_runs([col[order] for col in cols])
             group = np.empty(len(order), dtype=np.int32)
             group[order] = np.cumsum(first, dtype=np.int32) - 1
-            tree[lo, mid] = head[starts], starts, None
-            tree[mid, hi] = tail[order[first]], None, group
+            tree[lo, mid] = head[starts], starts, np.diff(starts, append=len(keys)), None
+            tree[mid, hi] = tail[order[first]], None, None, group
             ranges += [(lo, mid), (mid, hi)]
         return tree
 
@@ -242,19 +243,19 @@ def _descend(tree, node, sibling, partial, factors):
 
     The product of the factor columns of the `sibling` range is taken once
     per sibling key (in ascending mode order), spread over the parent's rows
-    by the sibling's run starts or group index, and multiplied by the
+    by the sibling's run lengths or group index, and multiplied by the
     parent's partial; it is then summed onto the node's n keys, by
     `np.add.reduceat` over runs for a left child and by one `bincount` per
     cluster, in parent row order, for a right child. The (C, parent rows)
     product lives only in this call."""
-    keys, starts, group = tree[node]
-    sib_keys, sib_starts, sib_group = tree[sibling]
+    keys, starts, _, group = tree[node]
+    sib_keys, _, sib_lengths, sib_group = tree[sibling]
     lo = sibling[0]
     spread = factors[lo].take(sib_keys[:, 0], axis=1)
     for k in range(lo + 1, sibling[1]):
         spread *= factors[k].take(sib_keys[:, k - lo], axis=1)
     if sib_group is None:
-        prod = np.repeat(spread, np.diff(sib_starts, append=partial.shape[-1]), axis=1)
+        prod = np.repeat(spread, sib_lengths, axis=1)
     else:
         prod = spread.take(sib_group, axis=1)
     prod *= partial

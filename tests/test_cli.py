@@ -266,7 +266,7 @@ class TestTranscribe:
             }
 
         before = snapshot()
-        assert set(before) == {"tensor_pair.tsv", "manifest.json"}
+        assert set(before) == {"tensor_pair.tsv", "manifest.json", "graph.npz"}
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert snapshot() == before
 
@@ -476,6 +476,114 @@ class TestTranscribe:
         edges.write_text("\n".join(text[:-1]) + "\n")
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert json.loads(manifest_file.read_text())["pair"]["key"] != key_before
+
+
+def with_object_edges(snapshot):
+    """Rewrite a graph snapshot with its edges as an object array."""
+    with np.load(snapshot) as archive:
+        arrays = dict(archive)
+    np.savez(snapshot, **dict(arrays, edges=arrays["edges"].astype(object)))
+
+
+class TestGraphSnapshot:
+    """`graph.npz` in the tensor directory: a warm run builds its graph from it."""
+
+    OUTPUTS = ("labels.tsv", "consensus.tsv", "weights.tsv", "history.csv")
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The `load_hin` calls the CLI makes."""
+        calls = []
+        real = cli.load_hin
+        monkeypatch.setattr(cli, "load_hin", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_warm_fit_reads_the_snapshot(self, planted_dir, capsys, caplog, parses):
+        config = str(planted_dir / "run.json")
+        with caplog.at_level(logging.DEBUG, logger="motifclust"):
+            assert run_cli(capsys, "--log-level", "DEBUG", "transcribe", "--config", config)[0] == 0
+            assert len(parses) == 1 and "graph parsed from" in caplog.text
+            caplog.clear()
+            assert run_cli(capsys, "--log-level", "DEBUG", "fit", "--config", config)[0] in (0, 3)
+        assert len(parses) == 1 and "graph read from the snapshot" in caplog.text
+        assert "graph parsed from" not in caplog.text
+
+    def test_outputs_identical_with_and_without_snapshot(self, planted_dir, capsys, parses):
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+        outputs = []
+        for _ in range(2):  # from the text, then from the snapshot
+            code, stdout, _ = run_cli(capsys, "fit", "--config", config)
+            assert code in (0, 3) and snapshot.is_file()
+            outputs.append([stdout] + [(planted_dir / "out" / f).read_bytes() for f in self.OUTPUTS])
+        assert len(parses) == 1 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("change", ["edges_edited", "cache_format"])
+    def test_other_inputs_are_never_served(self, planted_dir, capsys, monkeypatch, parses, change):
+        config = str(planted_dir / "run.json")
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        edges = planted_dir / "edges.tsv"
+        if change == "edges_edited":
+            edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+        else:
+            monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT + b"-next")
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and len(parses) == 2
+        assert "ignoring the graph snapshot: written for other graph files" in err
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and len(parses) == 2  # the rewritten snapshot is served
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[:100]), "unreadable",
+                         id="truncated"),
+            pytest.param(with_object_edges, "allow_pickle=False", id="object_array"),
+        ],
+    )
+    def test_damaged_snapshot_is_rebuilt(self, planted_dir, capsys, caplog, parses, damage, reason):
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        written = snapshot.read_bytes()
+        damage(snapshot)
+        with caplog.at_level(logging.WARNING, logger="motifclust"):
+            assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and str(snapshot) in record.getMessage()
+        assert "ignoring the graph snapshot" in record.getMessage() and reason in record.getMessage()
+        assert len(parses) == 2 and snapshot.read_bytes() == written
+
+    def test_crash_mid_write_leaves_no_trusted_snapshot(self, planted_dir, capsys, monkeypatch, parses):
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+
+        def die_mid_write(hin, path, key):
+            Path(path).write_bytes(b"PK\x03\x04partial")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "write_snapshot", die_mid_write)
+            code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 1 and json.loads(err)["error"] == "disk full"
+        assert list((planted_dir / "tensors").iterdir()) == []
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and len(parses) == 2 and snapshot.is_file()
+
+    def test_malformed_graph_fails_before_any_write(self, planted_dir, capsys, parses):
+        config = str(planted_dir / "run.json")
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        tensor_dir = planted_dir / "tensors"
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in tensor_dir.iterdir()}
+        edges = planted_dir / "edges.tsv"
+        edges.write_text(edges.read_text() + "a0\tb0\tab\n")
+        lines = edges.read_text().count("\n")
+        code, stdout, err = run_cli(capsys, "fit", "--config", config)
+        assert code == 1 and stdout == ""
+        warning, diag = err.splitlines()
+        assert "written for other graph files" in warning
+        assert json.loads(diag)["error"] == f"{edges} line {lines}: expected 4 columns, got 3"
+        assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in tensor_dir.iterdir()} == before
 
 
 class TestFit:

@@ -4,7 +4,17 @@ import logging
 import numpy as np
 import pytest
 
-from motifclust.hin import HIN, EdgeError, EdgeType, load_hin, orient, write_hin
+from motifclust.hin import (
+    HIN,
+    EdgeError,
+    EdgeType,
+    load_hin,
+    orient,
+    read_snapshot,
+    write_hin,
+    write_snapshot,
+)
+from motifclust.planted import PlantedConfig, generate_planted_hin
 
 from conftest import TOY_EDGES, TOY_NODES
 from oracles import admit_edges, adjacency_pairs
@@ -322,3 +332,108 @@ class TestProperties:
         e = hin.edge_type_id("rel")
         assert row(hin, e, True, 1) == [0, 2]
         assert row(hin, e, True, 1) == row(hin, e, False, 1)
+
+
+class TestSnapshot:
+    """`read_snapshot` gives back the `load_hin` graph that `write_snapshot` stored."""
+
+    # An empty `#types` type, ids equal but for a trailing NUL, undirected
+    # same-type edges and two duplicate edges, each written the other way round.
+    EDGE_CASES = (
+        "#types A B Empty\na\tA\na\x00\tA\nb1\tB\nb2\tB\n",
+        "a\tb1\tab\tu\nb1\ta\tab\tu\nb1\tb2\tbb\tu\nb2\tb1\tbb\tu\n"
+        "a\x00\tb2\tab\tu\na\ta\x00\taa\td\na\x00\ta\taa\td\n",
+    )
+
+    @pytest.fixture(params=["toy", "planted", "edge_cases"])
+    def graph_paths(self, request, tmp_path):
+        if request.param == "toy":
+            return request.getfixturevalue("toy_paths")
+        if request.param == "planted":
+            paths = tmp_path / "n.tsv", tmp_path / "e.tsv"
+            write_hin(generate_planted_hin(PlantedConfig(rng_seed=3)).hin, *paths)
+            return paths
+        return write_pair(tmp_path, *self.EDGE_CASES)
+
+    def test_equals_load_hin(self, graph_paths, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="motifclust.hin"):
+            hin = load_hin(*graph_paths)
+            parsed_warnings = [rec.getMessage() for rec in caplog.records]
+            caplog.clear()
+            write_snapshot(hin, tmp_path / "g.npz", "key")
+            got = read_snapshot(tmp_path / "g.npz", "key", graph_paths[1])
+        assert got == hin
+        assert (got.node_index, got.edge_type_ids) == (hin.node_index, hin.edge_type_ids)
+        assert got.duplicates == hin.duplicates
+        assert [rec.getMessage() for rec in caplog.records] == parsed_warnings
+        for k in range(len(hin.edge_types)):
+            for forward in (True, False):
+                for a, b in zip(got.adjacency(k, forward), hin.adjacency(k, forward)):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_edge_cases_are_present(self, tmp_path):
+        hin = load_hin(*write_pair(tmp_path, *self.EDGE_CASES))
+        assert hin.nodes_by_type == [["a", "a\x00"], ["b1", "b2"], []]
+        assert hin.duplicates == 2
+        assert not hin.edge_types[hin.edge_type_id("bb")].directed
+
+    def test_other_key_is_refused(self, toy_paths, tmp_path):
+        write_snapshot(load_hin(*toy_paths), tmp_path / "g.npz", "key")
+        with pytest.raises(ValueError, match="written for other graph files"):
+            read_snapshot(tmp_path / "g.npz", "other", toy_paths[1])
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            pytest.param(lambda arrays, data: data[: len(data) // 2], "not a zip file", id="truncated"),
+            pytest.param(lambda arrays, data: b"", "No data left", id="empty"),
+            pytest.param(
+                lambda arrays, data: data.replace(
+                    arrays["edges"].tobytes(), (arrays["edges"] ^ 1).tobytes()
+                ),
+                "Bad CRC-32",
+                id="edges_edited",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, strings=np.array(["x"], dtype=object)),
+                "allow_pickle=False",
+                id="object_array",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, edges=arrays["edges"] * 1.0),
+                "'edges' is float64",
+                id="float_edges",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, nodes=arrays["nodes"] + 1),
+                "string offsets do not match",
+                id="node_counts",
+            ),
+            pytest.param(
+                lambda arrays, data: {k: v for k, v in arrays.items() if k != "edges"},
+                "edges is not a file",
+                id="missing_array",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, edges=arrays["edges"] + [99, 0, 0]),
+                "unknown edge type id 99",
+                id="edge_type_id",
+            ),
+            pytest.param(lambda arrays, data: arrays["edges"], "not an .npz", id="npy_file"),
+        ],
+    )
+    def test_damaged_snapshot_is_refused(self, toy_paths, tmp_path, damage, reason):
+        path = tmp_path / "g.npz"
+        write_snapshot(load_hin(*toy_paths), path, "key")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        damaged = damage(arrays, path.read_bytes())
+        with open(path, "wb") as fh:
+            if isinstance(damaged, bytes):
+                fh.write(damaged)
+            elif isinstance(damaged, dict):
+                np.savez(fh, **damaged)
+            else:
+                np.save(fh, damaged)
+        with pytest.raises(ValueError, match=reason):
+            read_snapshot(path, "key", toy_paths[1])

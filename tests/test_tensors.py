@@ -356,14 +356,15 @@ def assert_tree_matches_unique(x):
     assert set(tree) == {(0, x.order)} | {child for _, child in edges}
     assert tree[0, x.order][0] is x.indices
     for parent, (lo, hi) in edges:
-        keys, starts, group = tree[lo, hi]
+        keys, starts, lengths, group = tree[lo, hi]
         assert np.array_equal(keys, np.unique(x.indices[:, lo:hi], axis=0))
         cols = tree[parent][0][:, lo - parent[0] : hi - parent[0]]
         if lo == parent[0]:
             assert group is None
-            rows = np.repeat(np.arange(len(keys)), np.diff(starts, append=len(cols)))
+            assert np.array_equal(lengths, np.diff(starts, append=len(cols)))
+            rows = np.repeat(np.arange(len(keys)), lengths)
         else:
-            assert starts is None and group.dtype == np.int32
+            assert starts is None and lengths is None and group.dtype == np.int32
             rows = group
         assert np.array_equal(keys[rows], cols)
 
