@@ -38,7 +38,7 @@ from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 from .tensors import SparseTensor
 
 EXIT_MAX_ITERS = 3
-RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters", "threads")
+RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters")
 # Dataclass fields read from run.json or params under another key.
 FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
 # Hashed into every cache key, of each tensor and of the graph snapshot: a
@@ -60,7 +60,7 @@ class RunConfig:
     out_dir: Path
     tensor_dir: Path
     hyper: Hyperparameters
-    threads: int  # validated but unused; benchmarks/run.py reports it
+    threads = 1  # not a field: enumeration runs on one thread; benchmarks/run.py reports it
 
     @classmethod
     def from_json(cls, path):
@@ -93,10 +93,7 @@ class RunConfig:
             out_dir=base / get("out_dir", str, "out"),
             tensor_dir=base / get("tensor_dir", str, "tensors"),
             hyper=hyper,
-            threads=get("threads", int, 0) or (os.cpu_count() or 1),
         )
-        if cfg.threads < 0:
-            raise ValueError(f"{path}: threads must be non-negative")
         for p in [cfg.nodes, cfg.edges, cfg.seeds, *cfg.motifs]:
             if not p.is_file():
                 raise ValueError(f"{path}: referenced file {p} does not exist")

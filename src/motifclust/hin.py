@@ -94,16 +94,16 @@ class HIN:
                     f"{et.dst_type}, outside 0..{len(self.type_names) - 1}"
                 )
 
-        # Edge admission, the one home of these rules, over (n, 5) int rows
-        # `(edge type id, src type, src index, dst type, dst index)` or
-        # `(edge type id, (type, index), (type, index))` triples: the edge
-        # type exists, stored order fits the signature (see `orient`),
+        # Edge admission, the one home of these rules, over (n, 5) integer
+        # rows `(edge type id, src type, src index, dst type, dst index)`: the
+        # edge type exists, stored order fits the signature (see `orient`),
         # endpoints exist, no self-loops, and a repeated edge is dropped and
         # counted in `duplicates`. A row of an unknown edge type reads the
         # padding signature (-1, -1) and type size 0 after the real ones.
-        if not isinstance(edges, np.ndarray):
-            edges = [(etype, *src, *dst) for etype, src, dst in edges]
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 5)
+        edges = np.asarray(edges)
+        if edges.ndim != 2 or edges.shape[1] != 5 or edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be (n, 5) integer rows, got {edges.dtype} {edges.shape}")
+        edges = edges.astype(np.int64)  # a copy: rows are oriented in place below
         etype = edges[:, 0]
         known = (etype >= 0) & (etype < len(self.edge_types))
         sig = np.array([(et.src_type, et.dst_type) for et in self.edge_types] + [(-1, -1)])

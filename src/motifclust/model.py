@@ -97,7 +97,8 @@ class IterationRecord:
 
 @dataclass
 class FitResult:
-    state: "ModelState"
+    """How `fit` went; the state it fitted holds the factors and weights."""
+
     history: list[IterationRecord]
     converged: bool
 
@@ -273,21 +274,21 @@ def _weight_forms(state):
     return terms, gradient
 
 
-def objective(state, residual, mu=None):
-    """All four objective terms at the current factors and weights `mu`
-    (default state.mu). `residual`, term 1, is the motifs' summed residual,
-    which the caller tracks; terms 2-4 cost only the Gram rows of replaced
-    factors. Non-negative and finite on valid states."""
+def objective(state, residual):
+    """All four objective terms at the current factors and weights state.mu.
+    `residual`, term 1, is the motifs' summed residual, which the caller
+    tracks; terms 2-4 cost only the Gram rows of replaced factors.
+    Non-negative and finite on valid states."""
     l1 = state.hyper.l1_weight * float(_gram_rows(state)[1].sum())
-    gap, penalty = _weight_forms(state)[0](state.mu if mu is None else mu)
+    gap, penalty = _weight_forms(state)[0](state.mu)
     return ObjectiveTerms(residual, l1, gap, penalty)
 
 
-def update_factor(state, m, i, mttkrp=None, gram=None):
+def update_factor(state, m, i, mttkrp, gram):
     """One multiplicative update of factor (m, i); never increases the
     objective and keeps exact zeros at zero. Returns the updated matrix.
     `mttkrp` (d, C) and `gram` (C, C) are mode i's `mttkrp_sparse` and
-    `gram_hadamard` of motif m when the caller has them already. Each other
+    `gram_hadamard` of motif m at the current factors. Each other
     position r of the type adds eta times the positive part of
     diff = V_r - (cons - eta*v) to the numerator, and eta times its negative
     part (the positive part minus diff) plus eta*v to the denominator."""
@@ -299,13 +300,9 @@ def update_factor(state, m, i, mttkrp=None, gram=None):
     cons = consensus(state, t)
     theta = h.consensus_weight
 
-    if mttkrp is None:
-        mttkrp = mttkrp_sparse(state.tensors[m], state.factors[m], i)
     rest = cons - eta * v
     num = mttkrp.T.copy()
     num += theta * (1.0 - eta) * rest
-    if gram is None:
-        gram = gram_hadamard(state.factors[m], i)
     den = gram @ v
     den += theta * ((1.0 - eta) ** 2 + (len(rows) - 1) * eta**2) * v
     mask = state.masks.get(t)
@@ -438,7 +435,7 @@ def fit(state):
         "fit %s after %d outer iteration(s)",
         "converged" if converged else "stopped at the iteration cap", len(history),
     )
-    return FitResult(state, history, converged)
+    return FitResult(history, converged)
 
 
 def assign_clusters(state):

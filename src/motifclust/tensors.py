@@ -39,12 +39,15 @@ class SparseTensor:
             raise ValueError(f"invalid dims {dims}")
         if any(d > MAX_INDEX for d in dims):
             raise ValueError(f"mode size exceeds index width {MAX_INDEX}")
-        indices = np.asarray(indices, dtype=np.int32).reshape(-1, len(dims))
+        indices = np.asarray(indices) if np.size(indices) else np.empty((0, len(dims)), np.int32)
+        if indices.ndim != 2 or indices.shape[1] != len(dims) or indices.dtype.kind not in "iu":
+            raise ValueError(f"indices are {indices.dtype} {indices.shape}, not (nnz, {len(dims)}) integers")
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise ValueError("indices and values disagree on nnz")
         if indices.size and (indices.min() < 0 or np.any(indices >= np.asarray(dims, dtype=np.int64))):
             raise ValueError("index out of bounds")
+        indices = indices.astype(np.int32, copy=False)  # in bounds, so narrowing is exact
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         # Both paths copy, so freezing the arrays below never freezes the caller's.

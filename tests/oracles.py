@@ -6,9 +6,9 @@ verification only and are not part of the package.
 
 import numpy as np
 
-from motifclust.model import ModelState, objective
+from motifclust.model import ModelState, objective, update_factor
 from motifclust.planted import _sample_tuples
-from motifclust.tensors import SparseTensor, residual_fro_sq
+from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -116,10 +116,17 @@ def residual_nonzero_major(x, factors):
     return max(x.norm_sq - 2.0 * cross + reconstruction_norm_sq(factors), 0.0)
 
 
-def objective_from_scratch(state, mu=None):
+def objective_from_scratch(state):
     """`objective` with its residual term from a full pass over every motif
     tensor, for callers that do not track the residual as `fit` does."""
-    return objective(state, sum(map(residual_fro_sq, state.tensors, state.factors)), mu)
+    return objective(state, sum(map(residual_fro_sq, state.tensors, state.factors)))
+
+
+def update_factor_fresh(state, m, i):
+    """`update_factor` with mode i's MTTKRP and Gram product of motif m
+    computed here, for callers that do not sweep as `fit` does."""
+    x, factors = state.tensors[m], state.factors[m]
+    return update_factor(state, m, i, mttkrp_sparse(x, factors, i), gram_hadamard(factors, i))
 
 
 def init_model_two_pass(hin, motifs, tensors, seeds, hyper):
@@ -212,6 +219,12 @@ def sample_template_tuples(template, nodes_per_type, count, rng_seed):
     rng = np.random.default_rng(rng_seed)
     tuples = _sample_tuples(rng, template, range(nodes_per_type), count)
     return np.asarray(sorted(tuples), dtype=np.int32)
+
+
+def edge_rows(edges):
+    """The `HIN` edge rows `(edge type, src type, src index, dst type, dst
+    index)` of `(edge type, (type, index), (type, index))` triples."""
+    return np.array([(etype, *src, *dst) for etype, src, dst in edges], dtype=np.int64).reshape(-1, 5)
 
 
 def admit_edges(edge_types, num_nodes, edges):

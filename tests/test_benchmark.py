@@ -9,20 +9,43 @@ from pathlib import Path
 
 import pytest
 
+from motifclust import cli, model
 from motifclust.cli import RunConfig, main
+from motifclust.model import ModelState
+from motifclust.tensors import SparseTensor
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 REP = BENCHMARKS / "rep.py"
 
 
-def load_run_module():
-    spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARKS / "run.py")
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-RUN = load_run_module()
+RUN = load_benchmark_module("run")
+TRACING = load_benchmark_module("tracing")
+
+
+def test_names_the_harness_touches_resolve():
+    """Every name the tracer wraps or the harness reads, checked here in
+    process; a deleted one would otherwise fail only inside the traced
+    subprocess of `test_traced_repetition_runs_and_counts_edges`."""
+    touched = [
+        *((cli, name) for name in TRACING.CLI_NAMES),
+        *((model, name) for name in TRACING.MODEL_NAMES),
+        (SparseTensor, "read_tsv"),
+        (SparseTensor, "write_tsv"),
+        (ModelState, "contributors"),
+        (RunConfig, "threads"),
+    ]
+    missing = [f"{owner.__name__}.{name}" for owner, name in touched if not hasattr(owner, name)]
+    assert not missing, (
+        f"the benchmark harness uses {missing}: remove a name it uses only together with "
+        "the harness change of ROADMAP item 1 (benchmark upkeep)"
+    )
 
 
 def test_traced_repetition_runs_and_counts_edges(tmp_path, capsys):

@@ -923,7 +923,7 @@ class TestRunConfig:
             ("clusters", 3.7, "clusters must be an integer, got 3.7"),
             ("clusters", True, "clusters must be an integer, got true"),
             ("init_seed", "3", "init_seed must be an integer"),
-            ("threads", 1.5, "threads must be an integer"),
+            ("threads", 1, "unknown config key(s) ['threads']"),
             ("mask_penalty", "5", "mask_penalty must be a number"),
             ("seed_boost", True, "seed_boost must be a number"),
             ("outer_tol", float("nan"), "outer_tol must be finite"),
@@ -942,7 +942,6 @@ class TestRunConfig:
             ("seeds", None, "seeds must be a string, got null"),
             ("out_dir", 1, "out_dir must be a string"),
             ("tensor_dir", False, "tensor_dir must be a string, got false"),
-            ("threads", -1, "threads must be non-negative"),
         ],
     )
     def test_non_numbers_rejected(self, planted_dir, capsys, knob, value, message):

@@ -17,7 +17,7 @@ from motifclust.hin import (
 from motifclust.planted import PlantedConfig, generate_planted_hin
 
 from conftest import TOY_EDGES, TOY_NODES
-from oracles import admit_edges, adjacency_pairs
+from oracles import admit_edges, adjacency_pairs, edge_rows
 
 
 def write_pair(tmp_path, nodes, edges):
@@ -177,17 +177,17 @@ class TestAdmission:
             (1, (1, 1), (1, 0)),
             (1, (1, 0), (1, 1)),
         ]
-        hin = HIN(["A", "P"], [["a1"], ["p1", "p2"]], edge_types, edges)
+        hin = HIN(["A", "P"], [["a1"], ["p1", "p2"]], edge_types, edge_rows(edges))
         assert hin.edges.tolist() == [[0, 0, 0], [1, 0, 1]]
         assert hin.duplicates == 2
 
     def test_directed_edges_keep_their_direction(self):
         edge_types = [EdgeType("cites", True, 0, 0), EdgeType("by", True, 0, 1)]
         edges = [(0, (0, 1), (0, 0)), (0, (0, 0), (0, 1))]
-        hin = HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges)
+        hin = HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edge_rows(edges))
         assert hin.edges.tolist() == [[0, 0, 1], [0, 1, 0]] and hin.duplicates == 0
         with pytest.raises(EdgeError, match="incompatible node types") as info:
-            HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edges + [(1, (1, 0), (0, 0))])
+            HIN(["P", "A"], [["p1", "p2"], ["a1"]], edge_types, edge_rows(edges + [(1, (1, 0), (0, 0))]))
         assert info.value.index == 2
 
     @pytest.mark.parametrize(
@@ -196,7 +196,7 @@ class TestAdmission:
     )
     def test_refused_edge_reports_its_index(self, edge, reason):
         with pytest.raises(EdgeError, match=reason) as info:
-            HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], [(0, (0, 0), (0, 1)), edge])
+            HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, 0, 0)], edge_rows([(0, (0, 0), (0, 1)), edge]))
         assert info.value.index == 1 and isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("etype", [-1, 1])
@@ -204,22 +204,22 @@ class TestAdmission:
         edge_types = [EdgeType("d", True, 0, 0)]
         good, bad = (0, (0, 0), (0, 1)), (etype, (0, 0), (0, 1))
         with pytest.raises(EdgeError, match=f"unknown edge type id {etype}") as info:
-            HIN(["A"], [["a1", "a2"]], edge_types, [good, bad, bad])
+            HIN(["A"], [["a1", "a2"]], edge_types, edge_rows([good, bad, bad]))
         assert info.value.index == 1
         with pytest.raises(EdgeError, match="self-loop") as info:  # the first refused row
-            HIN(["A"], [["a1", "a2"]], edge_types, [good, (0, (0, 1), (0, 1)), bad])
+            HIN(["A"], [["a1", "a2"]], edge_types, edge_rows([good, (0, (0, 1), (0, 1)), bad]))
         assert info.value.index == 1
 
     @pytest.mark.parametrize("src, dst", [(0, 5), (-1, 0)])
     def test_edge_type_endpoints_must_be_type_ids(self, src, dst):
         for edges in ([], [(0, (0, 0), (0, 1))]):
             with pytest.raises(ValueError, match="edge type 'd' joins node type ids"):
-                HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, src, dst)], edges)
+                HIN(["A"], [["a1", "a2"]], [EdgeType("d", True, src, dst)], edge_rows(edges))
 
     def test_duplicate_edge_type_names_refused(self):
         edge_types = [EdgeType("d", True, 0, 0), EdgeType("d", False, 0, 0)]
         with pytest.raises(ValueError, match="duplicate edge type names"):
-            HIN(["A"], [["a1", "a2"]], edge_types, [(1, (0, 0), (0, 1))])
+            HIN(["A"], [["a1", "a2"]], edge_types, edge_rows([(1, (0, 0), (0, 1))]))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_admission_matches_oracle(self, seed):
@@ -247,7 +247,7 @@ class TestAdmission:
 
         rows, duplicates, refused = admit_edges(edge_types, num_nodes, edges)
         assert refused is None
-        hin = HIN(type_names, nodes, edge_types, edges)
+        hin = HIN(type_names, nodes, edge_types, edge_rows(edges))
         assert hin.edges.tolist() == [list(r) for r in rows] and hin.duplicates == duplicates
         for etype in range(len(edge_types)):
             for forward in (True, False):
@@ -263,7 +263,7 @@ class TestAdmission:
             edges.insert(int(rng.integers(0, len(edges) + 1)), bad[k])
         refused = admit_edges(edge_types, num_nodes, edges)[2]
         with pytest.raises(EdgeError) as info:
-            HIN(type_names, nodes, edge_types, edges)
+            HIN(type_names, nodes, edge_types, edge_rows(edges))
         assert info.value.index == refused
 
 
@@ -281,12 +281,39 @@ class TestAdmission:
             src, dst = ((t, int(rng.integers(0, len(nodes[t])))) for t in types)
             if src != dst:
                 edges.append((etype, src, dst))
-        rows = np.array([(e, *a, *b) for e, a, b in edges], dtype=np.int64).reshape(-1, 5)
+        rows = edge_rows(edges)
         before = rows.copy()
-        by_rows = HIN(["A", "B"], nodes, edge_types, rows)
-        by_triples = HIN(["A", "B"], nodes, edge_types, edges)
-        assert by_rows == by_triples and by_rows.duplicates == by_triples.duplicates
+        hin = HIN(["A", "B"], nodes, edge_types, rows)
+        want, duplicates, _ = admit_edges(edge_types, [3, 2], edges)
+        assert hin.edges.tolist() == [list(r) for r in want] and hin.duplicates == duplicates
         assert np.array_equal(rows, before)  # the caller's rows are not oriented in place
+
+    # Three valid rows for one directed edge type over three nodes of one type.
+    VALID_ROWS = np.array([(0, 0, 0, 0, 1), (0, 0, 1, 0, 2), (0, 0, 2, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            VALID_ROWS.reshape(5, 3),  # the layout of `HIN.edges`, not of rows
+            VALID_ROWS.reshape(3, 5, 1),
+            VALID_ROWS.ravel(),
+            [[0, 0, 0.7, 0, 2.9]],
+            VALID_ROWS.astype(np.float64),
+            VALID_ROWS.astype(bool),
+        ],
+        ids=["5x3", "3x5x1", "flat", "fractions", "float", "bool"],
+    )
+    def test_edges_other_than_integer_rows_of_five_refused(self, edges):
+        with pytest.raises(ValueError, match=r"edges must be \(n, 5\) integer rows"):
+            HIN(["A"], [["a1", "a2", "a3"]], [EdgeType("d", True, 0, 0)], edges)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_integer_rows_of_five_admitted(self, dtype):
+        edge_types = [EdgeType("d", True, 0, 0)]
+        hin = HIN(["A"], [["a1", "a2", "a3"]], edge_types, self.VALID_ROWS.astype(dtype))
+        assert hin.edges.tolist() == [[0, 0, 1], [0, 1, 2], [0, 2, 0]]
+        empty = HIN(["A"], [["a1", "a2", "a3"]], edge_types, np.empty((0, 5), dtype=dtype))
+        assert empty.edges.shape == (0, 3)
 
     def test_orient_of_arrays_is_orient_of_each_edge(self):
         ends = list(itertools.product(range(2), range(3)))

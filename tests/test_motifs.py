@@ -9,7 +9,7 @@ from motifclust.motifs import (
     Motif, PatternEdge, enumerate_instances, load_motif, parse_motif, transcribe,
 )
 
-from oracles import todense
+from oracles import edge_rows, todense
 
 
 AP_SPEC = json.dumps(
@@ -91,7 +91,7 @@ def random_hin(rng, max_nodes=12):
             u, v = int(rng.integers(0, ns)), int(rng.integers(0, nd))
             if (et.src_type, u) != (et.dst_type, v):
                 edges.append((et_id, (et.src_type, u), (et.dst_type, v)))
-    return HIN(type_names, nodes_by_type, edge_types, edges)
+    return HIN(type_names, nodes_by_type, edge_types, edge_rows(edges))
 
 
 def random_motif(rng, hin, max_order=5):

@@ -23,6 +23,7 @@ from motifclust.tensors import (
 from conftest import random_sparse_tensor
 from oracles import (
     dense_reconstruct,
+    edge_rows,
     from_tuples,
     matricize,
     mttkrp_nonzero_major,
@@ -104,6 +105,21 @@ class TestSparseTensor:
         vals[:] = 3.0
         assert x == SparseTensor((2, 3), [[0, 0], [1, 2]][:nnz], [7.0, 5.0][:nnz])
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            (np.array([[0, 2**32 + 1]]), "out of bounds"),  # 1 once narrowed to int32
+            ([[2**40, 0]], "out of bounds"),
+            ([[0.9, 2.5]], r"not \(nnz, 2\) integers"),
+            ([0, 1, 2, 2], r"not \(nnz, 2\) integers"),  # two rows once reshaped
+            ([[True, False]], r"not \(nnz, 2\) integers"),
+        ],
+        ids=["int64-wraps", "python-int", "fractions", "flat", "bool"],
+    )
+    def test_indices_checked_before_narrowing(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            SparseTensor((3, 3), indices, np.ones(np.size(indices) // 2))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(ValueError, match="finite"):
@@ -155,7 +171,7 @@ class TestSortedFastPath:
             ["A", "B"],
             [["a0", "a1", "a2"], ["b0", "b1"]],
             [EdgeType("ab", False, 0, 1)],
-            [(0, (0, j), (1, k)) for j in range(3) for k in range(2) if (j + k) % 3],
+            edge_rows((0, (0, j), (1, k)) for j in range(3) for k in range(2) if (j + k) % 3),
         )
         motif = Motif("ab", (0, 1), (PatternEdge(0, 1, 0),), frozenset({0, 1}))
         assert _visit_order(hin, motif) == [1, 0]
