@@ -358,7 +358,7 @@ def cmd_evaluate(args):
             f"node ids differ between files (e.g. only in --pred: {only_pred}, "
             f"only in --truth: {only_truth})"
         )
-    excluded = set(_read_labels_tsv(args.seeds)) if args.seeds else set()
+    excluded = set(_read_labels_tsv(args.seeds, known=pred)) if args.seeds else set()
     ids = sorted(set(pred) - excluded)
     if not ids:
         raise ValueError("no nodes left to evaluate")

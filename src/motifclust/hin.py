@@ -17,12 +17,14 @@ File formats (UTF-8, LF, `#` comment lines skipped):
   edges TSV: ``src_id<TAB>dst_id<TAB>edge_type_name<TAB>d|u``
 
 `write_snapshot` stores a loaded HIN in numpy's `.npz` format, under a key
-that names the files it came from, and `read_snapshot` rebuilds it through
+that names the files it came from: its names as one JSON document and its
+edges as the `HIN.edges` array. `read_snapshot` rebuilds it through
 `HIN.__init__` without parsing text.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import zipfile
 from array import array
@@ -308,14 +310,9 @@ def write_hin(hin, nodes_path, edges_path):
 
 
 # The arrays of a snapshot: name -> (dtype, shape), None for any length.
-# Strings are stored as UTF-8 bytes and end offsets, since numpy's fixed-width
-# unicode dtype drops trailing NULs.
 SNAPSHOT_ARRAYS = {
     "key": (np.uint8, (None,)),  # the key it was written under
-    "strings": (np.uint8, (None,)),  # type names, node ids by type, edge type names
-    "ends": (np.int64, (None,)),  # end offset of each string
-    "nodes": (np.int64, (None,)),  # node count per type
-    "edge_types": (np.int64, (None, 3)),  # (directed, src type, dst type)
+    "names": (np.uint8, (None,)),  # JSON [type names, node ids by type, edge types]
     "edges": (np.int64, (None, 3)),  # `HIN.edges`
     "duplicates": (np.int64, ()),  # `HIN.duplicates`
 }
@@ -323,16 +320,11 @@ SNAPSHOT_ARRAYS = {
 
 def write_snapshot(hin, path, key):
     """Store `hin` at `path` under the string `key`; see `read_snapshot`."""
-    nodes = (name for names in hin.nodes_by_type for name in names)
-    strings = [*hin.type_names, *nodes, *(et.name for et in hin.edge_types)]
-    encoded = [s.encode("utf-8") for s in strings]
-    signatures = [(et.directed, et.src_type, et.dst_type) for et in hin.edge_types]
+    edge_types = [[et.name, et.directed, et.src_type, et.dst_type] for et in hin.edge_types]
+    names = json.dumps([hin.type_names, hin.nodes_by_type, edge_types])  # ASCII, NULs escaped
     arrays = {
         "key": np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
-        "strings": np.frombuffer(b"".join(encoded), dtype=np.uint8),
-        "ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
-        "nodes": np.array([len(ns) for ns in hin.nodes_by_type], dtype=np.int64),
-        "edge_types": np.array(signatures, dtype=np.int64).reshape(-1, 3),
+        "names": np.frombuffer(names.encode("ascii"), dtype=np.uint8),
         "edges": hin.edges,
         "duplicates": np.array(hin.duplicates, dtype=np.int64),
     }
@@ -360,31 +352,26 @@ def read_snapshot(path, key, edges_path):
         a = arrays[name]
         if a.dtype != dtype or len(a.shape) != len(shape) or a.shape[1:] != shape[1:]:
             raise ValueError(f"array {name!r} is {a.dtype} of shape {a.shape}")
-    counts, signatures = arrays["nodes"].tolist(), arrays["edge_types"]
-    cuts = np.cumsum([len(counts), *counts]).tolist()
-    bounds = [0, *arrays["ends"].tolist()]
-    consistent = (
-        min(counts, default=0) >= 0
-        and len(bounds) == cuts[-1] + len(signatures) + 1
-        and bounds == sorted(bounds)
-        and bounds[-1] == len(arrays["strings"])
-    )
-    if not consistent:
-        raise ValueError("string offsets do not match the node and edge type counts")
-    text = arrays["strings"].tobytes()
-    strings = [text[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
-    edge_types = [
-        EdgeType(name, bool(directed), src_type, dst_type)
-        for name, (directed, src_type, dst_type) in zip(strings[cuts[-1] :], signatures.tolist())
-    ]
+    try:
+        names = json.loads(arrays["names"].tobytes().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"names do not read as JSON: {exc}") from None
+    if not (
+        type(names) is list and len(names) == 3 and all(type(part) is list for part in names)
+        and all(type(ids) is list for ids in names[1])
+        and all(type(s) is str for strings in [names[0], *names[1]] for s in strings)
+        and all(type(et) is list and [*map(type, et)] == [str, bool, int, int] for et in names[2])
+    ):
+        raise ValueError("names are not [types, node ids by type, [name, directed, src, dst] per edge type]")
+    type_names, nodes_by_type, edge_types = names
     # Endpoint types from the signatures turn the stored rows into admission
     # rows. An edge type id out of range reads a clipped row (the padding row
     # keeps the table non-empty), and `HIN` refuses it as unknown.
     edges = arrays["edges"]
-    st, dt = np.vstack([signatures[:, 1:], [(-1, -1)]]).take(edges[:, 0], axis=0, mode="clip").T
+    ends = np.array([et[2:] for et in edge_types] + [[-1, -1]])
+    st, dt = ends.take(edges[:, 0], axis=0, mode="clip").T
     rows = np.column_stack([edges[:, 0], st, edges[:, 1], dt, edges[:, 2]])
-    nodes_by_type = [strings[a:b] for a, b in zip(cuts, cuts[1:])]
-    hin = HIN(strings[: len(counts)], nodes_by_type, edge_types, rows)
+    hin = HIN(type_names, nodes_by_type, [EdgeType(*et) for et in edge_types], rows)
     hin.duplicates = int(arrays["duplicates"])  # dropped from the edges file, not from `rows`
     _warn_duplicates(hin, edges_path)
     return hin

@@ -56,6 +56,9 @@ class Hyperparameters:
     seed_boost: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_clusters", "max_inner_iters", "max_outer_iters", "init_seed"):
+            if not np.issubdtype(type(getattr(self, name)), np.integer):  # a bool is not one
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")

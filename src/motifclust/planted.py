@@ -143,6 +143,9 @@ def generate_planted_hin(config):
     union of instance edges forms the graph; per block, a seed_fraction share
     of nodes (at least one, when the fraction is positive) is exported as
     seeds."""
+    for name in ("n_clusters", "nodes_per_type", "rng_seed"):
+        if not np.issubdtype(type(getattr(config, name)), np.integer):  # a bool is not one
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
     c = config.n_clusters
     size = config.nodes_per_type
     if c < 2:

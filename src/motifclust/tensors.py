@@ -34,9 +34,10 @@ class SparseTensor:
     """
 
     def __init__(self, dims, indices, values):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) < 1 or any(d < 0 for d in dims):
+        dims = tuple(dims)  # Python or numpy integers: a bool's dtype is not np.integer
+        if not dims or any(not np.issubdtype(type(d), np.integer) or d < 0 for d in dims):
             raise ValueError(f"invalid dims {dims}")
+        dims = tuple(map(int, dims))
         if any(d > MAX_INDEX for d in dims):
             raise ValueError(f"mode size exceeds index width {MAX_INDEX}")
         indices = np.asarray(indices) if np.size(indices) else np.empty((0, len(dims)), np.int32)
@@ -220,6 +221,8 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     (ascending modes, factors[i] replaced after mode i) computes each node once.
     """
     c = _check_factors(x, factors)
+    if not 0 <= mode < x.order:
+        raise ValueError(f"mode {mode} outside 0..{x.order - 1}")
     out = np.zeros((c, x.dims[mode]))
     if x.nnz == 0:
         return out.T
@@ -274,6 +277,8 @@ def gram_hadamard(factors, mode):
     With factors of shape (C, d) each Gram is V V^T. The result is symmetric
     PSD (Schur product of PSD matrices).
     """
+    if not 0 <= mode < len(factors):
+        raise ValueError(f"mode {mode} outside 0..{len(factors) - 1}")
     c = factors[0].shape[0]
     out = np.ones((c, c))
     for i, f in enumerate(factors):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,23 @@ def random_sparse_tensor(rng, dims, nnz):
     flat = rng.choice(total, size=nnz, replace=False)
     idx = np.stack(np.unravel_index(flat, dims), axis=1)
     return from_tuples(dims, map(tuple, idx))
+
+
+def old_layout_snapshot(arrays):
+    """The arrays of a graph snapshot in the layout before `names`: strings as
+    UTF-8 bytes and end offsets, node counts and edge type signatures."""
+    type_names, nodes_by_type, edge_types = json.loads(arrays["names"].tobytes())
+    strings = [*type_names, *(n for ns in nodes_by_type for n in ns), *(et[0] for et in edge_types)]
+    encoded = [s.encode("utf-8") for s in strings]
+    return {
+        "key": arrays["key"],
+        "strings": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        "ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
+        "nodes": np.array([len(ns) for ns in nodes_by_type], dtype=np.int64),
+        "edge_types": np.array([et[1:] for et in edge_types], dtype=np.int64).reshape(-1, 3),
+        "edges": arrays["edges"],
+        "duplicates": arrays["duplicates"],
+    }
 
 
 def random_state(rng, n_motifs=2, max_order=4, max_dim=12, max_clusters=4,

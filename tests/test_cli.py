@@ -12,6 +12,8 @@ from motifclust.cli import RunConfig, main
 from motifclust.model import Hyperparameters
 from motifclust.tensors import SparseTensor
 
+from conftest import old_layout_snapshot
+
 PAIR = {"name": "pair", "node_types": ["A", "B"], "edges": [[0, 1, "ab"]]}
 
 # sha256 of every gen-planted output for default params; refactors of the
@@ -485,6 +487,13 @@ def with_object_edges(snapshot):
     np.savez(snapshot, **dict(arrays, edges=arrays["edges"].astype(object)))
 
 
+def with_old_layout(snapshot):
+    """Rewrite a graph snapshot in the layout before its `names` array."""
+    with np.load(snapshot) as archive:
+        arrays = dict(archive)
+    np.savez(snapshot, **old_layout_snapshot(arrays))
+
+
 class TestGraphSnapshot:
     """`graph.npz` in the tensor directory: a warm run builds its graph from it."""
 
@@ -539,6 +548,7 @@ class TestGraphSnapshot:
             pytest.param(lambda path: path.write_bytes(path.read_bytes()[:100]), "unreadable",
                          id="truncated"),
             pytest.param(with_object_edges, "allow_pickle=False", id="object_array"),
+            pytest.param(with_old_layout, "unreadable: 'names is not a file", id="old_layout"),
         ],
     )
     def test_damaged_snapshot_is_rebuilt(self, planted_dir, capsys, caplog, parses, damage, reason):
@@ -553,6 +563,8 @@ class TestGraphSnapshot:
         assert record.levelno == logging.WARNING and str(snapshot) in record.getMessage()
         assert "ignoring the graph snapshot" in record.getMessage() and reason in record.getMessage()
         assert len(parses) == 2 and snapshot.read_bytes() == written
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and len(parses) == 2  # the rewritten snapshot is served
 
     def test_crash_mid_write_leaves_no_trusted_snapshot(self, planted_dir, capsys, monkeypatch, parses):
         config = str(planted_dir / "run.json")
@@ -756,6 +768,16 @@ class TestEvaluate:
         assert json.loads(out_excl)["accuracy"] == 1.0
         _, out_incl, _ = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
         assert json.loads(out_incl)["n_evaluated"] == 3
+
+    def test_unknown_seed_id_names_file_and_line(self, tmp_path, capsys):
+        pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", 1)])
+        truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
+        seeds = self.write(tmp_path / "s.tsv", [("a", 0), ("zz", 0)])
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--pred", str(pred), "--truth", str(truth), "--seeds", str(seeds)
+        )
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == f"{seeds} line 2: unknown node id 'zz'"
 
     def test_non_integer_label_names_file_and_line(self, tmp_path, capsys):
         pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", "x")])

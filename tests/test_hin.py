@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 
 import numpy as np
@@ -16,7 +17,7 @@ from motifclust.hin import (
 )
 from motifclust.planted import PlantedConfig, generate_planted_hin
 
-from conftest import TOY_EDGES, TOY_NODES
+from conftest import TOY_EDGES, TOY_NODES, old_layout_snapshot
 from oracles import admit_edges, adjacency_pairs, edge_rows
 
 
@@ -361,6 +362,16 @@ class TestProperties:
         assert row(hin, e, True, 1) == row(hin, e, False, 1)
 
 
+def names_edited(edit):
+    """A damage of `TestSnapshot` that replaces the names document with
+    `edit(document)`, written as is if bytes and as JSON otherwise."""
+    def damage(arrays, data):
+        doc = edit(json.loads(arrays["names"].tobytes()))
+        raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode("ascii")
+        return dict(arrays, names=np.frombuffer(raw, dtype=np.uint8))
+    return damage
+
+
 class TestSnapshot:
     """`read_snapshot` gives back the `load_hin` graph that `write_snapshot` stored."""
 
@@ -422,7 +433,7 @@ class TestSnapshot:
                 id="edges_edited",
             ),
             pytest.param(
-                lambda arrays, data: dict(arrays, strings=np.array(["x"], dtype=object)),
+                lambda arrays, data: dict(arrays, names=np.array(["x"], dtype=object)),
                 "allow_pickle=False",
                 id="object_array",
             ),
@@ -431,10 +442,36 @@ class TestSnapshot:
                 "'edges' is float64",
                 id="float_edges",
             ),
+            pytest.param(names_edited(lambda doc: b'[["A"], '), "names do not read as JSON: Expecting",
+                         id="names_not_json"),
+            pytest.param(names_edited(lambda doc: b'[["\xff"]]'), "names do not read as JSON: 'utf-8'",
+                         id="names_not_utf8"),
+            pytest.param(names_edited(lambda doc: doc[:2]), "names are not", id="names_two_items"),
+            pytest.param(names_edited(lambda doc: "abc"), "names are not", id="names_a_string"),
             pytest.param(
-                lambda arrays, data: dict(arrays, nodes=arrays["nodes"] + 1),
-                "string offsets do not match",
-                id="node_counts",
+                names_edited(lambda doc: [doc[0], [[7, *doc[1][0][1:]], *doc[1][1:]], doc[2]]),
+                "names are not", id="names_node_id_number",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [doc[0], doc[1], [[n, int(d), s, t] for n, d, s, t in doc[2]]]),
+                "names are not", id="names_directed_number",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [doc[0], doc[1], [[n, d, str(s), t] for n, d, s, t in doc[2]]]),
+                "names are not", id="names_type_id_string",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [doc[0], doc[1], [et[:3] for et in doc[2]]]),
+                "names are not", id="names_short_signature",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [doc[0], doc[1], [[n, d, 10**30, t] for n, d, s, t in doc[2]]]),
+                "joins node type ids", id="names_type_id_huge",
+            ),
+            pytest.param(
+                lambda arrays, data: old_layout_snapshot(arrays),
+                "unreadable: .names is not a file",
+                id="old_layout",
             ),
             pytest.param(
                 lambda arrays, data: {k: v for k, v in arrays.items() if k != "edges"},

@@ -164,6 +164,26 @@ class TestGenerator:
             covered = set(quad[:, positions].ravel().tolist())
             assert covered == set(range(config.nodes_per_type))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_clusters", 3.0),
+            ("n_clusters", True),
+            ("nodes_per_type", 60.0),
+            ("nodes_per_type", "60"),
+            ("rng_seed", True),
+            ("rng_seed", 1.5),
+        ],
+    )
+    def test_integer_fields_refuse_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_planted_hin(PlantedConfig(**{name: value}))
+
+    def test_numpy_integer_fields_build_the_same_graph(self):
+        config = PlantedConfig(n_clusters=np.int64(3), nodes_per_type=np.int32(30), rng_seed=np.uint8(4))
+        expected = generate_planted_hin(PlantedConfig(n_clusters=3, nodes_per_type=30, rng_seed=4))
+        assert generate_planted_hin(config).hin == expected.hin
+
     def test_infeasible_block_size(self):
         template = MotifTemplate("big", ("A",) * 25, tuple((i, i + 1, "aa") for i in range(24)))
         config = PlantedConfig(templates=(template,), type_names=("A",))

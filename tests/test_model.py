@@ -91,6 +91,26 @@ class TestHyperparameters:
             Hyperparameters(n_clusters=2, seed_boost=value)
         assert Hyperparameters(n_clusters=2, seed_boost=1.0).seed_boost == 1.0
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_clusters", 3.0),
+            ("n_clusters", True),
+            ("n_clusters", "3"),
+            ("max_inner_iters", 2.5),
+            ("max_outer_iters", True),
+            ("init_seed", True),
+            ("init_seed", 0.0),
+        ],
+    )
+    def test_integer_fields_refuse_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Hyperparameters(**{"n_clusters": 3, name: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        hyper = Hyperparameters(n_clusters=np.int64(3), max_outer_iters=np.int32(2), init_seed=np.uint8(1))
+        assert (hyper.n_clusters, hyper.max_outer_iters, hyper.init_seed) == (3, 2, 1)
+
     def test_negative_init_seed_rejected(self):
         with pytest.raises(ValueError, match="init_seed must be non-negative"):
             Hyperparameters(n_clusters=2, init_seed=-1)

@@ -120,6 +120,19 @@ class TestSparseTensor:
         with pytest.raises(ValueError, match=message):
             SparseTensor((3, 3), indices, np.ones(np.size(indices) // 2))
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(2.5, 3), (3.0, 3), (True, 3), (np.True_, 3), ("3", 3), (None, 3), (), (-1, 3)],
+        ids=["fraction", "whole-float", "bool", "numpy-bool", "string", "none", "empty", "negative"],
+    )
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        with pytest.raises(ValueError, match="invalid dims"):
+            SparseTensor(dims, [[1, 2]], [1.0])
+
+    def test_numpy_integer_dims_are_kept_as_ints(self):
+        x = SparseTensor((np.int64(2), np.uint8(3)), [[1, 2]], [1.0])
+        assert x.dims == (2, 3) and all(type(d) is int for d in x.dims)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(ValueError, match="finite"):
@@ -291,6 +304,14 @@ class TestMttkrp:
                 expected = matricize(dense, k).T @ kr_columns(f, k)
                 got = mttkrp_sparse(x, f, k)
                 np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [-1, 2, 5])
+    def test_mode_out_of_range_is_refused(self, mode):
+        # Before the check, mode -1 read mode 1's size and returned mode 0's
+        # rows padded to (3, C); mode 5 raised IndexError.
+        x = SparseTensor((2, 3), [[0, 1], [1, 2]], [1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"mode {mode} outside 0\.\.1"):
+            mttkrp_sparse(x, [np.ones((2, 2)), np.ones((2, 3))], mode)
 
     def test_shape_mismatch(self):
         x = SparseTensor.empty((4, 5))
@@ -480,6 +501,13 @@ class TestDimensionTree:
 
 
 class TestGramHadamard:
+    @pytest.mark.parametrize("mode", [-1, 3, 7])
+    def test_mode_out_of_range_is_refused(self, mode):
+        # Mode 7 of three factors used to return the product of all three Grams.
+        factors = [np.ones((2, 4)), np.ones((2, 5)), np.ones((2, 6))]
+        with pytest.raises(ValueError, match=rf"mode {mode} outside 0\.\.2"):
+            gram_hadamard(factors, mode)
+
     def test_single_other_factor(self):
         rng = np.random.default_rng(3)
         v = rng.uniform(size=(3, 5))
