@@ -11,8 +11,10 @@ node/edge files and the motif spec, and is rebuilt when that changes or when
 the file's sha256 differs from the one its manifest entry records. Beside
 them, `graph.npz` holds a snapshot of the graph keyed by the hash of the
 node/edge files, so a warm run parses no graph text.
-Errors exit nonzero with a one-line JSON diagnostic on stderr; `fit` exits 0
-on convergence and 3 when it stops at the iteration cap.
+Errors exit nonzero with a one-line JSON diagnostic on stderr. `fit` names
+why it stopped as the `stop_reason` of its summary: it exits 0 on
+"tolerance" (the objective settled) or "stable_labels" (no label moved for
+`stable_iters` iterations), and 3 on "max_iters" (the iteration cap).
 """
 
 from __future__ import annotations
@@ -334,15 +336,17 @@ def cmd_fit(args):
     history = io.StringIO()  # csv rows end in CRLF
     writer = csv.writer(history)
     mu_cols = [f"mu_{name}" for name in state.motif_names]
-    writer.writerow(["iter", "obj", "residual", "l1", "consensus_gap", "seed_penalty", *mu_cols])
+    writer.writerow(["iter", "obj", "residual", "l1", "consensus_gap", "seed_penalty", *mu_cols,
+                     "labels_changed"])
     for rec in result.history:
         terms = (rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty)
-        writer.writerow([rec.iteration, *map(_fmt, terms), *map(_fmt, rec.weights)])
+        writer.writerow([rec.iteration, *map(_fmt, terms), *map(_fmt, rec.weights), rec.labels_changed])
     _write_text(config.out_dir / "history.csv", history.getvalue())
     summary = {
         "converged": result.converged,
         "outer_iterations": len(result.history),
         "objective": float(result.history[-1].objective),
+        "stop_reason": result.stop_reason,
     }
     print(json.dumps(summary, sort_keys=True))
     return 0 if result.converged else EXIT_MAX_ITERS
@@ -441,6 +445,7 @@ def cmd_gen_planted(args):
         "clusters": config.n_clusters,
         "init_seed": 0,
         "seed_boost": 10.0,
+        "stable_iters": 8,
     }
     _write_json(out / "run.json", run)
     stats = {

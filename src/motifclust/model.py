@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,17 +55,20 @@ class Hyperparameters:
     max_outer_iters: int = 100
     init_seed: int = 0
     seed_boost: float = 1.0
+    stable_iters: int = 0  # stop once this many iterations in a row change no label; 0 = off
 
     def __post_init__(self):
-        for name in ("n_clusters", "max_inner_iters", "max_outer_iters", "init_seed"):
-            if not np.issubdtype(type(getattr(self, name)), np.integer):  # a bool is not one
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            integral = f.type in ("int", int)
+            wanted = "an integer" if integral else "a real number"
+            if isinstance(value, bool) or not isinstance(value, Integral if integral else Real):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
-        for name in ("consensus_weight", "mask_penalty", "l1_weight", "init_seed"):
+        for name in ("consensus_weight", "mask_penalty", "l1_weight", "init_seed", "stable_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("inner_tol", "outer_tol"):
@@ -96,14 +100,20 @@ class IterationRecord:
     consensus_gap: float
     seed_penalty: float
     weights: np.ndarray
+    labels_changed: int  # of all clustered types, since the last iteration (or the start)
 
 
 @dataclass
 class FitResult:
-    """How `fit` went; the state it fitted holds the factors and weights."""
+    """How `fit` went; the state it fitted holds the factors and weights.
+    stop_reason is "tolerance", "stable_labels" or "max_iters"."""
 
     history: list[IterationRecord]
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self):
+        return self.stop_reason != "max_iters"
 
 
 @dataclass
@@ -396,10 +406,20 @@ def optimize_motif_weights(state, terms):
     return ObjectiveTerms(terms.residual, terms.l1, *coupling(state.mu))
 
 
+def _labels(state):
+    """(type, consensus, labels) per clustered type, ascending: each label
+    is the argmax of its consensus column, ties to the lowest cluster index."""
+    for t in state.clustered_types():
+        cons = consensus(state, t)
+        yield t, cons, np.argmax(cons, axis=0)
+
+
 def fit(state):
     """Alternating optimization: per motif, sweep the factor updates to a
     local optimum, then optimize the weights; repeat until the relative
-    objective change drops below outer_tol or the iteration cap is hit.
+    objective change drops below outer_tol ("tolerance"), until the last
+    stable_iters iterations, when positive, each changed no label of
+    `_labels` ("stable_labels"), or to the iteration cap ("max_iters").
 
     The returned history holds one record per outer iteration; the objective
     column is non-increasing by construction of both update types. The loop
@@ -415,7 +435,12 @@ def fit(state):
     residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]
     terms = objective(state, sum(residuals))
     current = terms.total
-    converged = False
+
+    def all_labels():
+        return np.concatenate([lab for *_, lab in _labels(state)])
+
+    labels = all_labels()
+    stop_reason, quiet = "max_iters", 0
     for outer in range(1, h.max_outer_iters + 1):
         prev = current
         for m in range(state.n_motifs()):
@@ -429,16 +454,19 @@ def fit(state):
                 inner_prev = current
         terms = optimize_motif_weights(state, terms)
         current = terms.total
-        history.append(IterationRecord(outer, current, *astuple(terms), state.mu.copy()))
+        prev_labels, labels = labels, all_labels()
+        changed = int(np.count_nonzero(labels != prev_labels))
+        quiet = 0 if changed else quiet + 1
+        history.append(IterationRecord(outer, current, *astuple(terms), state.mu.copy(), changed))
         log.debug("iteration %d: objective %.12g, residual %.12g", outer, current, terms.residual)
         if abs(prev - current) <= h.outer_tol * max(prev, 1e-300):
-            converged = True
+            stop_reason = "tolerance"
             break
-    log.info(
-        "fit %s after %d outer iteration(s)",
-        "converged" if converged else "stopped at the iteration cap", len(history),
-    )
-    return FitResult(history, converged)
+        if 0 < h.stable_iters <= quiet:
+            stop_reason = "stable_labels"
+            break
+    log.info("fit stopped after %d outer iteration(s): %s", len(history), stop_reason)
+    return FitResult(history, stop_reason)
 
 
 def assign_clusters(state):
@@ -446,9 +474,7 @@ def assign_clusters(state):
     ties to the lowest cluster index. All-zero columns get label 0 and are
     flagged (and counted in a warning)."""
     out = {}
-    for t in state.clustered_types():
-        cons = consensus(state, t)
-        labels = np.argmax(cons, axis=0)
+    for t, cons, labels in _labels(state):
         zero = cons.max(axis=0) == 0.0
         if zero.any():
             log.warning("type %d: %d node(s) have an all-zero consensus column", t, int(zero.sum()))

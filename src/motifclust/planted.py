@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -146,6 +147,9 @@ def generate_planted_hin(config):
     for name in ("n_clusters", "nodes_per_type", "rng_seed"):
         if not np.issubdtype(type(getattr(config, name)), np.integer):  # a bool is not one
             raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
+    for name in ("noise", "seed_fraction"):
+        if isinstance(getattr(config, name), bool) or not isinstance(getattr(config, name), Real):
+            raise ValueError(f"{name} must be a real number, got {getattr(config, name)!r}")
     c = config.n_clusters
     size = config.nodes_per_type
     if c < 2:

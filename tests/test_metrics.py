@@ -179,6 +179,20 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             generate_planted_hin(PlantedConfig(**{name: value}))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("noise", True),
+            ("noise", "0.1"),
+            ("noise", None),
+            ("seed_fraction", True),
+            ("seed_fraction", np.bool_(False)),
+        ],
+    )
+    def test_real_fields_refuse_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            generate_planted_hin(PlantedConfig(**{name: value}))
+
     def test_numpy_integer_fields_build_the_same_graph(self):
         config = PlantedConfig(n_clusters=np.int64(3), nodes_per_type=np.int32(30), rng_seed=np.uint8(4))
         expected = generate_planted_hin(PlantedConfig(n_clusters=3, nodes_per_type=30, rng_seed=4))

@@ -101,11 +101,36 @@ class TestHyperparameters:
             ("max_outer_iters", True),
             ("init_seed", True),
             ("init_seed", 0.0),
+            ("stable_iters", True),
+            ("stable_iters", 2.0),
         ],
     )
     def test_integer_fields_refuse_other_types(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             Hyperparameters(**{"n_clusters": 3, name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed_boost", True),
+            ("mask_penalty", np.bool_(True)),
+            ("consensus_weight", "1"),
+            ("inner_tol", None),
+            ("l1_weight", 1j),
+        ],
+    )
+    def test_real_fields_refuse_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            Hyperparameters(**{"n_clusters": 3, name: value})
+
+    def test_real_fields_take_integers_and_numpy_reals(self):
+        hyper = Hyperparameters(n_clusters=3, seed_boost=10, l1_weight=np.float32(0.5))
+        assert (hyper.seed_boost, hyper.l1_weight) == (10, 0.5)
+
+    def test_stable_iters_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="stable_iters must be non-negative"):
+            Hyperparameters(n_clusters=2, stable_iters=-1)
+        assert Hyperparameters(n_clusters=2).stable_iters == 0
 
     def test_integer_fields_take_numpy_integers(self):
         hyper = Hyperparameters(n_clusters=np.int64(3), max_outer_iters=np.int32(2), init_seed=np.uint8(1))

@@ -13,6 +13,8 @@ factors, which match the direct passes within 1e-12 relative or 1e-12 of
 theta * tr G, the scale of the Gram sums.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,10 +124,23 @@ def reference_update_factor(state, m, i, mttkrp=None, gram=None):
     return updated
 
 
+def reference_labels(state):
+    """Every clustered type's labels, types ascending: per consensus column,
+    the lowest cluster index among its maxima."""
+    return np.array([
+        int(np.flatnonzero(col == col.max())[0])
+        for t in state.clustered_types()
+        for col in reference_consensus(state, t).T
+    ])
+
+
 def reference_fit(state):
-    """The fit loop that evaluates the objective again before every motif."""
+    """The fit loop that evaluates the objective again before every motif.
+    Returns the (terms, weights) history, whether the tolerance stopped it,
+    and the labels of the initial state and after every iteration."""
     h = state.hyper
     history = []
+    labels = [reference_labels(state)]
     prev = objective_from_scratch(state).total
     for _ in range(h.max_outer_iters):
         for m in range(state.n_motifs()):
@@ -140,10 +155,11 @@ def reference_fit(state):
         optimize_motif_weights(state, objective_from_scratch(state))
         terms = objective_from_scratch(state)
         history.append((terms, state.mu.copy()))
+        labels.append(reference_labels(state))
         if abs(prev - terms.total) <= h.outer_tol * max(prev, 1e-300):
-            return history, True
+            return history, True, labels
         prev = terms.total
-    return history, False
+    return history, False, labels
 
 
 def repeated_type_state(rng, with_mask):
@@ -250,22 +266,62 @@ def test_consensus_and_gradient_equal_reference(state):
     )
 
 
-@pytest.mark.parametrize("state", states())
-def test_fit_equals_reference(state):
-    ref = state.copy()
-    expected, expected_converged = reference_fit(ref)
-    result = fit(state)
-    assert result.converged == expected_converged
-    assert len(result.history) == len(expected)
-    for rec, (terms, weights) in zip(result.history, expected):
+def assert_history_equals_reference(history, expected, labels):
+    """`fit`'s records against the reference's, labels changed included."""
+    assert len(history) == len(expected)
+    for rec, (terms, weights), before, after in zip(history, expected, labels, labels[1:]):
         got = [rec.objective, rec.residual, rec.l1, rec.consensus_gap, rec.seed_penalty]
         want = [terms.total, terms.residual, terms.l1, terms.consensus_gap, terms.seed_penalty]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
         assert np.array_equal(rec.weights, weights)
+        assert rec.labels_changed == np.count_nonzero(before != after)
+
+
+@pytest.mark.parametrize("state", states())
+def test_fit_equals_reference(state):
+    ref = state.copy()
+    expected, expected_converged, labels = reference_fit(ref)
+    result = fit(state)
+    assert result.converged == expected_converged
+    assert result.stop_reason == ("tolerance" if expected_converged else "max_iters")
+    assert_history_equals_reference(result.history, expected, labels)
     assert np.array_equal(state.mu, ref.mu)
     for fs, ref_fs in zip(state.factors, ref.factors):
         for f, ref_f in zip(fs, ref_fs):
             assert np.array_equal(f, ref_f)
+
+
+def stable_cut(labels, k):
+    """The first iteration n >= k whose labels equal those of each of the k
+    iterations before it (0 is the initial state), or None."""
+    return next((n for n in range(k, len(labels))
+                 if all(np.array_equal(labels[n], labels[j]) for j in range(n - k, n))), None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("state", states())
+def test_stable_labels_cut_the_reference_history(state, k):
+    """With stable_iters = k, `fit` stops at the first iteration where the
+    labels of the last k + 1 iterations agree, unless the tolerance or the
+    cap stops it first; up to there its history is the reference's."""
+    expected, expected_converged, labels = reference_fit(state.copy())
+    cut = stable_cut(labels, k)
+    result = fit(replace(state, hyper=replace(state.hyper, stable_iters=k)))  # copies the arrays
+    if cut is None:
+        assert result.stop_reason == ("tolerance" if expected_converged else "max_iters")
+    elif cut == len(expected) and expected_converged:
+        assert result.stop_reason == "tolerance"  # checked first
+    else:
+        assert result.stop_reason == "stable_labels" and result.converged
+        expected, labels = expected[:cut], labels[: cut + 1]
+    assert_history_equals_reference(result.history, expected, labels)
+
+
+def test_stable_labels_rule_fires_on_most_reference_states():
+    """The cut test above is not vacuous: with k = 1, most states stop
+    before their cap of 6 iterations."""
+    cuts = [stable_cut(reference_fit(state)[2], 1) for state in states()]
+    assert sum(cut is not None and cut < 6 for cut in cuts) >= len(cuts) // 2
 
 
 @pytest.mark.parametrize("state", [*states(), single_position_state(np.random.default_rng(9))])
