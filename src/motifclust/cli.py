@@ -445,7 +445,6 @@ def cmd_gen_planted(args):
         "clusters": config.n_clusters,
         "init_seed": 0,
         "seed_boost": 10.0,
-        "stable_iters": 8,
     }
     _write_json(out / "run.json", run)
     stats = {

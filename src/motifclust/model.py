@@ -37,6 +37,18 @@ EPS_DIV = 1e-12
 PGD_STEP = 0.1  # first trial step of each projected-gradient weight step
 
 
+def check_number_fields(config):
+    """Refuse, with a ValueError naming the field, a value of a dataclass's
+    `int` field that is not an integer and of a `float` field that is not a
+    real number; a bool is neither."""
+    kinds = {"int": (Integral, "an integer"), "float": (Real, "a real number")}
+    for f in fields(config):
+        if f.type in kinds:
+            (kind, wanted), value = kinds[f.type], getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+
+
 @dataclass
 class Hyperparameters:
     """Knobs of the model and its optimizer.
@@ -55,17 +67,13 @@ class Hyperparameters:
     max_outer_iters: int = 100
     init_seed: int = 0
     seed_boost: float = 1.0
-    stable_iters: int = 0  # stop once this many iterations in a row change no label; 0 = off
+    stable_iters: int = 8  # stop once this many iterations in a row change no label; 0 = off
 
     def __post_init__(self):
+        check_number_fields(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            integral = f.type in ("int", int)
-            wanted = "an integer" if integral else "a real number"
-            if isinstance(value, bool) or not isinstance(value, Integral if integral else Real):
-                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
         for name in ("consensus_weight", "mask_penalty", "l1_weight", "init_seed", "stable_iters"):

@@ -11,11 +11,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .hin import HIN, EdgeType
+from .model import check_number_fields
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,7 @@ def generate_planted_hin(config):
     union of instance edges forms the graph; per block, a seed_fraction share
     of nodes (at least one, when the fraction is positive) is exported as
     seeds."""
-    for name in ("n_clusters", "nodes_per_type", "rng_seed"):
-        if not np.issubdtype(type(getattr(config, name)), np.integer):  # a bool is not one
-            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
-    for name in ("noise", "seed_fraction"):
-        if isinstance(getattr(config, name), bool) or not isinstance(getattr(config, name), Real):
-            raise ValueError(f"{name} must be a real number, got {getattr(config, name)!r}")
+    check_number_fields(config)
     c = config.n_clusters
     size = config.nodes_per_type
     if c < 2:

@@ -23,7 +23,7 @@ DEFAULT_OUTPUT_SHA256 = {
     "motif_pair.json": "58e123497e168fe8f907762a9d1ecc95bc229f3a7be2616a19f2964b334d821e",
     "motif_quad.json": "22bc3c50d8cf9ac6cbdee919e1cbcf3f71a7b203edef33a569c5727fe00fdebb",
     "nodes.tsv": "01b8f1ae831a9ac5c7b31d7881c304c11dab69d499629796656f44a893cf484f",
-    "run.json": "6787150c73f3fcd9df39198defd538cc148feb53701d5f293c4840e562c64bb4",
+    "run.json": "67c751ca398e5845b0aebb94fd59f2d127150241c58bd55c8ff9565d3e6d44c6",
     "seeds.tsv": "5a3683fd6d108444d5eec786922c4faad4bcdb0302212c8acb4d8ead10d9b43a",
     "truth.tsv": "4fa7c5a82814f1b2750bdd8168ef3a9c6d5ab3c8216612c8c2f61cb5292d33c4",
 }
@@ -640,7 +640,7 @@ class TestFit:
         data = tmp_path / "data"
         assert run_cli(capsys, "gen-planted", "--params", str(params), "--out", str(data))[0] == 0
         config = json.loads((data / "run.json").read_text())
-        assert (config["stable_iters"], config.get("rng_seed", 0)) == (8, 0)
+        assert "stable_iters" not in config  # the default applies
         code, stdout, _ = run_cli(capsys, "fit", "--config", str(data / "run.json"))
         summary = json.loads(stdout)
         assert code == 0 and summary["stop_reason"] == "stable_labels" and summary["converged"]
@@ -939,7 +939,7 @@ class TestLogLevel:
 class TestRunConfig:
     def _write(self, planted_dir, **hyper):
         config = json.loads((planted_dir / "run.json").read_text())
-        for key in ("clusters", "init_seed", "seed_boost", "stable_iters"):
+        for key in ("clusters", "init_seed", "seed_boost"):
             del config[key]
         config.update(hyper)
         path = planted_dir / "run.json"

@@ -279,6 +279,7 @@ def assert_history_equals_reference(history, expected, labels):
 
 @pytest.mark.parametrize("state", states())
 def test_fit_equals_reference(state):
+    state = replace(state, hyper=replace(state.hyper, stable_iters=0))  # the rule off, as the reference
     ref = state.copy()
     expected, expected_converged, labels = reference_fit(ref)
     result = fit(state)
