@@ -67,7 +67,7 @@ class Hyperparameters:
     max_outer_iters: int = 100
     init_seed: int = 0
     seed_boost: float = 1.0
-    stable_iters: int = 8  # stop once this many iterations in a row change no label; 0 = off
+    stable_iters: int = 30  # stop once this many iterations in a row change no label; 0 = off
 
     def __post_init__(self):
         check_number_fields(self)

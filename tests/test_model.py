@@ -130,7 +130,7 @@ class TestHyperparameters:
     def test_stable_iters_must_be_non_negative(self):
         with pytest.raises(ValueError, match="stable_iters must be non-negative"):
             Hyperparameters(n_clusters=2, stable_iters=-1)
-        assert Hyperparameters(n_clusters=2).stable_iters == 8
+        assert Hyperparameters(n_clusters=2).stable_iters == 30
 
     def test_integer_fields_take_numpy_integers(self):
         hyper = Hyperparameters(n_clusters=np.int64(3), max_outer_iters=np.int32(2), init_seed=np.uint8(1))
