@@ -6,11 +6,11 @@ Subcommands:
   evaluate     compare predicted labels against ground truth, print JSON
   gen-planted  write a synthetic planted-block dataset and a ready run config
 
-Tensor files are cached: each motif's tensor carries a content hash of the
-node/edge files and the motif spec, and is rebuilt when that changes or when
-the file's sha256 differs from the one its manifest entry records. Beside
-them, `graph.npz` holds a snapshot of the graph keyed by the hash of the
-node/edge files, so a warm run parses no graph text.
+The tensor directory caches one file, `graph.npz`: the graph keyed by the
+hash of the node/edge files, and every motif's tensor keyed by the hash of
+the motif files, so a warm run parses no graph text and enumerates no motif.
+On any miss, every motif is enumerated again and exported as a
+`tensor_<name>.tsv` with a `manifest.json`, which no command reads back.
 Errors exit nonzero with a one-line JSON diagnostic on stderr. `fit` names
 why it stopped as the `stop_reason` of its summary: it exits 0 on
 "tolerance" (the objective settled) or "stable_labels" (no label moved for
@@ -37,17 +37,15 @@ from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
 from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
-from .tensors import SparseTensor
 
 EXIT_MAX_ITERS = 3
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters")
 # Dataclass fields read from run.json or params under another key.
 FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
-# Hashed into every cache key, of each tensor and of the graph snapshot: a
-# change to the tensor or snapshot file format, or to what a tensor means,
-# must change this, so no older file is served.
-CACHE_FORMAT = b"tsv-1"
-GRAPH_SNAPSHOT = "graph.npz"  # in the tensor directory
+# Hashed into both keys of the snapshot: a change to its layout, or to what a
+# tensor means, must change this, so no older file is served.
+CACHE_FORMAT = b"npz-2"
+GRAPH_SNAPSHOT = "graph.npz"  # in the tensor directory, its one cache file
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 log = logging.getLogger(__name__)
@@ -152,16 +150,13 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _content_key(graph, motif_path):
-    """`graph` (hashing the cache format tag and graph files) plus the motif file."""
-    h = graph.copy()
-    h.update(motif_path.read_bytes())
-    h.update(b"\x00")
+def _key(paths):
+    """sha256 of the cache format tag and the files `paths`, each followed by a NUL byte."""
+    h = hashlib.sha256(CACHE_FORMAT + b"\x00")
+    for p in paths:
+        h.update(p.read_bytes())
+        h.update(b"\x00")
     return h.hexdigest()
-
-
-def _file_sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_atomic(path, write):
@@ -184,105 +179,58 @@ def _write_json(path, obj, **kwargs):
     _write_text(path, json.dumps(obj, indent=2, **kwargs) + "\n")
 
 
-def _read_manifest(config):
-    """The cache's manifest. It is derived data: one that does not parse or is
-    not a JSON object reads as empty, and entries that are not objects drop."""
-    path = config.tensor_dir / "manifest.json"
-    if not path.is_file():
-        return {}
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(manifest, dict):
-            raise ValueError(f"its top level is a {type(manifest).__name__}, not an object")
-    except ValueError as exc:
-        log.warning("%s: ignoring the manifest: %s", path, exc)
-        return {}
-    kept = {name: entry for name, entry in manifest.items() if isinstance(entry, dict)}
-    if len(kept) < len(manifest):
-        dropped = sorted(manifest.keys() - kept.keys())
-        log.warning("%s: ignoring entries that are not objects: %s", path, dropped)
-    return kept
-
-
-def _read_graph(config, key):
-    """The HIN of the graph snapshot if it holds `key`, else None."""
-    path = config.tensor_dir / GRAPH_SNAPSHOT
-    if not path.is_file():
-        return None
-    try:
-        hin = read_snapshot(path, key, config.edges)
-    except ValueError as exc:
-        log.warning("%s: ignoring the graph snapshot: %s", path, exc)
-        return None
-    log.debug("graph read from the snapshot %s", path)
-    return hin
-
-
 def _ensure_tensors(config):
-    """Return (hin, motifs, tensors), transcribing only what the cache lacks
-    and parsing the graph files only when the snapshot is missing or refused."""
-    graph = hashlib.sha256(CACHE_FORMAT + b"\x00")
-    for p in (config.nodes, config.edges):
-        graph.update(p.read_bytes())
-        graph.update(b"\x00")
-    graph_key = graph.hexdigest()
-    hin = _read_graph(config, graph_key)
-    parsed = hin is None
-    if parsed:
+    """Return (hin, motifs, tensors), serving the graph and the tensors from
+    the snapshot when it holds their keys. On a miss, every motif is
+    enumerated, exported, and stored with the graph in a new snapshot, the
+    last file written."""
+    keys = _key([config.nodes, config.edges]), _key(config.motifs)
+    snapshot = config.tensor_dir / GRAPH_SNAPSHOT
+    hin = stored = None
+    if snapshot.is_file():
+        try:
+            hin, stored = read_snapshot(snapshot, *keys, config.edges)
+            log.debug("graph read from the snapshot %s", snapshot)
+        except ValueError as exc:
+            log.warning("%s: ignoring the graph snapshot: %s", snapshot, exc)
+    if hin is None:
         hin = load_hin(config.nodes, config.edges)
         log.debug("graph parsed from %s and %s", config.nodes, config.edges)
     motifs = [load_motif(p, hin) for p in config.motifs]
     names = [m.name for m in motifs]
     if len(set(names)) != len(names):
         raise ValueError("motif names must be unique")
+    if stored is not None:
+        want = [(m.name, tuple(hin.num_nodes(t) for t in m.node_types)) for m in motifs]
+        got = [(name, t.dims) for name, t in stored.items()]
+        if got == want:
+            for name in names:
+                log.info("motif %r: tensor read from cache", name)
+            return hin, motifs, list(stored.values())
+        log.warning("%s: ignoring the snapshot's tensors: it holds %s, the motifs are %s",
+                    snapshot, got, want)
     config.tensor_dir.mkdir(parents=True, exist_ok=True)
-    if parsed:
-        snapshot = config.tensor_dir / GRAPH_SNAPSHOT
-        _write_atomic(snapshot, lambda tmp: write_snapshot(hin, tmp, graph_key))
-    manifest = _read_manifest(config)
-    tensors = []
-    rebuilt = 0
-    for motif, path in zip(motifs, config.motifs):
-        key = _content_key(graph, path)
-        entry = manifest.get(motif.name)
-        tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
-        if entry and entry.get("key") == key and tensor_file.is_file():
-            try:  # served only if its bytes and contents are as the manifest records
-                if _file_sha256(tensor_file) != entry.get("sha256"):
-                    raise ValueError(f"{tensor_file}: sha256 differs from the manifest")
-                tensor = SparseTensor.read_tsv(tensor_file)
-                got = [list(tensor.dims), tensor.nnz]
-                if got != [entry.get("dims"), entry.get("nnz")]:
-                    raise ValueError(f"{tensor_file}: dims and nnz {got} differ from the manifest")
-            except ValueError as exc:
-                log.warning("motif %r: rebuilding the cached tensor: %s", motif.name, exc)
-            else:
-                log.info("motif %r: tensor read from cache", motif.name)
-                tensors.append(tensor)
-                continue
-        if not rebuilt:
-            for stale in config.tensor_dir.glob("*.tmp"):
-                stale.unlink()  # left by a run killed mid-write
-        if manifest.pop(motif.name, None) is not None:  # never trust a half-rebuilt entry
-            _write_json(config.tensor_dir / "manifest.json", manifest, sort_keys=True)
+    snapshot.unlink(missing_ok=True)  # so no snapshot sits beside exports it did not write
+    for stale in config.tensor_dir.glob("*.tmp"):
+        stale.unlink()  # left by a run killed mid-write
+    tensors, manifest = {}, {}
+    for motif in motifs:
         start = time.perf_counter()
         tensor = transcribe(hin, motif, enumerate_instances(hin, motif))
         elapsed = time.perf_counter() - start
         log.info("motif %r: %d nonzeros transcribed in %.3f s", motif.name, tensor.nnz, elapsed)
+        tensor_file = config.tensor_dir / f"tensor_{motif.name}.tsv"
         _write_atomic(tensor_file, tensor.write_tsv)
         manifest[motif.name] = {
             "file": tensor_file.name,
             "dims": list(tensor.dims),
             "nnz": tensor.nnz,
             "wall_time_s": round(elapsed, 6),
-            "key": key,
-            "sha256": _file_sha256(tensor_file),
         }
-        tensors.append(tensor)
-        rebuilt += 1
-    if rebuilt:
-        _write_json(config.tensor_dir / "manifest.json", manifest, sort_keys=True)
-    return hin, motifs, tensors
+        tensors[motif.name] = tensor
+    _write_json(config.tensor_dir / "manifest.json", manifest, sort_keys=True)
+    _write_atomic(snapshot, lambda tmp: write_snapshot(hin, tensors, tmp, *keys))
+    return hin, motifs, list(tensors.values())
 
 
 def _read_labels_tsv(path, known=None):
@@ -298,8 +246,8 @@ def _read_labels_tsv(path, known=None):
             raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
         if known is not None and node_id not in known:
             raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
-        if not re.fullmatch("-?[0-9]+", label):
-            raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not an integer")
+        if not re.fullmatch("[0-9]+", label):
+            raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not a non-negative integer")
         out[node_id] = int(label)
     return out
 

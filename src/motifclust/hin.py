@@ -16,10 +16,13 @@ File formats (UTF-8, LF, `#` comment lines skipped):
              pre-registers types (allows empty ones)
   edges TSV: ``src_id<TAB>dst_id<TAB>edge_type_name<TAB>d|u``
 
-`write_snapshot` stores a loaded HIN in numpy's `.npz` format, under a key
-that names the files it came from: its names as one JSON document and its
-edges as the `HIN.edges` array. `read_snapshot` rebuilds it through
-`HIN.__init__` without parsing text.
+`write_snapshot` stores a loaded HIN and the tensors of its motifs in one
+numpy `.npz` file, under two keys that name the files they came from: the
+graph's names as one JSON document and its edges as the `HIN.edges` array
+under one, each tensor's index and value arrays, with a JSON list of motif
+names and dims, under the other. `read_snapshot` rebuilds the HIN through
+`HIN.__init__` without parsing text, and the tensors through `SparseTensor`
+when their key matches too.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import _first_of_runs, _packed
+from .tensors import SparseTensor, _first_of_runs, _packed
 
 log = logging.getLogger(__name__)
 
@@ -309,34 +312,81 @@ def write_hin(hin, nodes_path, edges_path):
             fh.write("\t".join((*ends, et.name, "d" if et.directed else "u")) + "\n")
 
 
-# The arrays of a snapshot: name -> (dtype, shape), None for any length.
+# The arrays of a snapshot: name -> (dtype, shape), None for any length. The
+# k-th tensor adds `indices{k}` and `values{k}` (see `_read_tensors`).
 SNAPSHOT_ARRAYS = {
-    "key": (np.uint8, (None,)),  # the key it was written under
+    "key": (np.uint8, (None,)),  # the graph key it was written under
     "names": (np.uint8, (None,)),  # JSON [type names, node ids by type, edge types]
     "edges": (np.int64, (None, 3)),  # `HIN.edges`
     "duplicates": (np.int64, ()),  # `HIN.duplicates`
+    "motif_key": (np.uint8, (None,)),  # the key its tensors were written under
+    "tensors": (np.uint8, (None,)),  # JSON [motif name, dims] per tensor
 }
 
 
-def write_snapshot(hin, path, key):
-    """Store `hin` at `path` under the string `key`; see `read_snapshot`."""
+def write_snapshot(hin, tensors, path, key, motif_key):
+    """Store `hin` under the string `key` and `tensors`, a dict of motif name
+    to `SparseTensor`, under `motif_key`, at `path`; see `read_snapshot`."""
     edge_types = [[et.name, et.directed, et.src_type, et.dst_type] for et in hin.edge_types]
     names = json.dumps([hin.type_names, hin.nodes_by_type, edge_types])  # ASCII, NULs escaped
+    entries = json.dumps([[name, list(t.dims)] for name, t in tensors.items()])
     arrays = {
         "key": np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
         "names": np.frombuffer(names.encode("ascii"), dtype=np.uint8),
         "edges": hin.edges,
         "duplicates": np.array(hin.duplicates, dtype=np.int64),
+        "motif_key": np.frombuffer(motif_key.encode("utf-8"), dtype=np.uint8),
+        "tensors": np.frombuffer(entries.encode("ascii"), dtype=np.uint8),
     }
+    for k, t in enumerate(tensors.values()):
+        arrays[f"indices{k}"], arrays[f"values{k}"] = t.indices, t.values
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def read_snapshot(path, key, edges_path):
-    """The HIN that `write_snapshot` stored at `path` under `key`, equal to the
-    `load_hin` one it was taken from and warning of its dropped duplicates as
-    that did, naming `edges_path`. A file written under another key, or one
-    that does not read as a snapshot, raises a ValueError saying why."""
+def _read_arrays(archive, specs):
+    """The arrays `specs` names from `archive`, each of its dtype and shape."""
+    arrays = {name: archive[name] for name in specs}
+    for name, (dtype, shape) in specs.items():
+        a = arrays[name]
+        if a.dtype != dtype or len(a.shape) != len(shape) or a.shape[1:] != shape[1:]:
+            raise ValueError(f"array {name!r} is {a.dtype} of shape {a.shape}")
+    return arrays
+
+
+def _read_json(array, what):
+    try:
+        return json.loads(array.tobytes().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{what} do not read as JSON: {exc}") from None
+
+
+def _read_tensors(archive, doc):
+    """The tensors of a snapshot `archive` whose `tensors` array is `doc`."""
+    entries = _read_json(doc, "tensors")
+    if type(entries) is not list or not all(
+        type(e) is list and [*map(type, e)] == [str, list] and all(type(d) is int for d in e[1])
+        for e in entries
+    ):
+        raise ValueError("tensors are not [motif name, dims] per tensor")
+    tensors = {}
+    for k, (name, dims) in enumerate(entries):
+        specs = {f"indices{k}": (np.int32, (None, len(dims))), f"values{k}": (np.float64, (None,))}
+        indices, values = _read_arrays(archive, specs).values()
+        try:
+            tensors[name] = SparseTensor(dims, indices, values)
+        except ValueError as exc:
+            raise ValueError(f"tensor {name!r}: {exc}") from None
+    return tensors
+
+
+def read_snapshot(path, key, motif_key, edges_path):
+    """`(hin, tensors)` as `write_snapshot` stored them at `path` under `key`
+    and `motif_key`: the HIN equal to the `load_hin` one it was taken from,
+    warning of its dropped duplicates as that did, naming `edges_path`, and
+    the dict of tensors, or None when they were written under another motif
+    key. A file written under another graph key, or one that does not read as
+    a snapshot, raises a ValueError saying why."""
     try:
         with open(path, "rb") as fh:
             archive = np.load(fh, allow_pickle=False)
@@ -345,17 +395,13 @@ def read_snapshot(path, key, edges_path):
             with archive:
                 if archive["key"].tobytes() != key.encode("utf-8"):
                     raise ValueError("written for other graph files or another cache format")
-                arrays = {name: archive[name] for name in SNAPSHOT_ARRAYS}
+                arrays = _read_arrays(archive, SNAPSHOT_ARRAYS)
+                tensors = None
+                if arrays["motif_key"].tobytes() == motif_key.encode("utf-8"):
+                    tensors = _read_tensors(archive, arrays["tensors"])
     except (zipfile.BadZipFile, EOFError, KeyError) as exc:
         raise ValueError(f"unreadable: {exc}") from None
-    for name, (dtype, shape) in SNAPSHOT_ARRAYS.items():
-        a = arrays[name]
-        if a.dtype != dtype or len(a.shape) != len(shape) or a.shape[1:] != shape[1:]:
-            raise ValueError(f"array {name!r} is {a.dtype} of shape {a.shape}")
-    try:
-        names = json.loads(arrays["names"].tobytes().decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"names do not read as JSON: {exc}") from None
+    names = _read_json(arrays["names"], "names")
     if not (
         type(names) is list and len(names) == 3 and all(type(part) is list for part in names)
         and all(type(ids) is list for ids in names[1])
@@ -363,6 +409,9 @@ def read_snapshot(path, key, edges_path):
         and all(type(et) is list and [*map(type, et)] == [str, bool, int, int] for et in names[2])
     ):
         raise ValueError("names are not [types, node ids by type, [name, directed, src, dst] per edge type]")
+    duplicates = int(arrays["duplicates"])
+    if duplicates < 0:
+        raise ValueError(f"duplicates count {duplicates} is negative")
     type_names, nodes_by_type, edge_types = names
     # Endpoint types from the signatures turn the stored rows into admission
     # rows. An edge type id out of range reads a clipped row (the padding row
@@ -372,6 +421,6 @@ def read_snapshot(path, key, edges_path):
     st, dt = ends.take(edges[:, 0], axis=0, mode="clip").T
     rows = np.column_stack([edges[:, 0], st, edges[:, 1], dt, edges[:, 2]])
     hin = HIN(type_names, nodes_by_type, [EdgeType(*et) for et in edge_types], rows)
-    hin.duplicates = int(arrays["duplicates"])  # dropped from the edges file, not from `rows`
+    hin.duplicates = duplicates  # dropped from the edges file, not from `rows`
     _warn_duplicates(hin, edges_path)
-    return hin
+    return hin, tensors

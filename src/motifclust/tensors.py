@@ -135,7 +135,8 @@ class SparseTensor:
 
     @classmethod
     def read_tsv(cls, path):
-        """Read a `write_tsv` file; anything malformed raises a ValueError
+        """Read a `write_tsv` file, the format `transcribe` exports tensors in
+        (no command reads them back); anything malformed raises a ValueError
         that names `path`."""
         try:
             with open(path, "r", encoding="utf-8") as fh:

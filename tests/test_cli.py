@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import logging
 import re
@@ -28,22 +30,33 @@ DEFAULT_OUTPUT_SHA256 = {
     "truth.tsv": "4fa7c5a82814f1b2750bdd8168ef3a9c6d5ab3c8216612c8c2f61cb5292d33c4",
 }
 
-# sha256 of the transcribe outputs for default gen-planted params; a change
-# to these bytes must also change cli.CACHE_FORMAT.
+# sha256 of the tensor exports of transcribe for default gen-planted params;
+# refactors of the enumeration or of the export format must leave them unchanged.
 DEFAULT_TENSOR_SHA256 = {
     "tensor_pair.tsv": "43b56b894a0bf76c2eb63c278a36e1560e97a37bd37ea98ed979110513261695",
     "tensor_quad.tsv": "46815d573a914d0ee1c4a18a8cc76290008f372b63963065839ea1f646eb85b1",
 }
 
 
-def first_formula_key(data, motif_file):
-    """A tensor's cache key as first defined: sha256 over the cache format
-    tag, then the nodes, edges and motif files, each followed by a NUL byte."""
-    h = hashlib.sha256(cli.CACHE_FORMAT + b"\x00")
-    for name in ("nodes.tsv", "edges.tsv", motif_file):
+def key_formula(data, *names, tag=None):
+    """A snapshot key: sha256 over the cache format tag (`tag`, by default
+    `cli.CACHE_FORMAT`) and the named files of `data`, each followed by a NUL byte."""
+    h = hashlib.sha256((cli.CACHE_FORMAT if tag is None else tag) + b"\x00")
+    for name in names:
         h.update((data / name).read_bytes())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def edit_snapshot(snapshot, edit):
+    """Rewrite a graph snapshot with the arrays `edit(arrays)`."""
+    with np.load(snapshot) as archive:
+        arrays = dict(archive)
+    np.savez(snapshot, **edit(arrays))
+
+
+def as_bytes(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def hand_dataset(tmp_path, nodes, edges, seeds, motifs):
@@ -68,6 +81,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The names of the motifs the CLI enumerates, one per call."""
+    calls = []
+    real = cli.enumerate_instances
+    monkeypatch.setattr(
+        cli, "enumerate_instances", lambda hin, motif: calls.append(motif.name) or real(hin, motif)
+    )
+    return calls
 
 
 @pytest.fixture
@@ -245,6 +269,7 @@ class TestTranscribe:
         tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
         manifest = json.loads((planted_dir / "tensors" / "manifest.json").read_text())
         assert tensor_file.is_file()
+        assert set(manifest["pair"]) == {"file", "dims", "nnz", "wall_time_s"}
         assert manifest["pair"]["nnz"] == report["pair"]["nnz"]
         # nnz equals data rows in the tensor file (one header line)
         rows = tensor_file.read_text().strip().splitlines()
@@ -272,31 +297,37 @@ class TestTranscribe:
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert snapshot() == before
 
-    def test_crash_mid_rebuild_is_not_served_after_revert(self, planted_dir, capsys, monkeypatch):
+    def test_crash_mid_rebuild_is_not_served_after_revert(self, planted_dir, capsys, monkeypatch, enumerated):
+        """A rebuild removes the snapshot first and writes it last, so a run that
+        dies before that leaves none, and the exports beside a served snapshot
+        are the ones written with it."""
         config = planted_dir / "run.json"
         edges = planted_dir / "edges.tsv"
-        tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
+        tensor_dir = planted_dir / "tensors"
+        tensor_file = tensor_dir / "tensor_pair.tsv"
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         tensor_a, edges_a = tensor_file.read_bytes(), edges.read_text()
         edges.write_text("".join(edges_a.splitlines(keepends=True)[:-1]))  # inputs B
 
-        def die_mid_write(tensor, path):
+        def die_mid_write(path):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("partial")
             raise OSError("disk full")
 
-        with monkeypatch.context() as m:
-            m.setattr(SparseTensor, "write_tsv", die_mid_write)
-            assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 1
-        assert not tensor_file.with_name("tensor_pair.tsv.tmp").exists()
+        crashes = [  # mid-export, then with the exports of inputs B written
+            (SparseTensor, "write_tsv", lambda tensor, path: die_mid_write(path)),
+            (cli, "write_snapshot", lambda hin, tensors, path, *keys: die_mid_write(path)),
+        ]
+        for owner, name, crash in crashes:
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, crash)
+                assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 1
+            assert sorted(p.name for p in tensor_dir.iterdir()) == ["manifest.json", "tensor_pair.tsv"]
+        assert tensor_file.read_bytes() != tensor_a
         edges.write_text(edges_a)  # back to inputs A
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
-        )
+        del enumerated[:]
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        assert enumerated == [1]  # rebuilt, not served from the cache
+        assert enumerated == ["pair"]  # rebuilt, not served from the cache
         assert tensor_file.read_bytes() == tensor_a
 
     def test_rebuild_removes_leftover_temp_files(self, planted_dir, capsys):
@@ -313,62 +344,60 @@ class TestTranscribe:
         assert not leftover.exists()
 
     def test_key_keeps_its_formula(self, planted_dir, capsys):
-        config = planted_dir / "run.json"
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        manifest = json.loads((planted_dir / "tensors" / "manifest.json").read_text())
-        assert manifest["pair"]["key"] == first_formula_key(planted_dir, "motif_pair.json")
+        """The graph key hashes the cache format tag, then the nodes and edges
+        files; the motif key the tag, then the motif files in config order."""
+        cfg_path = planted_dir / "run.json"
+        config = json.loads(cfg_path.read_text())
+        motif = planted_dir / "motif_ab.json"
+        motif.write_text(json.dumps(dict(json.loads((planted_dir / "motif_pair.json").read_text()),
+                                         name="ab")))
+        cfg_path.write_text(json.dumps(dict(config, motifs=["motif_pair.json", "motif_ab.json"])))
+        assert run_cli(capsys, "transcribe", "--config", str(cfg_path))[0] == 0
+        with np.load(planted_dir / "tensors" / "graph.npz") as archive:
+            keys = [archive[name].tobytes().decode() for name in ("key", "motif_key")]
+        assert keys == [
+            key_formula(planted_dir, "nodes.tsv", "edges.tsv"),
+            key_formula(planted_dir, "motif_pair.json", "motif_ab.json"),
+        ]
 
-    def test_cache_written_by_an_earlier_version_is_served_warm(self, planted_dir, capsys, monkeypatch):
-        # The tensor file written one row at a time, and its manifest entry
-        # keyed by the first formula, as earlier versions wrote them.
-        rows = sorted(
-            (int(src[1:]), int(dst[1:]))
-            for src, dst, *_ in map(str.split, (planted_dir / "edges.tsv").read_text().splitlines())
-        )
-        text = "#dims 20 20\n" + "".join(f"{j}\t{k}\t1\n" for j, k in rows)
+    def test_cache_written_by_an_earlier_version_is_rebuilt_once(self, planted_dir, capsys, enumerated):
+        """The tensor directory as the TSV cache left it: a snapshot of the graph
+        alone under the `tsv-1` tag, and manifest entries with a content key and
+        the sha256 of their tensor file. It is refused once, with one warning,
+        and rewritten; the next run is warm."""
+        config = str(planted_dir / "run.json")
         tensor_dir = planted_dir / "tensors"
-        tensor_dir.mkdir()
-        (tensor_dir / "tensor_pair.tsv").write_text(text, encoding="utf-8", newline="\n")
-        entry = {
-            "file": "tensor_pair.tsv",
-            "dims": [20, 20],
-            "nnz": len(rows),
-            "wall_time_s": 0.001,
-            "key": first_formula_key(planted_dir, "motif_pair.json"),
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        }
-        manifest = json.dumps({"pair": entry}, indent=2, sort_keys=True) + "\n"
-        (tensor_dir / "manifest.json").write_text(manifest, encoding="utf-8", newline="\n")
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
-        )
-        assert run_cli(capsys, "transcribe", "--config", str(planted_dir / "run.json"))[0] == 0
-        assert enumerated == []
-        assert (tensor_dir / "tensor_pair.tsv").read_text() == text
-        assert (tensor_dir / "manifest.json").read_text() == manifest
-
-    def test_tagless_key_is_rebuilt(self, planted_dir, capsys, monkeypatch):
-        """A manifest entry keyed without the cache format tag is not served."""
-        config = planted_dir / "run.json"
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        manifest_file = planted_dir / "tensors" / "manifest.json"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        old_key = key_formula(planted_dir, "nodes.tsv", "edges.tsv", tag=b"tsv-1")
+        edit_snapshot(tensor_dir / "graph.npz", lambda arrays: dict(
+            key=as_bytes(old_key), **{k: arrays[k] for k in ("names", "edges", "duplicates")}
+        ))
+        manifest_file = tensor_dir / "manifest.json"
         manifest = json.loads(manifest_file.read_text())
-        h = hashlib.sha256()
-        for name in ("nodes.tsv", "edges.tsv", "motif_pair.json"):
-            h.update((planted_dir / name).read_bytes())
-            h.update(b"\x00")
-        manifest["pair"]["key"] = h.hexdigest()
-        manifest_file.write_text(json.dumps(manifest))
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
+        manifest["pair"].update(
+            key=key_formula(planted_dir, "nodes.tsv", "edges.tsv", "motif_pair.json", tag=b"tsv-1"),
+            sha256=hashlib.sha256((tensor_dir / "tensor_pair.tsv").read_bytes()).hexdigest(),
         )
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        assert enumerated == [1]
-        assert json.loads(manifest_file.read_text())["pair"]["key"] != h.hexdigest()
+        manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        [warning] = err.splitlines()
+        assert code == 0 and "ignoring the graph snapshot: written for other graph files" in warning
+        assert enumerated == ["pair", "pair"]
+        assert set(json.loads(manifest_file.read_text())["pair"]) == {"file", "dims", "nnz", "wall_time_s"}
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and enumerated == ["pair", "pair"]
+
+    def test_tagless_key_is_rebuilt(self, planted_dir, capsys, enumerated):
+        """Tensors stored under a motif key hashed without the cache format tag are not served."""
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        tagless = hashlib.sha256((planted_dir / "motif_pair.json").read_bytes() + b"\x00").hexdigest()
+        edit_snapshot(snapshot, lambda arrays: dict(arrays, motif_key=as_bytes(tagless)))
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and enumerated == ["pair", "pair"]
+        with np.load(snapshot) as archive:
+            assert archive["motif_key"].tobytes().decode() == key_formula(planted_dir, "motif_pair.json")
 
     @pytest.mark.parametrize(
         "damage",
@@ -378,43 +407,26 @@ class TestTranscribe:
             ),
             pytest.param(lambda text: text[: len(text) - 3], id="cut_mid_row"),
             pytest.param(lambda text: text.replace("#dims 20", "#dims 21", 1), id="dims_changed"),
-            # same dims and nnz: only the file's sha256 tells it apart
             pytest.param(lambda text: text.replace("\t1\n", "\t2\n", 1), id="value_edited"),
         ],
     )
-    def test_tensor_disagreeing_with_manifest_is_rebuilt(
-        self, planted_dir, capsys, monkeypatch, damage
-    ):
-        config = planted_dir / "run.json"
-        tensor_file = planted_dir / "tensors" / "tensor_pair.tsv"
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+    def test_tensor_disagreeing_with_manifest_is_rebuilt(self, planted_dir, capsys, enumerated, damage):
+        """A tensor export is never read: warm runs serve the snapshot and leave
+        a damaged export as it is, and the next rebuild writes it afresh."""
+        config = str(planted_dir / "run.json")
+        tensor_dir = planted_dir / "tensors"
+        tensor_file = tensor_dir / "tensor_pair.tsv"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
         original = tensor_file.read_bytes()
-        tensor_file.write_text(damage(original.decode()))
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
-        )
-        code, _, err = run_cli(capsys, "transcribe", "--config", str(config))
-        assert code == 0 and "rebuilding the cached tensor" in err
-        assert enumerated == [1]
-        assert tensor_file.read_bytes() == original
-
-    def test_entry_without_hash_is_rebuilt(self, planted_dir, capsys, monkeypatch):
-        config = planted_dir / "run.json"
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        manifest_file = planted_dir / "tensors" / "manifest.json"
-        manifest = json.loads(manifest_file.read_text())
-        digest = manifest["pair"].pop("sha256")
-        manifest_file.write_text(json.dumps(manifest))
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
-        )
-        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        assert enumerated == [1]
-        assert json.loads(manifest_file.read_text())["pair"]["sha256"] == digest
+        damaged = damage(original.decode())
+        tensor_file.write_text(damaged)
+        for command in ("transcribe", "fit"):
+            code, _, err = run_cli(capsys, command, "--config", config)
+            assert code in (0, 3) and err == ""
+        assert enumerated == ["pair"] and tensor_file.read_text() == damaged
+        (tensor_dir / "graph.npz").unlink()
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        assert enumerated == ["pair", "pair"] and tensor_file.read_bytes() == original
 
     @pytest.mark.parametrize("command", ["transcribe", "fit"])
     @pytest.mark.parametrize(
@@ -425,36 +437,28 @@ class TestTranscribe:
             pytest.param(lambda text: '{"pair": 7}\n', id="entry_not_object"),
         ],
     )
-    def test_malformed_manifest_is_rebuilt(self, planted_dir, capsys, monkeypatch, command, damage):
-        """The manifest is derived data: one that cannot be read is rebuilt,
-        with one warning naming it, and the next run is warm."""
+    def test_malformed_manifest_is_rebuilt(self, planted_dir, capsys, enumerated, command, damage):
+        """The manifest is an export: a warm run neither reads a damaged one nor
+        warns of it, and leaves it; the next rebuild writes it afresh."""
         cfg_path = planted_dir / "run.json"
         config = json.loads(cfg_path.read_text())
         cfg_path.write_text(json.dumps(dict(config, outer_tol=1e9)))  # fit converges, exit 0
         tensor_dir = planted_dir / "tensors"
         manifest_file = tensor_dir / "manifest.json"
         assert run_cli(capsys, "transcribe", "--config", str(cfg_path))[0] == 0
-        manifest_file.write_text(damage(manifest_file.read_text()))
-        enumerated = []
-        real = cli.enumerate_instances
-        monkeypatch.setattr(
-            cli, "enumerate_instances", lambda *a, **k: enumerated.append(1) or real(*a, **k)
-        )
+        written = json.loads(manifest_file.read_text())
+        damaged = damage(manifest_file.read_text())
+        manifest_file.write_text(damaged)
         code, _, err = run_cli(capsys, command, "--config", str(cfg_path))
-        assert code == 0 and enumerated == [1]
-        lines = err.splitlines()
-        assert len(lines) == 1 and str(manifest_file) in lines[0]
-
-        def snapshot():
-            return {
-                p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
-                for p in tensor_dir.iterdir()
-            }
-
-        before = snapshot()
+        assert code == 0 and err == "" and enumerated == ["pair"]
+        assert manifest_file.read_text() == damaged
+        (tensor_dir / "graph.npz").unlink()
         code, _, err = run_cli(capsys, command, "--config", str(cfg_path))
-        assert code == 0 and err == "" and enumerated == [1]
-        assert snapshot() == before
+        assert code == 0 and err == "" and enumerated == ["pair", "pair"]
+        rebuilt = json.loads(manifest_file.read_text())
+        for manifest in (written, rebuilt):
+            del manifest["pair"]["wall_time_s"]
+        assert rebuilt == written
 
     def test_default_params_tensors_are_pinned(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -468,30 +472,37 @@ class TestTranscribe:
         }
         assert got == DEFAULT_TENSOR_SHA256
 
-    def test_cache_invalidated_by_input_change(self, planted_dir, capsys):
+    def test_cache_invalidated_by_input_change(self, planted_dir, capsys, enumerated):
         config = planted_dir / "run.json"
+        snapshot = planted_dir / "tensors" / "graph.npz"
+
+        def keys():
+            with np.load(snapshot) as archive:
+                return archive["key"].tobytes(), archive["motif_key"].tobytes()
+
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        manifest_file = planted_dir / "tensors" / "manifest.json"
-        key_before = json.loads(manifest_file.read_text())["pair"]["key"]
+        graph_key, motif_key = keys()
         edges = planted_dir / "edges.tsv"
-        text = edges.read_text().splitlines()
-        edges.write_text("\n".join(text[:-1]) + "\n")
+        edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
-        assert json.loads(manifest_file.read_text())["pair"]["key"] != key_before
+        assert enumerated == ["pair", "pair"]
+        edited_key = keys()[0]
+        assert keys() == (edited_key, motif_key) and edited_key != graph_key
+        motif = planted_dir / "motif_pair.json"
+        motif.write_text(json.dumps(json.loads(motif.read_text())))  # the same motif in other bytes
+        code, _, err = run_cli(capsys, "transcribe", "--config", str(config))
+        assert code == 0 and err == "" and enumerated == ["pair", "pair", "pair"]
+        assert keys()[0] == edited_key and keys()[1] != motif_key
 
 
 def with_object_edges(snapshot):
     """Rewrite a graph snapshot with its edges as an object array."""
-    with np.load(snapshot) as archive:
-        arrays = dict(archive)
-    np.savez(snapshot, **dict(arrays, edges=arrays["edges"].astype(object)))
+    edit_snapshot(snapshot, lambda arrays: dict(arrays, edges=arrays["edges"].astype(object)))
 
 
 def with_old_layout(snapshot):
     """Rewrite a graph snapshot in the layout before its `names` array."""
-    with np.load(snapshot) as archive:
-        arrays = dict(archive)
-    np.savez(snapshot, **old_layout_snapshot(arrays))
+    edit_snapshot(snapshot, old_layout_snapshot)
 
 
 class TestGraphSnapshot:
@@ -570,7 +581,7 @@ class TestGraphSnapshot:
         config = str(planted_dir / "run.json")
         snapshot = planted_dir / "tensors" / "graph.npz"
 
-        def die_mid_write(hin, path, key):
+        def die_mid_write(hin, tensors, path, key, motif_key):
             Path(path).write_bytes(b"PK\x03\x04partial")
             raise OSError("disk full")
 
@@ -578,9 +589,71 @@ class TestGraphSnapshot:
             m.setattr(cli, "write_snapshot", die_mid_write)
             code, _, err = run_cli(capsys, "transcribe", "--config", config)
         assert code == 1 and json.loads(err)["error"] == "disk full"
-        assert list((planted_dir / "tensors").iterdir()) == []
+        # the exports, written before the snapshot, and no temporary file
+        assert sorted(p.name for p in snapshot.parent.iterdir()) == ["manifest.json", "tensor_pair.tsv"]
         code, _, err = run_cli(capsys, "transcribe", "--config", config)
         assert code == 0 and err == "" and len(parses) == 2 and snapshot.is_file()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: [["other", dims] for _, dims in doc], id="name"),
+            pytest.param(lambda doc: [[name, [dims[0], dims[1] + 1]] for name, dims in doc], id="dims"),
+        ],
+    )
+    def test_tensors_of_other_motifs_are_rebuilt(self, planted_dir, capsys, parses, enumerated, edit):
+        """Tensors under the right key whose names or dims are not the
+        configured motifs' are refused with one warning, and rebuilt."""
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        edit_snapshot(snapshot, lambda arrays: dict(
+            arrays, tensors=as_bytes(json.dumps(edit(json.loads(arrays["tensors"].tobytes()))))
+        ))
+        code, _, err = run_cli(capsys, "fit", "--config", config)
+        [warning] = err.splitlines()
+        assert code in (0, 3) and f"{snapshot}: ignoring the snapshot's tensors" in warning
+        assert enumerated == ["pair", "pair"] and len(parses) == 1  # the graph is served
+        code, _, err = run_cli(capsys, "fit", "--config", config)
+        assert code in (0, 3) and err == "" and enumerated == ["pair", "pair"]
+
+    @pytest.mark.parametrize("exports", ["deleted", "damaged"])
+    def test_fit_outputs_do_not_depend_on_the_exports(self, planted_dir, capsys, exports):
+        """`fit` reads no tensor export or manifest, whatever their state (with
+        them as written, see `test_outputs_identical_with_and_without_snapshot`)."""
+        config = str(planted_dir / "run.json")
+        tensor_dir = planted_dir / "tensors"
+
+        def fit_outputs():
+            code, stdout, err = run_cli(capsys, "fit", "--config", config)
+            assert code in (0, 3) and err == ""
+            return [stdout] + [(planted_dir / "out" / f).read_bytes() for f in self.OUTPUTS]
+
+        cold = fit_outputs()
+        for name in ("tensor_pair.tsv", "manifest.json"):
+            if exports == "deleted":
+                (tensor_dir / name).unlink()
+            else:
+                (tensor_dir / name).write_text("#dims 1\n0\t7\n")
+        assert fit_outputs() == cold
+
+    def test_warm_fit_opens_only_the_snapshot(self, planted_dir, capsys, monkeypatch):
+        config = str(planted_dir / "run.json")
+        tensor_dir = planted_dir / "tensors"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        opened = []
+
+        def recording(real):
+            def wrapper(file, *args, **kwargs):
+                opened.append(Path(file.name if isinstance(file, io.IOBase) else file))
+                return real(file, *args, **kwargs)
+            return wrapper
+
+        for owner, name in ((builtins, "open"), (io, "open"), (np, "load")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        assert run_cli(capsys, "fit", "--config", config)[0] in (0, 3)
+        monkeypatch.undo()
+        assert {p.name for p in opened if p.parent == tensor_dir} == {"graph.npz"}
 
     def test_malformed_graph_fails_before_any_write(self, planted_dir, capsys, parses):
         config = str(planted_dir / "run.json")
@@ -810,14 +883,14 @@ class TestEvaluate:
         error = json.loads(err)["error"]
         assert f"{pred} line 2" in error and "'x'" in error
 
-    @pytest.mark.parametrize("label", ["1_0", " 3", "3 ", "+3", "\uff13"])
+    @pytest.mark.parametrize("label", ["1_0", " 3", "3 ", "+3", "\uff13", "-1"])
     def test_label_must_be_ascii_digits(self, tmp_path, capsys, label):
         pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", label)])
         truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
         code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
         assert code == 1
         assert json.loads(err)["error"] == (
-            f"{pred} line 2: cluster index {label!r} is not an integer"
+            f"{pred} line 2: cluster index {label!r} is not a non-negative integer"
         )
 
     def test_id_mismatch_errors(self, tmp_path, capsys):

@@ -15,7 +15,9 @@ from motifclust.hin import (
     write_hin,
     write_snapshot,
 )
-from motifclust.planted import PlantedConfig, generate_planted_hin
+from motifclust.motifs import enumerate_instances, parse_motif, transcribe
+from motifclust.planted import PlantedConfig, default_templates, generate_planted_hin
+from motifclust.tensors import SparseTensor
 
 from conftest import TOY_EDGES, TOY_NODES, old_layout_snapshot
 from oracles import admit_edges, adjacency_pairs, edge_rows
@@ -362,18 +364,36 @@ class TestProperties:
         assert row(hin, e, True, 1) == row(hin, e, False, 1)
 
 
-def names_edited(edit):
-    """A damage of `TestSnapshot` that replaces the names document with
-    `edit(document)`, written as is if bytes and as JSON otherwise."""
+def names_edited(edit, array="names"):
+    """A damage of `TestSnapshot` that replaces the JSON document of `array`
+    with `edit(document)`, written as is if bytes and as JSON otherwise."""
     def damage(arrays, data):
-        doc = edit(json.loads(arrays["names"].tobytes()))
+        doc = edit(json.loads(arrays[array].tobytes()))
         raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode("ascii")
-        return dict(arrays, names=np.frombuffer(raw, dtype=np.uint8))
+        return dict(arrays, **{array: np.frombuffer(raw, dtype=np.uint8)})
     return damage
 
 
+def planted_quad():
+    """The tensor of the quad motif of the default planted graph."""
+    hin = generate_planted_hin(PlantedConfig(rng_seed=3)).hin
+    motif = parse_motif(json.dumps(default_templates()[1].motif_spec()), hin)
+    return transcribe(hin, motif, enumerate_instances(hin, motif))
+
+
 class TestSnapshot:
-    """`read_snapshot` gives back the `load_hin` graph that `write_snapshot` stored."""
+    """`read_snapshot` gives back the `load_hin` graph and the tensors that
+    `write_snapshot` stored."""
+
+    # Tensors of no instance (as a motif without instances transcribes), of
+    # order 1, with a name that is not ASCII, and of the planted quad.
+    TENSORS = {
+        "empty": SparseTensor.empty((8, 8, 8)),
+        "order_1_\u00e9": SparseTensor((5,), [[1], [4]], [0.5, 2.0]),
+        "quad": planted_quad(),
+    }
+    # The tensors of the damages below.
+    PAIR = {"pair": SparseTensor((3, 4), [[0, 1], [2, 3]], [0.25, 0.75])}
 
     # An empty `#types` type, ids equal but for a trailing NUL, undirected
     # same-type edges and two duplicate edges, each written the other way round.
@@ -398,9 +418,11 @@ class TestSnapshot:
             hin = load_hin(*graph_paths)
             parsed_warnings = [rec.getMessage() for rec in caplog.records]
             caplog.clear()
-            write_snapshot(hin, tmp_path / "g.npz", "key")
-            got = read_snapshot(tmp_path / "g.npz", "key", graph_paths[1])
+            write_snapshot(hin, self.TENSORS, tmp_path / "g.npz", "key", "motif key")
+            got, tensors = read_snapshot(tmp_path / "g.npz", "key", "motif key", graph_paths[1])
         assert got == hin
+        assert list(tensors) == list(self.TENSORS) and tensors == self.TENSORS
+        assert all((t.indices.dtype, t.values.dtype) == (np.int32, np.float64) for t in tensors.values())
         assert (got.node_index, got.edge_type_ids) == (hin.node_index, hin.edge_type_ids)
         assert got.duplicates == hin.duplicates
         assert [rec.getMessage() for rec in caplog.records] == parsed_warnings
@@ -416,9 +438,20 @@ class TestSnapshot:
         assert not hin.edge_types[hin.edge_type_id("bb")].directed
 
     def test_other_key_is_refused(self, toy_paths, tmp_path):
-        write_snapshot(load_hin(*toy_paths), tmp_path / "g.npz", "key")
+        write_snapshot(load_hin(*toy_paths), self.PAIR, tmp_path / "g.npz", "key", "motif key")
         with pytest.raises(ValueError, match="written for other graph files"):
-            read_snapshot(tmp_path / "g.npz", "other", toy_paths[1])
+            read_snapshot(tmp_path / "g.npz", "other", "motif key", toy_paths[1])
+
+    def test_other_motif_key_serves_the_graph_alone(self, toy_paths, tmp_path):
+        """Under another motif key, no tensor array is read, so a damaged one
+        does not matter."""
+        hin = load_hin(*toy_paths)
+        path = tmp_path / "g.npz"
+        write_snapshot(hin, self.PAIR, path, "key", "motif key")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        np.savez(path, **dict(arrays, values0=arrays["values0"].astype(object)))
+        assert read_snapshot(path, "key", "other", toy_paths[1]) == (hin, None)
 
     @pytest.mark.parametrize(
         "damage, reason",
@@ -484,11 +517,47 @@ class TestSnapshot:
                 id="edge_type_id",
             ),
             pytest.param(lambda arrays, data: arrays["edges"], "not an .npz", id="npy_file"),
+            pytest.param(
+                lambda arrays, data: dict(arrays, duplicates=np.array(-5, dtype=np.int64)),
+                "duplicates count -5 is negative",
+                id="negative_duplicates",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, indices0=arrays["indices0"] + np.int32(3)),
+                "tensor 'pair': index out of bounds",
+                id="tensor_index_out_of_bounds",
+            ),
+            pytest.param(
+                lambda arrays, data: dict(arrays, indices0=arrays["indices0"] * 1.0),
+                "'indices0' is float64",
+                id="tensor_float_indices",
+            ),
+            pytest.param(
+                lambda arrays, data: {k: v for k, v in arrays.items() if k != "indices0"},
+                "indices0 is not a file",
+                id="tensor_missing_indices",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [[name, [*dims, 2]] for name, dims in doc], "tensors"),
+                r"'indices0' is int32 of shape \(2, 2\)",
+                id="tensor_dims_disagree_with_width",
+            ),
+            pytest.param(
+                names_edited(lambda doc: [name for name, _ in doc], "tensors"),
+                "tensors are not", id="tensors_without_dims",
+            ),
+            pytest.param(
+                lambda arrays, data: data.replace(
+                    arrays["values0"].tobytes(), (arrays["values0"] + 1).tobytes()
+                ),
+                "Bad CRC-32",
+                id="tensor_value_edited",
+            ),
         ],
     )
     def test_damaged_snapshot_is_refused(self, toy_paths, tmp_path, damage, reason):
         path = tmp_path / "g.npz"
-        write_snapshot(load_hin(*toy_paths), path, "key")
+        write_snapshot(load_hin(*toy_paths), self.PAIR, path, "key", "motif key")
         with np.load(path) as archive:
             arrays = dict(archive)
         damaged = damage(arrays, path.read_bytes())
@@ -500,4 +569,4 @@ class TestSnapshot:
             else:
                 np.save(fh, damaged)
         with pytest.raises(ValueError, match=reason):
-            read_snapshot(path, "key", toy_paths[1])
+            read_snapshot(path, "key", "motif key", toy_paths[1])
