@@ -76,8 +76,11 @@ class SparseTensor:
 
     @cached_property
     def norm_sq(self):
-        """||X||^2, computed on first use and kept."""
-        return float(self.values @ self.values)
+        """||X||^2, computed on first use and kept. Not `values @ values`:
+        above 10,000 values OpenBLAS runs that on worker threads, which keep
+        spinning beside the caller and slow the rest of a fit, and its sum
+        then depends on the thread count."""
+        return float(np.einsum("i,i->", self.values, self.values))
 
     @cached_property
     def tree(self):

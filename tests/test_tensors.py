@@ -1,5 +1,10 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,15 @@ from oracles import (
     residual_nonzero_major,
     todense,
 )
+
+
+# Prints, as float.hex, the `norm_sq` of a tensor of 50,000 random values.
+NORM_SQ_CHILD = """
+import numpy as np
+from motifclust.tensors import SparseTensor
+v = np.random.default_rng(0).random(50_000)
+print(SparseTensor((len(v),), np.arange(len(v))[:, None], v).norm_sq.hex())
+"""
 
 
 def kr_columns(factors, skip):
@@ -90,6 +104,23 @@ class TestSparseTensor:
     def test_empty(self):
         x = SparseTensor.empty((3, 4))
         assert x.nnz == 0 and x.dims == (3, 4)
+        assert x.norm_sq == 0.0
+
+    def test_norm_sq_does_not_depend_on_blas_threads(self):
+        """50,000 values are past OpenBLAS's threading threshold for a dot
+        product, whose partial sums then depend on its thread count."""
+        src = str(Path(tensors.__file__).parents[1])
+        results = [
+            subprocess.run(
+                [sys.executable, "-c", NORM_SQ_CHILD],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout.strip()
+            for threads in ("1", "2")
+        ]
+        assert results[0] == results[1]
+        v = np.random.default_rng(0).random(50_000)
+        assert math.isclose(float.fromhex(results[0]), math.fsum(v * v), rel_tol=1e-12)
 
     @pytest.mark.parametrize("nnz", [0, 2])
     def test_arrays_are_read_only_and_callers_stay_writeable(self, nnz):
