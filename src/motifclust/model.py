@@ -270,15 +270,15 @@ def _gram_rows(state):
     return gram, l1
 
 
-def _weight_forms(state):
+def _weight_forms(state, gram=None):
     """Objective terms 3 and 4, the only ones depending on the motif weights,
     and their weight gradient, as functions of mu at the current factors.
-    With G and H of `_gram_rows` and W = weight_map, b = W'G1,
+    With G and H of `_gram_rows` (`gram`, if given) and W = weight_map, b = W'G1,
     A = sum_t P_t * W_t'G_t W_t over the per-type blocks and B = W'H W make
     the gap tr G - 2b'mu + mu'A mu and the penalty mu'B mu, with gradients
     2(A mu - b) and 2B mu; each evaluation costs O(n^2) for n motifs."""
     h = state.hyper
-    gram, _ = _gram_rows(state)
+    gram = _gram_rows(state)[0] if gram is None else gram
     w = state.weight_map
     wg, wh = w.T @ gram
     trace, b = np.trace(gram[0]), wg.sum(axis=1)
@@ -300,9 +300,9 @@ def objective(state, residual):
     `residual`, term 1, is the motifs' summed residual, which the caller
     tracks; terms 2-4 cost only the Gram rows of replaced factors.
     Non-negative and finite on valid states."""
-    l1 = state.hyper.l1_weight * float(_gram_rows(state)[1].sum())
-    gap, penalty = _weight_forms(state)[0](state.mu)
-    return ObjectiveTerms(residual, l1, gap, penalty)
+    gram, l1 = _gram_rows(state)
+    gap, penalty = _weight_forms(state, gram)[0](state.mu)
+    return ObjectiveTerms(residual, state.hyper.l1_weight * float(l1.sum()), gap, penalty)
 
 
 def update_factor(state, m, i, mttkrp, gram):

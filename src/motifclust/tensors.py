@@ -19,9 +19,9 @@ import numpy as np
 
 # Indices are stored as int32; any mode larger than this cannot be addressed.
 MAX_INDEX = np.iinfo(np.int32).max
-# `write_tsv` formats this many rows per write call, each distinct cell of them
-# once (values by bit pattern, so -0.0 is not written as 0); the block bounds
-# the Python objects it holds at once.
+# `write_tsv` writes this many rows per write call, the bound on the Python
+# objects it holds at once; each block formats its distinct values once, by bit
+# pattern so -0.0 is not written as 0 (index cells: once per call).
 WRITE_BLOCK_ROWS = 1 << 14
 
 
@@ -123,18 +123,23 @@ class SparseTensor:
 
     def write_tsv(self, path):
         """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>value`
-        rows; `%.17g` values read back bit-exactly."""
-        formats = ["%d\t"] * self.order + ["%.17g\n"]
+        rows; `%.17g` values read back bit-exactly. A block's rows are three
+        cells each: the first N-1 index cells, joined once per run of rows
+        sharing them, the last index and the value."""
+        cells = [_index_cells(col, d) for col, d in zip(self.indices.T, self.dims)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("#dims " + " ".join(map(str, self.dims)) + "\n")
             for start in range(0, self.nnz, WRITE_BLOCK_ROWS):
                 block = slice(start, start + WRITE_BLOCK_ROWS)
-                cells = []
-                for col, fmt in zip([*self.indices[block].T, self.values[block]], formats):
-                    keys, where = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-                    text = [fmt % key for key in keys.view(col.dtype).tolist()]
-                    cells.append(np.array(text, dtype=object)[where])
-                fh.write("".join(np.column_stack(cells).ravel().tolist()))
+                idx = self.indices[block]
+                keys, where = np.unique(self.values[block].view(np.int64), return_inverse=True)
+                text = np.array(["%.17g\n" % v for v in keys.view(np.float64).tolist()], dtype=object)
+                row = [cells[-1](idx[:, -1]), text[where]]
+                if self.order > 1:
+                    starts = np.flatnonzero(_first_of_runs(_packed(idx[:, :-1], self.dims[:-1])))
+                    heads = [cell(col) for cell, col in zip(cells, idx[starts, :-1].T)]
+                    row.insert(0, np.repeat(sum(heads[1:], heads[0]), np.diff(starts, append=len(idx))))
+                fh.write("".join(np.column_stack(row).ravel().tolist()))
 
     @classmethod
     def read_tsv(cls, path):
@@ -185,6 +190,21 @@ def _packed(keys, dims):
             cols.append(col.astype(np.int64))
             width = d
     return cols
+
+
+def _index_cells(col, d):
+    """A function from a block of the indices `col` to their `f"{j}\t"` cells,
+    each index formatted once. If d <= len(col) they sit in a table over
+    range(d), else they are found by binary search: a huge mode with few
+    nonzeros allocates nothing of size d."""
+    if d <= len(col):
+        keys = np.flatnonzero(np.bincount(col, minlength=d))
+        table = np.empty(d, dtype=object)
+        table[keys] = [f"{j}\t" for j in keys.tolist()]
+        return table.take
+    keys = np.unique(col)
+    table = np.array([f"{j}\t" for j in keys.tolist()], dtype=object)
+    return lambda block: table.take(np.searchsorted(keys, block))
 
 
 def _first_of_runs(cols):

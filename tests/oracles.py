@@ -8,7 +8,13 @@ import numpy as np
 
 from motifclust.model import ModelState, objective, update_factor
 from motifclust.planted import _sample_tuples
-from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
+from motifclust.tensors import (
+    WRITE_BLOCK_ROWS,
+    SparseTensor,
+    gram_hadamard,
+    mttkrp_sparse,
+    residual_fro_sq,
+)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -91,6 +97,24 @@ def mttkrp_tree_nonzero_major(x, factors, mode):
         (lo, hi), keys, partial = half, half_keys, summed
     out[keys[:, 0]] = partial
     return out
+
+
+def write_tsv_reference(x, path):
+    """`SparseTensor.write_tsv` one column at a time: each block of
+    WRITE_BLOCK_ROWS rows formats each distinct cell of each column once,
+    found by `np.unique` (values by bit pattern), and joins N+1 cells per
+    row. The library's writer must write the same bytes."""
+    formats = ["%d\t"] * x.order + ["%.17g\n"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("#dims " + " ".join(map(str, x.dims)) + "\n")
+        for start in range(0, x.nnz, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            cells = []
+            for col, fmt in zip([*x.indices[block].T, x.values[block]], formats):
+                keys, where = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+                text = [fmt % key for key in keys.view(col.dtype).tolist()]
+                cells.append(np.array(text, dtype=object)[where])
+            fh.write("".join(np.column_stack(cells).ravel().tolist()))
 
 
 def reconstruction_norm_sq(factors):

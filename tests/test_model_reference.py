@@ -413,8 +413,8 @@ def test_weight_step_returns_objective_at_reached_weights(state, monkeypatch):
     start = state.mu.copy()
     real_forms = model._weight_forms
 
-    def uphill_forms(state):
-        coupling, gradient = real_forms(state)
+    def uphill_forms(*args):
+        coupling, gradient = real_forms(*args)
         return coupling, lambda mu: -gradient(mu)
 
     monkeypatch.setattr(model, "_weight_forms", uphill_forms)

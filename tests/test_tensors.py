@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from oracles import (
     reconstruction_norm_sq,
     residual_nonzero_major,
     todense,
+    write_tsv_reference,
 )
 
 
@@ -250,6 +252,30 @@ def sparse_tensors(draw):
     return SparseTensor(dims, np.asarray(picked, dtype=np.int32).reshape(-1, len(dims)), values)
 
 
+@st.composite
+def blocked_tensors(draw):
+    """Tensors of order 1-5 with 0 to about 3 write blocks of rows. Each mode
+    is small (d <= nnz, unless nnz is tiny), huge (d > nnz) or MAX_INDEX.
+    Half of them draw the leading N-1 indices from a few tuples, so runs of
+    rows sharing them cross block boundaries. Values mix small integers with
+    signed zeros, a subnormal, 1/3 and 1e308."""
+    order = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["small", "huge", "max"]), min_size=order, max_size=order))
+    rows = max(0, draw(st.integers(0, 3)) * WRITE_BLOCK_ROWS + draw(st.integers(-100, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [
+        {"small": int(rng.integers(1, 9)), "huge": int(rng.integers(rows + 1, MAX_INDEX)), "max": MAX_INDEX}[k]
+        for k in kinds
+    ]
+    heads = rng.integers(0, dims[:-1], size=(int(rng.integers(1, 40)) if draw(st.booleans()) else rows, order - 1))
+    indices = np.column_stack([heads[rng.integers(0, len(heads), rows)], rng.integers(0, dims[-1], rows)])
+    indices = np.unique(indices.reshape(rows, order), axis=0)
+    edge = np.array([-0.0, 0.0, 5e-324, 1 / 3, 1e308])
+    n = len(indices)
+    values = np.where(rng.random(n) < 0.5, edge[rng.integers(0, len(edge), n)], rng.integers(1, 6, n))
+    return SparseTensor(dims, indices, values)
+
+
 class TestTsvCodec:
     @given(x=sparse_tensors())
     @example(x=SparseTensor.empty((2, 0, 3)))
@@ -271,6 +297,38 @@ class TestTsvCodec:
         assert y.dims == x.dims
         assert y.indices.dtype == np.int32 and np.array_equal(y.indices, x.indices)
         assert np.array_equal(y.values.view(np.int64), x.values.view(np.int64))
+
+    @given(x=blocked_tensors())
+    @example(x=SparseTensor.empty((MAX_INDEX, 3)))
+    @example(  # six runs of 8,200 rows over three blocks: each crosses a boundary
+        x=SparseTensor(
+            (2, 3, MAX_INDEX),
+            [(a, b, 1000 * c) for a in range(2) for b in range(3) for c in range(8200)],
+            np.resize([-0.0, 0.0, 5e-324, 1 / 3, 1e308, 2.0], 6 * 8200),
+        )
+    )
+    @example(x=SparseTensor((MAX_INDEX,) * 3, [[0, 0, 0], [0, 0, MAX_INDEX - 1], [7, 5, 3]], [-0.0, 1e308, 0.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_writer_matches_reference(self, tmp_path_factory, x):
+        folder = tmp_path_factory.mktemp("writer")
+        x.write_tsv(folder / "x.tsv")
+        write_tsv_reference(x, folder / "ref.tsv")
+        assert (folder / "x.tsv").read_bytes() == (folder / "ref.tsv").read_bytes()
+        y = SparseTensor.read_tsv(folder / "x.tsv")
+        assert y == x and np.array_equal(y.values.view(np.int64), x.values.view(np.int64))
+
+    def test_export_of_huge_modes_allocates_nothing_of_their_size(self, tmp_path):
+        """A table over range(MAX_INDEX) would take gigabytes."""
+        x = SparseTensor((MAX_INDEX,) * 3, [[0, 0, 0], [0, 1, 2], [9, 9, 9], [MAX_INDEX - 1, 0, 5],
+                                            [MAX_INDEX - 1] * 3], [1.0, -0.0, 1 / 3, 5e-324, 2.0])
+        tracemalloc.start()
+        try:
+            x.write_tsv(tmp_path / "x.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert SparseTensor.read_tsv(tmp_path / "x.tsv") == x
 
     @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
     def test_empty_body_reads_without_warning(self, tmp_path, body):
