@@ -147,8 +147,8 @@ class HIN:
             src, dst = self.edges[self.edges[:, 0] == k, 1:].T
             if not et.directed and et.src_type == et.dst_type:
                 src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            self._adj[k, True] = _csr(src, dst, self.num_nodes(et.src_type))
-            self._adj[k, False] = _csr(dst, src, self.num_nodes(et.dst_type))
+            self._adj[k, True] = _csr(src, dst, self.num_nodes(et.src_type), self.num_nodes(et.dst_type))
+            self._adj[k, False] = _csr(dst, src, self.num_nodes(et.dst_type), self.num_nodes(et.src_type))
 
     # -- lookups -------------------------------------------------------------
 
@@ -201,10 +201,12 @@ class HIN:
         )
 
 
-def _csr(rows, cols, n_rows):
+def _csr(rows, cols, n_rows, n_cols):
     """CSR arrays of the pairs (rows[k], cols[k]), columns ascending per row."""
-    order = np.lexsort((cols, rows))
-    return np.searchsorted(rows[order], np.arange(n_rows + 1)), cols[order].astype(np.int32)
+    keys = rows * n_cols + cols  # rising when the pairs ascend already, as `HIN.edges` forward pairs do
+    if not np.all(keys[1:] > keys[:-1]):
+        rows, cols = np.divmod(np.sort(keys), n_cols)
+    return np.searchsorted(rows, np.arange(n_rows + 1)), cols.astype(np.int32)
 
 
 def _read_lines(path):

@@ -14,7 +14,7 @@ factor and its type's consensus, and the squared masked consensus entries.
 Each term has one evaluation. The residual comes from one mode's MTTKRP and
 Gram product (`residual_from_mode`). The last two are one quadratic in the
 weights; it and its gradient come from per-type Gram matrices of the factors
-(`_weight_forms`), whose rows are recomputed only for replaced factors.
+(`_weight_forms`), one product of each type's stack of factors.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensors import (
     SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq, residual_from_mode,
@@ -135,9 +136,8 @@ class TypeAssignment:
 class ModelState:
     """Everything the optimizer mutates, tied together and shape-checked.
 
-    motif_types[m][i] is the node-type id of motif m's i-th position and
-    factors[m][i] the matching (C, |V_t|) factor. masks maps a type id to its
-    (C, |V_t|) binary seed mask.
+    motif_types[m][i] is the node-type id of motif m's i-th position. masks
+    maps a type id to its (C, |V_t|) binary seed mask, a read-only copy.
 
     layout[t] holds one (m, i, k) row per position of type t, in motif then
     position order, where motif m has k positions of type t; position (m, i)
@@ -145,14 +145,16 @@ class ModelState:
     the (P, n) matrix of those coefficients over all P layout rows, types
     ascending: 1/k at (row, m), so that weight_map @ mu lists them. The rows
     of type t are the slice blocks[t], and type_count[r] counts the rows of
-    r's type. Factors and masks are read-only: factors are replaced, not
-    written (`_gram_rows` keeps rows computed from them).
+    r's type. stacks[t], a (P_t, C, |V_t|) array with rows in layout[t]
+    order, is the one storage of type t's factors: it and factors[m][i], a
+    view of its row in per-motif tuples, are read-only, and `set_factor`,
+    which writes through `slots`, is the one writer.
     """
 
     motif_names: list[str]
     motif_types: list[tuple[int, ...]]
     tensors: list[SparseTensor]
-    factors: list[list[np.ndarray]]
+    factors: tuple[tuple[np.ndarray, ...], ...]
     mu: np.ndarray
     masks: dict[int, np.ndarray]
     hyper: Hyperparameters
@@ -161,14 +163,11 @@ class ModelState:
     weight_map: np.ndarray = field(init=False)
     blocks: dict[int, slice] = field(init=False)
     type_count: np.ndarray = field(init=False)
-    gram_cache: tuple = field(init=False, repr=False)
+    stacks: dict[int, np.ndarray] = field(init=False, repr=False)
+    slots: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Read-only copies, since the Gram rows of `_gram_rows` outlive a call.
-        self.factors = [[np.array(f, dtype=np.float64) for f in fs] for fs in self.factors]
         self.masks = {t: np.array(mask, dtype=np.float64) for t, mask in self.masks.items()}
-        for a in [f for fs in self.factors for f in fs] + list(self.masks.values()):
-            a.flags.writeable = False
         n = len(self.motif_names)
         if not n or len(self.motif_types) != n or len(self.tensors) != n or len(self.factors) != n:
             raise ValueError("motif names, types, tensors and factors must align")
@@ -188,16 +187,9 @@ class ModelState:
                 d = self.tensors[m].dims[i]
                 if self.type_sizes.setdefault(t, d) != d:
                     raise ValueError(f"type {t} has inconsistent node counts across tensors")
-                f = self.factors[m][i]
-                if f.shape != (c, d):
-                    raise ValueError(
-                        f"factor for motif {self.motif_names[m]!r} position {i} has shape "
-                        f"{f.shape}, expected ({c}, {d})"
-                    )
-                if not np.all(np.isfinite(f)) or np.any(f < 0):
-                    raise ValueError("factors must be finite and non-negative")
                 self.layout.setdefault(t, []).append((m, i, types.count(t)))
         for t, mask in self.masks.items():
+            mask.flags.writeable = False
             if t not in self.type_sizes:
                 raise ValueError(f"seed mask for type {t} which no motif covers")
             if mask.shape != (c, self.type_sizes[t]):
@@ -211,9 +203,15 @@ class ModelState:
         sizes = [len(rs) for rs in self.layout.values()]
         self.blocks = {t: slice(e - p, e) for t, p, e in zip(self.layout, sizes, np.cumsum(sizes))}
         self.type_count = np.repeat(sizes, sizes)
-        # Per type, the factor objects held and their raveled rows; G over H; l1 sums.
-        rows = {t: ([None] * p, np.zeros((p, c * self.type_sizes[t]))) for t, p in zip(self.layout, sizes)}
-        self.gram_cache = rows, np.zeros((2, len(motif), len(motif))), np.zeros(len(motif))
+        writable = {t: np.empty((len(rs), c, self.type_sizes[t])) for t, rs in self.layout.items()}
+        self.stacks = {t: as_strided(w, writeable=False) for t, w in writable.items()}  # read-only views
+        self.slots = {(m, i): (writable[t], self.stacks[t], j)
+                      for t, rs in self.layout.items() for j, (m, i, _) in enumerate(rs)}
+        given, self.factors = self.factors, tuple(map(tuple, self.factors))
+        for m, i in self.slots:
+            self.set_factor(m, i, np.asarray(given[m][i]))
+        if not all(np.all(np.isfinite(s)) and not np.any(s < 0) for s in self.stacks.values()):
+            raise ValueError("factors must be finite and non-negative")
 
     # -- structure lookups ----------------------------------------------------
 
@@ -229,7 +227,21 @@ class ModelState:
         return [(m, i) for m, i, _ in self.layout.get(t, ())]
 
     def copy(self):
-        return replace(self)  # `__post_init__` copies the arrays and rebuilds the rest
+        return replace(self)  # `__post_init__` copies the arrays into new stacks
+
+    def set_factor(self, m, i, value):
+        """Write factor (m, i) into its stack row; install and return a new
+        view of the row as factors[m][i], so caches keyed by identity miss."""
+        writable, stack, j = self.slots[m, i]
+        if value.shape != stack.shape[1:]:
+            raise ValueError(
+                f"factor for motif {self.motif_names[m]!r} position {i} has shape "
+                f"{value.shape}, expected {stack.shape[1:]}"
+            )
+        writable[j] = value
+        view, fs = stack[j], self.factors[m]
+        self.factors = (*self.factors[:m], (*fs[:i], view, *fs[i + 1 :]), *self.factors[m + 1 :])
+        return view
 
 
 def consensus(state, t):
@@ -245,28 +257,15 @@ def consensus(state, t):
 def _gram_rows(state):
     """G[r, s] = <V_r, V_s> and H[r, s] = <M*V_r, V_s> over the P layout rows
     (zero unless r and s have one type; M is its binary mask) as one
-    (2, P, P) array, and each row's l1 sum. Like the MTTKRP cache, each row
-    is kept with the factor object it came from, which is made read-only.
-    Per type, the rows from the first to the last replaced factor, and their
-    mirrored columns, are recomputed by one product; after a sweep of motif
-    m, these are exactly m's rows of the type."""
-    per_type, gram, l1 = state.gram_cache
+    (2, P, P) array, and each row's l1 sum. Each type's block is one product
+    of its stack, raveled to (P_t, C*d_t) rows, with itself."""
+    p = len(state.type_count)
+    gram, l1 = np.zeros((2, p, p)), np.empty(p)
     for t, block in state.blocks.items():
-        held, flat = per_type[t]
-        stale = [j for j, (m, i, _) in enumerate(state.layout[t]) if state.factors[m][i] is not held[j]]
-        if not stale:
-            continue
-        for j in stale:
-            m, i, _ = state.layout[t][j]
-            f = held[j] = state.factors[m][i]
-            f.flags.writeable = False
-            flat[j] = f.ravel()
-        rows = flat[stale[0] : stale[-1] + 1]
-        new = slice(block.start + stale[0], block.start + stale[-1] + 1)
-        l1[new] = rows.sum(axis=1)
-        both = np.concatenate([rows, rows * np.ravel(state.masks.get(t, 0.0))]) @ flat.T
-        gram[:, new, block] = both = both.reshape(2, len(rows), -1)
-        gram[:, block, new] = both.transpose(0, 2, 1)
+        rows = state.stacks[t].reshape(block.stop - block.start, -1)
+        l1[block] = rows.sum(axis=1)
+        both = np.concatenate([rows, rows * np.ravel(state.masks.get(t, 0.0))]) @ rows.T
+        gram[:, block, block] = both.reshape(2, len(rows), -1)
     return gram, l1
 
 
@@ -298,7 +297,7 @@ def _weight_forms(state, gram=None):
 def objective(state, residual):
     """All four objective terms at the current factors and weights state.mu.
     `residual`, term 1, is the motifs' summed residual, which the caller
-    tracks; terms 2-4 cost only the Gram rows of replaced factors.
+    tracks; terms 2-4 cost one Gram product per type (`_gram_rows`).
     Non-negative and finite on valid states."""
     gram, l1 = _gram_rows(state)
     gap, penalty = _weight_forms(state, gram)[0](state.mu)
@@ -343,20 +342,19 @@ def update_factor(state, m, i, mttkrp, gram):
             f"non-finite factor update for motif {state.motif_names[m]!r} position {i} "
             f"(max factor entry {v.max():.3e}, max numerator {num.max():.3e})"
         )
-    state.factors[m][i] = updated
-    return updated
+    return state.set_factor(m, i, updated)
 
 
 def _sweep(state, m):
     """Update every factor of motif m once, in position order, and return
     m's residual afterwards. The MTTKRPs share one cache dict, fresh per
-    sweep; `update_factor` replaces each factor it moves, so each node of
-    the tensor's dimension tree is computed once per sweep. The residual
-    comes from the MTTKRP and Gram product of the last update: no other
-    factor of m moves after they are computed."""
-    x, factors = state.tensors[m], state.factors[m]
-    cache = {}
-    for i in range(len(factors)):
+    sweep, and each update installs a new factor object, so each node of the
+    tensor's dimension tree is computed once per sweep. The residual comes
+    from the MTTKRP and Gram product of the last update, after which no
+    factor of m moves."""
+    x, cache = state.tensors[m], {}
+    for i in range(x.order):
+        factors = state.factors[m]  # each update installs a new tuple
         mttkrp, gram = mttkrp_sparse(x, factors, i, cache=cache), gram_hadamard(factors, i)
         updated = update_factor(state, m, i, mttkrp, gram)
     return residual_from_mode(x, updated, mttkrp, gram)
@@ -434,10 +432,9 @@ def fit(state):
     evaluates each state's objective once: a motif's sweeps start from the
     last value computed before them, and the weight step returns the terms
     at the weights it reaches. A sweep of motif m moves only m's factors, so
-    each evaluation after it recomputes only m's Gram rows, and the weight
-    step none; and m's residual, cached per motif from one pass over the
-    nonzeros at the start, is replaced by the one the sweep's own kernels
-    give, while no other motif's goes stale."""
+    m's residual, cached per motif from one pass over the nonzeros at the
+    start, is replaced by the one the sweep's own kernels give, while no
+    other motif's goes stale."""
     h = state.hyper
     history = []
     residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]

@@ -239,9 +239,9 @@ def mttkrp_sparse(x, factors, mode, cache=None):
 
     `cache` is a dict that calls may share. It keeps each node's partial
     with its inputs, the tensor and the factor objects outside the node's
-    range, and serves it while each input is the same object; callers
-    replace factors rather than write into them. Any call sequence then
-    returns the cache-free results bit for bit, and a Gauss-Seidel sweep
+    range, and serves it while each input is the same object; a caller that
+    changes a factor's values passes a new object for it. Any call sequence
+    then returns the cache-free results bit for bit, and a Gauss-Seidel sweep
     (ascending modes, factors[i] replaced after mode i) computes each node once.
     """
     c = _check_factors(x, factors)

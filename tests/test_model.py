@@ -19,7 +19,7 @@ from motifclust.model import (
     project_simplex,
 )
 from motifclust.motifs import enumerate_instances, parse_motif, transcribe
-from motifclust.tensors import SparseTensor
+from motifclust.tensors import SparseTensor, mttkrp_sparse
 
 from conftest import random_state
 from oracles import (
@@ -204,22 +204,22 @@ class TestModelState:
         factor[0, 0] = mask[0, 0] = 2.0  # the caller's arrays stay its own
         assert state.factors[0][0][0, 0] == 1.0 and state.masks[0][0, 0] == 0.0
         update_factor_fresh(state, 1, 0)
-        assigned = state.factors[0][0] = np.full((2, 3), 0.5)
-        objective_from_scratch(state)  # the Gram rows now hold both new factors
+        assigned = state.set_factor(0, 0, np.full((2, 3), 0.5))
+        objective_from_scratch(state)
         for s in (state, state.copy()):
             for f in (s.factors[0][0], s.factors[1][0]):
                 with pytest.raises(ValueError, match="read-only"):
                     f[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
                 s.masks[0][1, 1] = 1.0
-        assert state.factors[0][0] is assigned
+        assert state.factors[0][0] is assigned and np.all(assigned == 0.5)
 
 
 class TestGramRows:
-    """`_gram_rows` keeps each position's Gram rows with its factor object;
-    the forms they give must equal those of a fresh copy of the state, to
-    the tolerances of `test_weight_forms_equal_coupling_terms`, after any
-    replacement: one position, one motif's, any set of them, or all."""
+    """The forms `_gram_rows` gives from the stacks must equal those of a
+    fresh copy of the state, to the tolerances of
+    `test_weight_forms_equal_coupling_terms`, after any replacement: one
+    position, one motif's, any set of them, or all."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -246,7 +246,7 @@ class TestGramRows:
                 chosen = positions
             for m, i in chosen:
                 f = state.factors[m][i]
-                state.factors[m][i] = f * rng.uniform(0.5, 2.0, f.shape)
+                state.set_factor(m, i, f * rng.uniform(0.5, 2.0, f.shape))
             fresh = state.copy()
             coupling, gradient = model._weight_forms(state)
             want_coupling, want_gradient = model._weight_forms(fresh)
@@ -263,30 +263,69 @@ class TestGramRows:
             np.testing.assert_allclose(got, objective_from_scratch(fresh).l1, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got, l1, rtol=1e-12, atol=0)
 
-    def test_no_product_without_a_replacement(self):
-        """Once the rows are kept, the objective, the forms and a weight step
-        compute no Gram product until a factor is replaced; then one."""
-        products = []
 
-        class CountingRows(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    products.append(ufunc)
-                inputs = [a.view(np.ndarray) if isinstance(a, CountingRows) else a for a in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
+class TestFactorStacks:
+    """Each factor lives once, as a row of its type's stack; factors[m][i]
+    is a read-only view of it and `set_factor` the one writer."""
 
-        state = repeated_type_state(np.random.default_rng(7), with_mask=True)
+    def test_sweep_equals_cache_free_updates(self):
+        """A sweep's shared MTTKRP cache keeps old view objects, which share
+        memory with the rows written since; its updates must still equal
+        those made with cache-free MTTKRPs bit for bit, on repeated types."""
+        state = repeated_type_state(np.random.default_rng(12), with_mask=True)
+        ref = state.copy()
+        for _ in range(3):
+            for m in range(state.n_motifs()):
+                model._sweep(state, m)
+                for i in range(len(ref.motif_types[m])):
+                    update_factor_fresh(ref, m, i)
+                for f, want in zip(state.factors[m], ref.factors[m]):
+                    assert np.array_equal(f, want)
+
+    def test_shared_cache_sees_every_write(self):
+        """MTTKRPs sharing one cache across `set_factor` calls equal
+        cache-free ones: the new view object misses every kept partial."""
+        state = repeated_type_state(np.random.default_rng(13), with_mask=False)
+        x, cache = state.tensors[0], {}
+        rng = np.random.default_rng(14)
+        for _ in range(4):
+            for i in range(x.order):
+                got = mttkrp_sparse(x, state.factors[0], i, cache=cache)
+                assert np.array_equal(got, mttkrp_sparse(x, state.factors[0], i))
+            i = int(rng.integers(x.order))
+            f = state.factors[0][i]
+            state.set_factor(0, i, f * rng.uniform(0.5, 2.0, f.shape))
+
+    def test_copy_shares_no_stack(self):
+        state = repeated_type_state(np.random.default_rng(15), with_mask=True)
+        before = [[f.copy() for f in fs] for fs in state.factors]
         terms = objective_from_scratch(state)
-        per_type, gram, l1 = state.gram_cache
-        per_type = {t: (held, rows.view(CountingRows)) for t, (held, rows) in per_type.items()}
-        state.gram_cache = per_type, gram, l1
+        twin = state.copy()
+        for t, stack in state.stacks.items():
+            assert not np.shares_memory(stack, twin.stacks[t])
+        for m, i in twin.slots:
+            twin.set_factor(m, i, 2.0 * twin.factors[m][i])
+        update_factor_fresh(twin, 0, 1)
+        for fs, want in zip(state.factors, before):
+            for f, w in zip(fs, want):
+                assert np.array_equal(f, w)
         assert objective_from_scratch(state) == terms
-        optimize_motif_weights(state, terms)
-        motif_weight_gradient(state)
-        assert products == []
-        state.factors[1][0] = state.factors[1][0] * 0.5
-        objective_from_scratch(state)
-        assert products == [np.matmul]
+
+    def test_factors_are_read_only_views_of_the_stacks(self):
+        state = repeated_type_state(np.random.default_rng(16), with_mask=True)
+        update_factor_fresh(state, 0, 2)
+        with pytest.raises(TypeError):
+            state.factors[0][0] = np.ones_like(state.factors[0][0])
+        with pytest.raises(TypeError):
+            state.factors[0] = state.factors[1]
+        for t, rows in state.layout.items():
+            with pytest.raises(ValueError, match="read-only"):
+                state.stacks[t][0, 0, 0] = 1.0
+            for j, (m, i, _) in enumerate(rows):
+                f = state.factors[m][i]
+                assert not f.flags.writeable and np.shares_memory(f, state.stacks[t][j])
+        with pytest.raises(ValueError, match=r"position 1 has shape \(3,\), expected \(3, 5\)"):
+            state.set_factor(0, 1, np.ones(3))
 
 
 class TestConsensus:
@@ -379,7 +418,8 @@ class TestObjective:
     def test_zero_factors_leave_tensor_norms(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, hyper_overrides={"l1_weight": 1e-3})
-        state.factors = [[np.zeros_like(f) for f in fs] for fs in state.factors]
+        for m, i in state.slots:
+            state.set_factor(m, i, np.zeros_like(state.factors[m][i]))
         terms = objective_from_scratch(state)
         expected = sum(t.nnz for t in state.tensors)  # binary tensors
         assert terms.residual == pytest.approx(expected)
@@ -476,7 +516,7 @@ class TestUpdateFactor:
         f = state.factors[0][0].copy()
         f[0, :] = 0.0
         f[:, 0] = 0.0
-        state.factors[0][0] = f
+        state.set_factor(0, 0, f)
         for _ in range(3):
             for m in range(state.n_motifs()):
                 for i in range(len(state.motif_types[m])):
@@ -742,7 +782,8 @@ class TestAssign:
         rng = np.random.default_rng(21)
         state = random_state(rng)
         base = {t: a.labels.copy() for t, a in assign_clusters(state).items()}
-        state.factors = [[37.5 * f for f in fs] for fs in state.factors]
+        for m, i in state.slots:
+            state.set_factor(m, i, 37.5 * state.factors[m][i])
         scaled = assign_clusters(state)
         for t in base:
             np.testing.assert_array_equal(base[t], scaled[t].labels)

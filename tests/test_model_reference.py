@@ -120,8 +120,7 @@ def reference_update_factor(state, m, i, mttkrp=None, gram=None):
             f"non-finite factor update for motif {state.motif_names[m]!r} position {i} "
             f"(max factor entry {v.max():.3e}, max numerator {num.max():.3e})"
         )
-    state.factors[m][i] = updated
-    return updated
+    return state.set_factor(m, i, updated)
 
 
 def reference_labels(state):
