@@ -39,6 +39,8 @@ from .tensors import SparseTensor, _first_of_runs, _packed
 
 log = logging.getLogger(__name__)
 
+READ_BLOCK_CHARS = 1 << 16  # `_read_lines` holds the lines of one block at a time
+
 
 @dataclass(frozen=True)
 class EdgeType:
@@ -210,9 +212,15 @@ def _csr(rows, cols, n_rows, n_cols):
 
 
 def _read_lines(path):
+    """(line number, line) pairs of a text file, newlines translated, by blocks split on "\n"."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, raw.rstrip("\n")
+        count, tail = 0, ""
+        while block := fh.read(READ_BLOCK_CHARS):
+            *lines, tail = (tail + block).split("\n")
+            yield from enumerate(lines, start=count + 1)
+            count += len(lines)
+    if tail:
+        yield count + 1, tail
 
 
 def load_hin(nodes_path, edges_path):

@@ -132,23 +132,23 @@ class TypeAssignment:
     zero_columns: np.ndarray  # nodes whose consensus column is all zero
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: a mutable state with array fields
 class ModelState:
     """Everything the optimizer mutates, tied together and shape-checked.
 
     motif_types[m][i] is the node-type id of motif m's i-th position. masks
     maps a type id to its (C, |V_t|) binary seed mask, a read-only copy.
 
-    layout[t] holds one (m, i, k) row per position of type t, in motif then
-    position order, where motif m has k positions of type t; position (m, i)
-    enters the consensus of type t with coefficient mu[m] / k. weight_map is
-    the (P, n) matrix of those coefficients over all P layout rows, types
-    ascending: 1/k at (row, m), so that weight_map @ mu lists them. The rows
-    of type t are the slice blocks[t], and type_count[r] counts the rows of
-    r's type. stacks[t], a (P_t, C, |V_t|) array with rows in layout[t]
-    order, is the one storage of type t's factors: it and factors[m][i], a
-    view of its row in per-motif tuples, are read-only, and `set_factor`,
-    which writes through `slots`, is the one writer.
+    layout[t], a read-only (P_t, 3) integer array, has one (m, i, k) row per
+    position of type t, in motif then position order, where motif m has k
+    positions of type t; (m, i) has coefficient mu[m] / k in t's consensus.
+    weight_map is the (P, n) matrix of those coefficients over all P layout
+    rows, types ascending: 1/k at (row, m), so that weight_map @ mu lists
+    them. The rows of type t are the slice blocks[t], and type_count[r]
+    counts the rows of r's type. stacks[t], a (P_t, C, |V_t|) array with
+    rows in layout[t] order, is the one storage of type t's factors: it and
+    factors[m][i], a view of its row in per-motif tuples, are read-only, and
+    `set_factor`, which writes through `slots`, is the one writer.
     """
 
     motif_names: list[str]
@@ -159,7 +159,7 @@ class ModelState:
     masks: dict[int, np.ndarray]
     hyper: Hyperparameters
     type_sizes: dict[int, int] = field(init=False)
-    layout: dict[int, list[tuple[int, int, int]]] = field(init=False)
+    layout: dict[int, np.ndarray] = field(init=False)
     weight_map: np.ndarray = field(init=False)
     blocks: dict[int, slice] = field(init=False)
     type_count: np.ndarray = field(init=False)
@@ -178,7 +178,7 @@ class ModelState:
         if not np.all(np.isfinite(self.mu)) or self.mu.min() < 0 or abs(self.mu.sum() - 1.0) > 1e-9:
             raise ValueError("motif weights must be finite and lie on the standard simplex")
         self.type_sizes = {}
-        self.layout = {}
+        positions = {}  # type -> its (m, i, k) rows
         for m in range(n):
             types = self.motif_types[m]
             if self.tensors[m].order != len(types) or len(self.factors[m]) != len(types):
@@ -187,7 +187,7 @@ class ModelState:
                 d = self.tensors[m].dims[i]
                 if self.type_sizes.setdefault(t, d) != d:
                     raise ValueError(f"type {t} has inconsistent node counts across tensors")
-                self.layout.setdefault(t, []).append((m, i, types.count(t)))
+                positions.setdefault(t, []).append((m, i, types.count(t)))
         for t, mask in self.masks.items():
             mask.flags.writeable = False
             if t not in self.type_sizes:
@@ -197,8 +197,8 @@ class ModelState:
             cols = mask.sum(axis=0)
             if not np.all(np.isin(mask, (0.0, 1.0))) or not np.all(np.isin(cols, (0, c - 1))):
                 raise ValueError("mask columns must be all-zero or have exactly C-1 ones")
-        self.layout = dict(sorted(self.layout.items()))
-        motif, k = np.array([(m, k) for rs in self.layout.values() for m, _, k in rs]).T
+        self.layout = {t: as_strided(np.array(positions[t]), writeable=False) for t in sorted(positions)}
+        motif, _, k = np.concatenate(list(self.layout.values())).T
         self.weight_map = np.eye(n)[motif] / k[:, None]
         sizes = [len(rs) for rs in self.layout.values()]
         self.blocks = {t: slice(e - p, e) for t, p, e in zip(self.layout, sizes, np.cumsum(sizes))}
@@ -206,7 +206,7 @@ class ModelState:
         writable = {t: np.empty((len(rs), c, self.type_sizes[t])) for t, rs in self.layout.items()}
         self.stacks = {t: as_strided(w, writeable=False) for t, w in writable.items()}  # read-only views
         self.slots = {(m, i): (writable[t], self.stacks[t], j)
-                      for t, rs in self.layout.items() for j, (m, i, _) in enumerate(rs)}
+                      for t, rs in self.layout.items() for j, (m, i, _) in enumerate(rs.tolist())}
         given, self.factors = self.factors, tuple(map(tuple, self.factors))
         for m, i in self.slots:
             self.set_factor(m, i, np.asarray(given[m][i]))
@@ -224,7 +224,7 @@ class ModelState:
 
     def contributors(self, t):
         """(motif, position) pairs whose factor feeds the consensus of type t."""
-        return [(m, i) for m, i, _ in self.layout.get(t, ())]
+        return [(m, i) for m, i, _ in self.layout[t].tolist()] if t in self.layout else []
 
     def copy(self):
         return replace(self)  # `__post_init__` copies the arrays into new stacks
@@ -245,13 +245,11 @@ class ModelState:
 
 
 def consensus(state, t):
-    """Coefficient-weighted sum of all factors of type t."""
+    """Coefficient-weighted sum of type t's factors, one reduction of its stack."""
     if t not in state.layout:
         raise ValueError(f"type {t} appears in no motif and cannot be clustered")
-    out = np.zeros((state.hyper.n_clusters, state.type_sizes[t]))
-    for m, i, k in state.layout[t]:
-        out += float(state.mu[m]) / k * state.factors[m][i]
-    return out
+    m, _, k = state.layout[t].T
+    return ((state.mu[m] / k)[:, None, None] * state.stacks[t]).sum(axis=0)
 
 
 def _gram_rows(state):
@@ -308,14 +306,14 @@ def update_factor(state, m, i, mttkrp, gram):
     """One multiplicative update of factor (m, i); never increases the
     objective and keeps exact zeros at zero. Returns the updated matrix.
     `mttkrp` (d, C) and `gram` (C, C) are mode i's `mttkrp_sparse` and
-    `gram_hadamard` of motif m at the current factors. Each other
-    position r of the type adds eta times the positive part of
-    diff = V_r - (cons - eta*v) to the numerator, and eta times its negative
-    part (the positive part minus diff) plus eta*v to the denominator."""
+    `gram_hadamard` of motif m at the current factors. Each other row r of
+    the type's stack adds eta times the positive part of diff = V_r - (cons
+    - eta*v) to the numerator, and eta times its negative part (the positive
+    part minus diff) plus eta*v to the denominator, summed along the stack."""
     h = state.hyper
     t = state.motif_types[m][i]
-    rows = state.layout[t]
-    eta = float(state.mu[m]) / state.motif_types[m].count(t)
+    _, stack, j = state.slots[m, i]
+    eta = float(state.mu[m] / state.layout[t][j, 2])
     v = state.factors[m][i]
     cons = consensus(state, t)
     theta = h.consensus_weight
@@ -324,15 +322,16 @@ def update_factor(state, m, i, mttkrp, gram):
     num = mttkrp.T.copy()
     num += theta * (1.0 - eta) * rest
     den = gram @ v
-    den += theta * ((1.0 - eta) ** 2 + (len(rows) - 1) * eta**2) * v
+    den += theta * ((1.0 - eta) ** 2 + (len(stack) - 1) * eta**2) * v
     mask = state.masks.get(t)
     if mask is not None:
         den += h.mask_penalty * eta * (mask * cons)
-    if len(rows) > 1:
-        diffs = [state.factors[m2][i2] - rest for m2, i2, _ in rows if (m2, i2) != (m, i)]
-        pos = sum(np.maximum(diff, 0.0) for diff in diffs)
+    if len(stack) > 1:
+        diffs = stack - rest
+        diffs[j] = 0.0
+        pos = np.maximum(diffs, 0.0).sum(axis=0)
         num += theta * eta * pos
-        den += theta * eta * (pos - sum(diffs))
+        den += theta * eta * (pos - diffs.sum(axis=0))
     den += h.l1_weight + EPS_DIV
     np.maximum(num, 0.0, out=num)  # cons - eta*v is >= 0 up to roundoff
 
@@ -490,11 +489,11 @@ def assign_clusters(state):
 def init_model(hin, motifs, tensors, seeds, hyper):
     """Assemble a ready-to-fit state from parsed motifs and their tensors.
 
-    seeds maps node id to cluster index. Factors start i.i.d. uniform on
-    (0.1, 1.1) (strictly positive, since multiplicative updates lock zeros)
-    drawn from init_seed; weights start uniform. Each seed then sets its
-    column of its type's mask and scales its permitted-cluster entry of every
-    factor of its type by seed_boost (exact at the default 1)."""
+    seeds maps node id to cluster index; each seed sets its column of its
+    type's mask. Factors start i.i.d. uniform on (0.1, 1.1) (strictly
+    positive, since multiplicative updates lock zeros), drawn from init_seed,
+    times seed_boost at each seed's permitted-cluster entry (exact at the
+    default 1); weights start uniform."""
     if len(motifs) != len(tensors):
         raise ValueError("one tensor per motif is required")
     for motif, tensor in zip(motifs, tensors):
@@ -503,27 +502,26 @@ def init_model(hin, motifs, tensors, seeds, hyper):
             raise ValueError(
                 f"tensor dims {tensor.dims} do not match motif {motif.name!r} dims {expected}"
             )
-    rng = np.random.default_rng(hyper.init_seed)
-    factors = [
-        [rng.uniform(0.1, 1.1, size=(hyper.n_clusters, hin.num_nodes(t))) for t in motif.node_types]
-        for motif in motifs
-    ]
+    c, covered = hyper.n_clusters, {t for motif in motifs for t in motif.node_types}
     masks = {}
     for node_id, label in seeds.items():
         t, j = hin.lookup(node_id)
-        of_type = [f for motif, fs in zip(motifs, factors) for u, f in zip(motif.node_types, fs) if u == t]
-        if not of_type:
+        if t not in covered:
             raise ValueError(
                 f"seed node {node_id!r} has type {hin.type_names[t]!r}, which no motif covers"
             )
-        if not 0 <= label < hyper.n_clusters:
-            raise ValueError(f"seed node {node_id!r}: label {label} outside 0..{hyper.n_clusters - 1}")
-        if t not in masks:
-            masks[t] = np.zeros(of_type[0].shape)
-        masks[t][:, j] = 1.0
-        masks[t][label, j] = 0.0
-        for f in of_type:
-            f[label, j] *= hyper.seed_boost
+        if not 0 <= label < c:
+            raise ValueError(f"seed node {node_id!r}: label {label} outside 0..{c - 1}")
+        mask = masks.setdefault(t, np.zeros((c, hin.num_nodes(t))))
+        mask[:, j] = 1.0
+        mask[label, j] = 0.0
+    boost = {t: np.where(mask.any(axis=0) & (mask == 0.0), hyper.seed_boost, 1.0)
+             for t, mask in masks.items()}  # seed_boost at each seed's permitted cluster
+    rng = np.random.default_rng(hyper.init_seed)
+    factors = [
+        [rng.uniform(0.1, 1.1, size=(c, hin.num_nodes(t))) * boost.get(t, 1.0) for t in motif.node_types]
+        for motif in motifs
+    ]
     return ModelState(
         motif_names=[m.name for m in motifs],
         motif_types=[m.node_types for m in motifs],

@@ -6,7 +6,7 @@ verification only and are not part of the package.
 
 import numpy as np
 
-from motifclust.model import ModelState, objective, update_factor
+from motifclust.model import EPS_DIV, ModelState, objective, update_factor
 from motifclust.planted import _sample_tuples
 from motifclust.tensors import (
     WRITE_BLOCK_ROWS,
@@ -153,6 +153,75 @@ def update_factor_fresh(state, m, i):
     return update_factor(state, m, i, mttkrp_sparse(x, factors, i), gram_hadamard(factors, i))
 
 
+def consensus_loop(state, t):
+    """`consensus` as a loop over the type's positions in layout order, each
+    factor scaled by mu[m] / k and added to a running sum from zero."""
+    out = np.zeros((state.hyper.n_clusters, state.type_sizes[t]))
+    for m, i, k in state.layout[t].tolist():
+        out += float(state.mu[m]) / k * state.factors[m][i]
+    return out
+
+
+def update_factor_loop(state, m, i, mttkrp, gram):
+    """`update_factor` with one difference array per other position of the
+    type, their positive parts and the differences summed by `sum` from 0,
+    the consensus from `consensus_loop` and eta from the motif's count of
+    the type. The library's stacked update must equal it bit for bit."""
+    h = state.hyper
+    t = state.motif_types[m][i]
+    others = [(m2, i2) for m2, i2 in state.contributors(t) if (m2, i2) != (m, i)]
+    eta = float(state.mu[m]) / state.motif_types[m].count(t)
+    v = state.factors[m][i]
+    cons = consensus_loop(state, t)
+    theta = h.consensus_weight
+
+    rest = cons - eta * v
+    num = mttkrp.T.copy()
+    num += theta * (1.0 - eta) * rest
+    den = gram @ v
+    den += theta * ((1.0 - eta) ** 2 + len(others) * eta**2) * v
+    mask = state.masks.get(t)
+    if mask is not None:
+        den += h.mask_penalty * eta * (mask * cons)
+    if others:
+        diffs = [state.factors[m2][i2] - rest for m2, i2 in others]
+        pos = sum(np.maximum(diff, 0.0) for diff in diffs)
+        num += theta * eta * pos
+        den += theta * eta * (pos - sum(diffs))
+    den += h.l1_weight + EPS_DIV
+    np.maximum(num, 0.0, out=num)
+    return state.set_factor(m, i, v * np.sqrt(num / den))
+
+
+def init_model_per_seed(hin, motifs, tensors, seeds, hyper):
+    """`init_model` for valid seeds with the factors drawn first: each seed
+    then scans every motif position for the factors of its type and scales
+    its permitted-cluster entry in each of them by seed_boost."""
+    rng = np.random.default_rng(hyper.init_seed)
+    factors = [
+        [rng.uniform(0.1, 1.1, size=(hyper.n_clusters, hin.num_nodes(t))) for t in motif.node_types]
+        for motif in motifs
+    ]
+    masks = {}
+    for node_id, label in seeds.items():
+        t, j = hin.lookup(node_id)
+        of_type = [f for motif, fs in zip(motifs, factors) for u, f in zip(motif.node_types, fs) if u == t]
+        mask = masks.setdefault(t, np.zeros(of_type[0].shape))
+        mask[:, j] = 1.0
+        mask[label, j] = 0.0
+        for f in of_type:
+            f[label, j] *= hyper.seed_boost
+    return ModelState(
+        motif_names=[m.name for m in motifs],
+        motif_types=[m.node_types for m in motifs],
+        tensors=list(tensors),
+        factors=factors,
+        mu=np.full(len(motifs), 1.0 / len(motifs)),
+        masks=masks,
+        hyper=hyper,
+    )
+
+
 def init_model_two_pass(hin, motifs, tensors, seeds, hyper):
     """`init_model` for valid seeds as two passes: the seeds are grouped by
     type and made into masks before the factors are drawn, and a second loop
@@ -186,6 +255,14 @@ def init_model_two_pass(hin, motifs, tensors, seeds, hyper):
         masks=masks,
         hyper=hyper,
     )
+
+
+def read_lines_by_iteration(path):
+    """`hin._read_lines` as iteration over the open text file, one line at a
+    time, with its newline stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, raw.rstrip("\n")
 
 
 def coupling_terms(state, mu):

@@ -5,10 +5,12 @@ import logging
 import numpy as np
 import pytest
 
+import motifclust.hin as hin_module
 from motifclust.hin import (
     HIN,
     EdgeError,
     EdgeType,
+    _read_lines,
     load_hin,
     orient,
     read_snapshot,
@@ -20,7 +22,25 @@ from motifclust.planted import PlantedConfig, default_templates, generate_plante
 from motifclust.tensors import SparseTensor
 
 from conftest import TOY_EDGES, TOY_NODES, old_layout_snapshot
-from oracles import admit_edges, adjacency_pairs, edge_rows
+from oracles import admit_edges, adjacency_pairs, edge_rows, read_lines_by_iteration
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"\n", b"a\tb\r\nc\r\n", b"a\rb\r", b"a\nb", b"a\n\n\nb\r\n\r\n", b"\r\r\n\n\r",
+     b"x\ty\n# note\n\n\xc3\xa9\t\x0b\x1c\xe2\x80\xa8z"],
+    ids=["empty", "newline", "crlf", "lone_cr", "no_final_newline", "blank_lines", "mixed", "other_breaks"],
+)
+def test_read_lines_equals_line_iteration(tmp_path, monkeypatch, data, block):
+    """Reading in blocks and splitting on newlines gives the (line number,
+    line) pairs of iterating the file: universal newlines, also where a
+    block ends between CR and LF, no line for a final newline, and Unicode
+    line breaks other than newlines kept inside a line."""
+    path = tmp_path / "f.tsv"
+    path.write_bytes(data)
+    monkeypatch.setattr(hin_module, "READ_BLOCK_CHARS", block)
+    assert list(_read_lines(path)) == list(read_lines_by_iteration(path))
 
 
 def write_pair(tmp_path, nodes, edges):

@@ -23,8 +23,8 @@ from motifclust.tensors import SparseTensor, mttkrp_sparse
 
 from conftest import random_state
 from oracles import (
-    coupling_terms, dense_reconstruct, from_tuples, init_model_two_pass, neg_part,
-    objective_from_scratch, pos_part, todense, update_factor_fresh,
+    coupling_terms, dense_reconstruct, from_tuples, init_model_per_seed, init_model_two_pass,
+    neg_part, objective_from_scratch, pos_part, todense, update_factor_fresh,
 )
 from test_model_reference import gram_trace, repeated_type_state, states
 
@@ -406,7 +406,7 @@ class TestConsensus:
                 ]
                 for t in state.clustered_types()
             }
-            assert state.layout == expected
+            assert {t: list(map(tuple, rows.tolist())) for t, rows in state.layout.items()} == expected
             coeffs = [state.mu[m] / k for t in sorted(expected) for m, _, k in expected[t]]
             np.testing.assert_allclose(state.weight_map @ state.mu, coeffs, rtol=1e-15, atol=0)
             for t in state.clustered_types():
@@ -904,6 +904,30 @@ class TestInitModel:
             for t in got.masks:
                 np.testing.assert_array_equal(got.masks[t], want.masks[t])
             np.testing.assert_array_equal(got.mu, want.mu)
+
+    @pytest.mark.parametrize("seed_boost", [1.0, 3.7, 10])
+    def test_equals_per_seed_boost(self, toy_paths, seed_boost):
+        """The factors equal, bit for bit, draws that each seed's boost
+        scales in place, one seed and one factor of its type at a time."""
+        from motifclust.hin import load_hin
+
+        hin = load_hin(*toy_paths)
+        motifs, tensors = self._three_motifs(hin)
+        nodes = [n for t in "APT" for n in hin.nodes_of_type(hin.type_id(t))]
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            c = int(rng.integers(2, 5))
+            chosen = rng.choice(nodes, size=int(rng.integers(0, len(nodes) + 1)), replace=False)
+            seeds = {str(n): int(rng.integers(c)) for n in chosen}
+            hyper = Hyperparameters(
+                n_clusters=c, init_seed=int(rng.integers(100)), seed_boost=seed_boost
+            )
+            got = init_model(hin, motifs, tensors, seeds, hyper)
+            want = init_model_per_seed(hin, motifs, tensors, seeds, hyper)
+            for t, stack in got.stacks.items():
+                assert stack.tobytes() == want.stacks[t].tobytes()
+            assert {t: m.tobytes() for t, m in got.masks.items()} == {
+                t: m.tobytes() for t, m in want.masks.items()}
 
     def test_seed_boosts_every_factor_of_its_type_once(self, toy_paths):
         from motifclust.hin import load_hin

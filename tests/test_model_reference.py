@@ -17,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motifclust.model as model
 from motifclust.model import (
@@ -30,8 +32,8 @@ from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, resid
 
 from conftest import random_sparse_tensor, random_state
 from oracles import (
-    coupling_terms, dense_reconstruct, from_tuples, neg_part, objective_from_scratch, pos_part,
-    update_factor_fresh,
+    consensus_loop, coupling_terms, dense_reconstruct, from_tuples, neg_part,
+    objective_from_scratch, pos_part, update_factor_fresh, update_factor_loop,
 )
 
 
@@ -263,6 +265,76 @@ def test_consensus_and_gradient_equal_reference(state):
         motif_weight_gradient(state), reference_motif_weight_gradient(state),
         rtol=1e-12, atol=1e-12 * scale,
     )
+
+
+@st.composite
+def stacked_states(draw):
+    """Motif 0 holds type 0 three times (k = 3) and type 2, which no other
+    motif holds (a single-position type); up to four more motifs over types
+    0 and 1 give type 0 as many as 15 positions. Type 0 is masked, type 2
+    is not, and type 1 may be. Some factors are all zero, some factors have
+    zero rows, and a motif weight may be 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(2, 5))
+    sizes = {t: draw(st.integers(1, 7)) for t in range(3)}
+    extra = draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3), max_size=4))
+    motif_types = [(0, 1, 0, 0, 2), *map(tuple, extra)]
+    factors = [[rng.uniform(0.1, 1.1, (c, sizes[t])) for t in ts] for ts in motif_types]
+    for f in (f for fs in factors for f in fs):
+        f[rng.random(c) < 0.2] = 0.0
+        f *= rng.random() >= 0.15
+    masks = {}
+    for t in (0, 1) if draw(st.booleans()) else (0,):
+        masks[t] = np.zeros((c, sizes[t]))
+        for j in rng.choice(sizes[t], size=int(rng.integers(1, sizes[t] + 1)), replace=False):
+            masks[t][:, j] = 1.0
+            masks[t][rng.integers(c), j] = 0.0
+    mu = rng.dirichlet(np.ones(len(motif_types)))
+    if len(mu) > 1 and draw(st.booleans()):
+        mu[int(rng.integers(len(mu)))] = 0.0
+        mu /= mu.sum()
+    return ModelState(
+        motif_names=[f"m{m}" for m in range(len(motif_types))],
+        motif_types=motif_types,
+        tensors=[random_sparse_tensor(rng, tuple(sizes[t] for t in ts), 6) for ts in motif_types],
+        factors=factors,
+        mu=mu,
+        masks=masks,
+        hyper=Hyperparameters(
+            n_clusters=c, consensus_weight=float(rng.uniform(0.2, 2.0)),
+            mask_penalty=float(rng.uniform(1.0, 100.0)), l1_weight=float(10.0 ** rng.uniform(-5, -2)),
+        ),
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_states())
+def test_stacked_consensus_and_update_equal_position_loops(state):
+    """The stacked consensus and factor update equal the per-position loops
+    of `tests/oracles.py` bit for bit, signed zeros included, over two
+    rounds of updates of every factor."""
+    assert all(not rows.flags.writeable for rows in state.layout.values())
+    for _ in range(2):
+        for m, types in enumerate(state.motif_types):
+            for t in state.clustered_types():
+                assert same_bits(model.consensus(state, t), consensus_loop(state, t))
+            for i in range(len(types)):
+                x, factors = state.tensors[m], state.factors[m]
+                kernels = mttkrp_sparse(x, factors, i), gram_hadamard(factors, i)
+                want = update_factor_loop(state.copy(), m, i, *kernels)
+                assert same_bits(model.update_factor(state, m, i, *kernels), want)
+
+
+def test_state_equality_is_identity():
+    """Comparing two states neither raises nor compares arrays."""
+    state = repeated_type_state(np.random.default_rng(12), with_mask=True)
+    twin = state.copy()
+    assert (state == twin) is False and state != twin
+    assert state == state
 
 
 def assert_history_equals_reference(history, expected, labels):
