@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -171,8 +172,21 @@ def _write_atomic(path, write):
 
 
 def _write_text(path, text):
-    """`text` as UTF-8 with no newline translation, through `_write_atomic`."""
-    _write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+    """`text` as UTF-8 with no newline translation, through `_write_atomic`, into a
+    preallocated file: ext4 then starts no write-out when the rename replaces one."""
+    data = text.encode("utf-8")
+
+    def write(tmp):
+        with open(tmp, "wb") as f:
+            if data and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(f.fileno(), 0, len(data))
+                except OSError as exc:
+                    if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):  # ENOSPC propagates
+                        raise
+            f.write(data)
+
+    _write_atomic(path, write)
 
 
 def _write_json(path, obj, **kwargs):

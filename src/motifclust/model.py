@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -94,6 +94,7 @@ class ObjectiveTerms:
     l1: float
     consensus_gap: float
     seed_penalty: float
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # G, H at these factors
 
     @property
     def total(self):
@@ -299,7 +300,7 @@ def objective(state, residual):
     Non-negative and finite on valid states."""
     gram, l1 = _gram_rows(state)
     gap, penalty = _weight_forms(state, gram)[0](state.mu)
-    return ObjectiveTerms(residual, state.hyper.l1_weight * float(l1.sum()), gap, penalty)
+    return ObjectiveTerms(residual, state.hyper.l1_weight * float(l1.sum()), gap, penalty, gram)
 
 
 def update_factor(state, m, i, mttkrp, gram):
@@ -386,10 +387,10 @@ def optimize_motif_weights(state, terms):
     iteration cap. The subproblem is convex, so this reaches its optimum.
     Factors are fixed here, so terms 1 and 2 are constant during the search,
     and the gradients and trials evaluate terms 3 and 4 on the quadratic
-    forms of `_weight_forms`, built once per call."""
+    forms of `_weight_forms`, built once per call from `terms.gram` if set."""
     h = state.hyper
     fixed = terms.residual + terms.l1
-    coupling, gradient = _weight_forms(state)
+    coupling, gradient = _weight_forms(state, terms.gram)
     prev = fixed + (terms.consensus_gap + terms.seed_penalty)  # grouped as the trials are
     for _ in range(h.max_inner_iters):
         grad = gradient(state.mu)
@@ -461,7 +462,8 @@ def fit(state):
         prev_labels, labels = labels, all_labels()
         changed = int(np.count_nonzero(labels != prev_labels))
         quiet = 0 if changed else quiet + 1
-        history.append(IterationRecord(outer, current, *astuple(terms), state.mu.copy(), changed))
+        history.append(IterationRecord(outer, current, terms.residual, terms.l1, terms.consensus_gap,
+                                       terms.seed_penalty, state.mu.copy(), changed))
         log.debug("iteration %d: objective %.12g, residual %.12g", outer, current, terms.residual)
         if abs(prev - current) <= h.outer_tol * max(prev, 1e-300):
             stop_reason = "tolerance"

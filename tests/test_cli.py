@@ -1,8 +1,10 @@
 import builtins
+import errno
 import hashlib
 import io
 import json
 import logging
+import os
 import re
 from pathlib import Path
 
@@ -805,20 +807,105 @@ class TestFit:
         labels = planted_dir / "out" / "labels.tsv"
         assert run_cli(capsys, "fit", "--config", str(config))[0] in (0, 3)
         before = labels.stat().st_ino, labels.read_bytes()
-        real = Path.write_text
+        real = builtins.open
 
-        def die_mid_labels(path, text, *args, **kwargs):
-            if path.name != "labels.tsv.tmp":
-                return real(path, text, *args, **kwargs)
-            real(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        class DiesMidWrite(io.BufferedWriter):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        def die_mid_labels(file, *args, **kwargs):
+            if not str(file).endswith("labels.tsv.tmp"):
+                return real(file, *args, **kwargs)
+            return DiesMidWrite(io.FileIO(file, "w"))
 
         with monkeypatch.context() as m:
-            m.setattr(Path, "write_text", die_mid_labels)
+            m.setattr(builtins, "open", die_mid_labels)
             code, stdout, err = run_cli(capsys, "fit", "--config", str(config))
         assert code == 1 and stdout == "" and json.loads(err)["error"] == "disk full"
         assert (labels.stat().st_ino, labels.read_bytes()) == before
         assert not list((planted_dir / "out").glob("*.tmp"))
+
+
+def enospc(fd, offset, length):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWriteText:
+    """`cli._write_text`, the writer of `fit`'s outputs, `manifest.json` and
+    `gen-planted`'s text files, preallocates its temporary file."""
+
+    OUTPUTS = ("consensus.tsv", "labels.tsv", "weights.tsv", "history.csv")
+
+    @pytest.mark.parametrize("text", ["", "a\tb\n", "h\u00e9 \u2192 \u96c6\U0001f600\n", "a\rb\r\nc\n\r", "\r\n"])
+    def test_bytes_equal_write_text(self, tmp_path, text):
+        cli._write_text(tmp_path / "got", text)
+        (tmp_path / "want").write_text(text, encoding="utf-8", newline="\n")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_no_fallocate_falls_back_to_a_plain_write(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        cli._write_text(tmp_path / "out.txt", "caf\u00e9\r\n")
+        assert (tmp_path / "out.txt").read_bytes() == "caf\u00e9\r\n".encode()
+
+    @pytest.mark.parametrize("code", [errno.EOPNOTSUPP, errno.EINVAL])
+    def test_unsupported_fallocate_falls_back_to_a_plain_write(self, tmp_path, monkeypatch, code):
+        def unsupported(fd, offset, length):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "posix_fallocate", unsupported, raising=False)
+        (tmp_path / "out.txt").write_bytes(b"old")
+        cli._write_text(tmp_path / "out.txt", "new\n")
+        assert (tmp_path / "out.txt").read_bytes() == b"new\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_no_space_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        before = target.stat().st_ino, target.read_bytes()
+        monkeypatch.setattr(os, "posix_fallocate", enospc, raising=False)
+        with pytest.raises(OSError) as info:
+            cli._write_text(target, "new\n")
+        assert info.value.errno == errno.ENOSPC
+        assert (target.stat().st_ino, target.read_bytes()) == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_no_space_fails_fit_and_keeps_its_outputs(self, planted_dir, capsys, monkeypatch):
+        config = str(planted_dir / "run.json")
+        out = planted_dir / "out"
+        assert run_cli(capsys, "fit", "--config", config)[0] in (0, 3)
+        before = {name: ((out / name).stat().st_ino, (out / name).read_bytes()) for name in self.OUTPUTS}
+        monkeypatch.setattr(os, "posix_fallocate", enospc, raising=False)
+        code, stdout, err = run_cli(capsys, "fit", "--config", config)
+        assert code == 1 and stdout == "" and json.loads(err)["type"] == "OSError"
+        assert {name: ((out / name).stat().st_ino, (out / name).read_bytes()) for name in self.OUTPUTS} == before
+        assert not list(out.glob("*.tmp"))
+
+    def test_fit_preallocates_each_output_to_its_length(self, planted_dir, capsys, monkeypatch):
+        real = getattr(os, "posix_fallocate", None)
+        allocated = {}  # inode -> (offset, length); the rename keeps the inode
+
+        def spy(fd, offset, length):
+            allocated[os.fstat(fd).st_ino] = offset, length
+            if real is not None:
+                real(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+        assert run_cli(capsys, "fit", "--config", str(planted_dir / "run.json"))[0] in (0, 3)
+        for name in self.OUTPUTS:
+            stat = (planted_dir / "out" / name).stat()
+            assert stat.st_size > 0 and allocated[stat.st_ino] == (0, stat.st_size)
+
+    def test_fits_in_a_row_give_the_same_bytes(self, planted_dir, capsys):
+        config = str(planted_dir / "run.json")
+        out = planted_dir / "out"
+        runs = []
+        for _ in range(2):
+            code, stdout, _ = run_cli(capsys, "fit", "--config", config)
+            runs.append((code, stdout, {name: (out / name).read_bytes() for name in self.OUTPUTS}))
+            assert not list(out.glob("*.tmp"))
+        assert runs[0] == runs[1]
 
 
 class TestEvaluate:

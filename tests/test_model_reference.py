@@ -440,9 +440,9 @@ def test_weight_step_builds_forms_once(monkeypatch):
     built = []
     real_forms = model._weight_forms
 
-    def counting_forms(state):
+    def counting_forms(*args):
         built.append(1)
-        return real_forms(state)
+        return real_forms(*args)
 
     def direct(*args, **kwargs):
         raise AssertionError("the weight step evaluated the direct terms")
@@ -602,3 +602,42 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     assert calls["objective"] == 1 + calls["sweeps"]
     assert calls["mttkrp"] == calls["updates"]
     assert calls["residual"] == state.n_motifs()
+
+
+def test_weight_step_takes_the_gram_rows_of_its_terms(monkeypatch):
+    """A weight step given `objective`'s terms builds its forms from the Gram
+    rows they hold, and reaches the same weights and terms, bit for bit, as
+    one that recomputes them."""
+    state = repeated_type_state(np.random.default_rng(7), with_mask=True)
+    fresh = state.copy()
+    terms = objective_from_scratch(state)
+    want = optimize_motif_weights(fresh, replace(terms, gram=None))
+
+    def direct(*args, **kwargs):
+        raise AssertionError("the weight step recomputed the Gram rows")
+
+    monkeypatch.setattr(model, "_gram_rows", direct)
+    got = optimize_motif_weights(state, terms)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(state.mu, fresh.mu)
+    assert got == want == objective_from_scratch(state)
+
+
+def test_fit_computes_the_gram_rows_once_per_objective(monkeypatch):
+    """`fit` computes each type's Gram block only in `objective`: the weight
+    step reuses the rows of the last sweep's objective, at the same factors."""
+    calls = {"objective": 0, "gram_rows": 0}
+    real_objective, real_rows = model.objective, model._gram_rows
+
+    def counting_objective(state, residual):
+        calls["objective"] += 1
+        return real_objective(state, residual)
+
+    def counting_rows(state):
+        calls["gram_rows"] += 1
+        return real_rows(state)
+
+    monkeypatch.setattr(model, "objective", counting_objective)
+    monkeypatch.setattr(model, "_gram_rows", counting_rows)
+    fit(repeated_type_state(np.random.default_rng(7), with_mask=True))
+    assert calls["gram_rows"] == calls["objective"] > 1
