@@ -197,7 +197,7 @@ def _ensure_tensors(config):
     """Return (hin, motifs, tensors), serving the graph and the tensors from
     the snapshot when it holds their keys. On a miss, every motif is
     enumerated, exported, and stored with the graph in a new snapshot, the
-    last file written."""
+    last file written; no other motif's export is left beside it."""
     keys = _key([config.nodes, config.edges]), _key(config.motifs)
     snapshot = config.tensor_dir / GRAPH_SNAPSHOT
     hin = stored = None
@@ -225,8 +225,10 @@ def _ensure_tensors(config):
                     snapshot, got, want)
     config.tensor_dir.mkdir(parents=True, exist_ok=True)
     snapshot.unlink(missing_ok=True)  # so no snapshot sits beside exports it did not write
-    for stale in config.tensor_dir.glob("*.tmp"):
-        stale.unlink()  # left by a run killed mid-write
+    exports = {f"tensor_{name}.tsv" for name in names}
+    for stale in [*config.tensor_dir.glob("*.tmp"), *config.tensor_dir.glob("tensor_*.tsv")]:
+        if stale.name not in exports:
+            stale.unlink()  # left by a run killed mid-write, or a retired motif's export
     tensors, manifest = {}, {}
     for motif in motifs:
         start = time.perf_counter()

@@ -17,12 +17,12 @@ File formats (UTF-8, LF, `#` comment lines skipped):
   edges TSV: ``src_id<TAB>dst_id<TAB>edge_type_name<TAB>d|u``
 
 `write_snapshot` stores a loaded HIN and the tensors of its motifs in one
-numpy `.npz` file, under two keys that name the files they came from: the
-graph's names as one JSON document and its edges as the `HIN.edges` array
-under one, each tensor's index and value arrays, with a JSON list of motif
-names and dims, under the other. `read_snapshot` rebuilds the HIN through
-`HIN.__init__` without parsing text, and the tensors through `SparseTensor`
-when their key matches too.
+numpy `.npz` file: one JSON header (the two keys that name the files they
+came from, the graph's names, its duplicate count and each tensor's motif
+name and dims), the `HIN.edges` array, and each tensor's index and value
+arrays. `read_snapshot` rebuilds the HIN through `HIN.__init__` without
+parsing text when the graph key matches, and the tensors through
+`SparseTensor` when the motif key matches too.
 """
 
 from __future__ import annotations
@@ -322,32 +322,33 @@ def write_hin(hin, nodes_path, edges_path):
             fh.write("\t".join((*ends, et.name, "d" if et.directed else "u")) + "\n")
 
 
-# The arrays of a snapshot: name -> (dtype, shape), None for any length. The
-# k-th tensor adds `indices{k}` and `values{k}` (see `_read_tensors`).
-SNAPSHOT_ARRAYS = {
-    "key": (np.uint8, (None,)),  # the graph key it was written under
-    "names": (np.uint8, (None,)),  # JSON [type names, node ids by type, edge types]
-    "edges": (np.int64, (None, 3)),  # `HIN.edges`
-    "duplicates": (np.int64, ()),  # `HIN.duplicates`
-    "motif_key": (np.uint8, (None,)),  # the key its tensors were written under
-    "tensors": (np.uint8, (None,)),  # JSON [motif name, dims] per tensor
+# The arrays of a snapshot: name -> (dtype, shape), None for any length:
+# `header`, the ASCII bytes of one JSON object, and `HIN.edges`. The k-th
+# tensor of the header adds `indices{k}` and `values{k}`.
+SNAPSHOT_ARRAYS = {"header": (np.uint8, (None,)), "edges": (np.int64, (None, 3))}
+# The header's keys -> the type of their values: the graph key and the motif
+# key it was written under, the type names, the node ids of each type,
+# `[name, directed, src type, dst type]` per edge type, `HIN.duplicates`, and
+# `[motif name, dims]` per tensor.
+HEADER_TYPES = {
+    "key": str, "motif_key": str, "types": list, "nodes": list, "edge_types": list,
+    "duplicates": int, "tensors": list,
 }
 
 
 def write_snapshot(hin, tensors, path, key, motif_key):
     """Store `hin` under the string `key` and `tensors`, a dict of motif name
     to `SparseTensor`, under `motif_key`, at `path`; see `read_snapshot`."""
-    edge_types = [[et.name, et.directed, et.src_type, et.dst_type] for et in hin.edge_types]
-    names = json.dumps([hin.type_names, hin.nodes_by_type, edge_types])  # ASCII, NULs escaped
-    entries = json.dumps([[name, list(t.dims)] for name, t in tensors.items()])
-    arrays = {
-        "key": np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
-        "names": np.frombuffer(names.encode("ascii"), dtype=np.uint8),
-        "edges": hin.edges,
-        "duplicates": np.array(hin.duplicates, dtype=np.int64),
-        "motif_key": np.frombuffer(motif_key.encode("utf-8"), dtype=np.uint8),
-        "tensors": np.frombuffer(entries.encode("ascii"), dtype=np.uint8),
-    }
+    header = json.dumps({  # ASCII, NULs escaped
+        "key": key,
+        "motif_key": motif_key,
+        "types": hin.type_names,
+        "nodes": hin.nodes_by_type,
+        "edge_types": [[et.name, et.directed, et.src_type, et.dst_type] for et in hin.edge_types],
+        "duplicates": hin.duplicates,
+        "tensors": [[name, list(t.dims)] for name, t in tensors.items()],
+    })
+    arrays = {"header": np.frombuffer(header.encode("ascii"), dtype=np.uint8), "edges": hin.edges}
     for k, t in enumerate(tensors.values()):
         arrays[f"indices{k}"], arrays[f"values{k}"] = t.indices, t.values
     with open(path, "wb") as fh:
@@ -364,32 +365,6 @@ def _read_arrays(archive, specs):
     return arrays
 
 
-def _read_json(array, what):
-    try:
-        return json.loads(array.tobytes().decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{what} do not read as JSON: {exc}") from None
-
-
-def _read_tensors(archive, doc):
-    """The tensors of a snapshot `archive` whose `tensors` array is `doc`."""
-    entries = _read_json(doc, "tensors")
-    if type(entries) is not list or not all(
-        type(e) is list and [*map(type, e)] == [str, list] and all(type(d) is int for d in e[1])
-        for e in entries
-    ):
-        raise ValueError("tensors are not [motif name, dims] per tensor")
-    tensors = {}
-    for k, (name, dims) in enumerate(entries):
-        specs = {f"indices{k}": (np.int32, (None, len(dims))), f"values{k}": (np.float64, (None,))}
-        indices, values = _read_arrays(archive, specs).values()
-        try:
-            tensors[name] = SparseTensor(dims, indices, values)
-        except ValueError as exc:
-            raise ValueError(f"tensor {name!r}: {exc}") from None
-    return tensors
-
-
 def read_snapshot(path, key, motif_key, edges_path):
     """`(hin, tensors)` as `write_snapshot` stored them at `path` under `key`
     and `motif_key`: the HIN equal to the `load_hin` one it was taken from,
@@ -403,34 +378,47 @@ def read_snapshot(path, key, motif_key, edges_path):
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with archive:
-                if archive["key"].tobytes() != key.encode("utf-8"):
-                    raise ValueError("written for other graph files or another cache format")
                 arrays = _read_arrays(archive, SNAPSHOT_ARRAYS)
+                try:
+                    h = json.loads(arrays["header"].tobytes().decode("utf-8"))
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise ValueError(f"header does not read as JSON: {exc}") from None
+                if not (
+                    type(h) is dict and h.keys() == HEADER_TYPES.keys()
+                    and all(type(h[name]) is kind for name, kind in HEADER_TYPES.items())
+                    and all(type(ids) is list for ids in h["nodes"])
+                    and all(type(s) is str for strings in [h["types"], *h["nodes"]] for s in strings)
+                    and all(type(et) is list and [*map(type, et)] == [str, bool, int, int]
+                            for et in h["edge_types"])
+                    and all(type(e) is list and [*map(type, e)] == [str, list] for e in h["tensors"])
+                    and all(type(d) is int for _, dims in h["tensors"] for d in dims)
+                ):
+                    raise ValueError(f"header is not an object of {', '.join(HEADER_TYPES)} of their types")
+                if h["key"] != key:
+                    raise ValueError("written for other graph files or another cache format")
+                if h["duplicates"] < 0:
+                    raise ValueError(f"duplicates count {h['duplicates']} is negative")
                 tensors = None
-                if arrays["motif_key"].tobytes() == motif_key.encode("utf-8"):
-                    tensors = _read_tensors(archive, arrays["tensors"])
+                if h["motif_key"] == motif_key:
+                    tensors = {}
+                    for k, (name, dims) in enumerate(h["tensors"]):
+                        indices, values = _read_arrays(archive, {
+                            f"indices{k}": (np.int32, (None, len(dims))), f"values{k}": (np.float64, (None,))
+                        }).values()
+                        try:
+                            tensors[name] = SparseTensor(dims, indices, values)
+                        except ValueError as exc:
+                            raise ValueError(f"tensor {name!r}: {exc}") from None
     except (zipfile.BadZipFile, EOFError, KeyError) as exc:
         raise ValueError(f"unreadable: {exc}") from None
-    names = _read_json(arrays["names"], "names")
-    if not (
-        type(names) is list and len(names) == 3 and all(type(part) is list for part in names)
-        and all(type(ids) is list for ids in names[1])
-        and all(type(s) is str for strings in [names[0], *names[1]] for s in strings)
-        and all(type(et) is list and [*map(type, et)] == [str, bool, int, int] for et in names[2])
-    ):
-        raise ValueError("names are not [types, node ids by type, [name, directed, src, dst] per edge type]")
-    duplicates = int(arrays["duplicates"])
-    if duplicates < 0:
-        raise ValueError(f"duplicates count {duplicates} is negative")
-    type_names, nodes_by_type, edge_types = names
     # Endpoint types from the signatures turn the stored rows into admission
     # rows. An edge type id out of range reads a clipped row (the padding row
     # keeps the table non-empty), and `HIN` refuses it as unknown.
     edges = arrays["edges"]
-    ends = np.array([et[2:] for et in edge_types] + [[-1, -1]])
+    ends = np.array([et[2:] for et in h["edge_types"]] + [[-1, -1]])
     st, dt = ends.take(edges[:, 0], axis=0, mode="clip").T
     rows = np.column_stack([edges[:, 0], st, edges[:, 1], dt, edges[:, 2]])
-    hin = HIN(type_names, nodes_by_type, [EdgeType(*et) for et in edge_types], rows)
-    hin.duplicates = duplicates  # dropped from the edges file, not from `rows`
+    hin = HIN(h["types"], h["nodes"], [EdgeType(*et) for et in h["edge_types"]], rows)
+    hin.duplicates = h["duplicates"]  # dropped from the edges file, not from `rows`
     _warn_duplicates(hin, edges_path)
     return hin, tensors

@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -162,30 +163,33 @@ def generate_planted_hin(config):
         raise ValueError("seed_fraction must be in [0, 1]")
     edge_type_uses = {}  # edge type name -> (first template, its sorted end types)
     for template in config.templates:
-        count = template.instances_per_block
+        where, count = f"template {template.name!r}", template.instances_per_block
+        node_types = template.node_types
         if count is not None and (type(count) is not int or count < 0):
-            raise ValueError(
-                f"template {template.name!r}: instances_per_block must be a non-negative integer or null"
-            )
-        for t in template.node_types:
+            raise ValueError(f"{where}: instances_per_block must be a non-negative integer or null")
+        if type(template.signal) is not bool:
+            raise ValueError(f"{where}: signal must be True or False, got {template.signal!r}")
+        if not isinstance(node_types, (tuple, list)) or any(type(t) is not str for t in node_types):
+            raise ValueError(f"{where}: node_types must be a tuple of strings, got {node_types!r}")
+        for t in node_types:
             if t not in config.type_names:
-                raise ValueError(f"template {template.name!r} uses unknown type {t!r}")
-        positions = range(len(template.node_types))
+                raise ValueError(f"{where} uses unknown type {t!r}")
+        positions = range(len(node_types))
         for i, j, etname in template.edges:
+            for p in (i, j):
+                if isinstance(p, bool) or not isinstance(p, Integral):
+                    raise ValueError(f"{where}: an edge position must be an integer, got {p!r}")
             if i == j or i not in positions or j not in positions:
-                raise ValueError(f"template {template.name!r}: edge ({i}, {j}) must join "
-                                 f"two distinct positions in 0..{len(positions) - 1}")
-            ends = tuple(sorted((template.node_types[i], template.node_types[j])))
+                raise ValueError(f"{where}: edge ({i}, {j}) must join two distinct positions in "
+                                 f"0..{len(positions) - 1}")
+            ends = tuple(sorted((node_types[i], node_types[j])))
             first, first_ends = edge_type_uses.setdefault(etname, (template.name, ends))
             if ends != first_ends:
-                raise ValueError(f"edge type {etname!r} joins {'-'.join(ends)} in template "
-                                 f"{template.name!r} but {'-'.join(first_ends)} in template {first!r}")
-        worst = max(Counter(template.node_types).values())
+                raise ValueError(f"edge type {etname!r} joins {'-'.join(ends)} in {where} "
+                                 f"but {'-'.join(first_ends)} in template {first!r}")
+        worst = max(Counter(node_types).values())
         if worst > block:
-            raise ValueError(
-                f"template {template.name!r} needs {worst} distinct nodes of one "
-                f"type but blocks have only {block}"
-            )
+            raise ValueError(f"{where} needs {worst} distinct nodes of one type but blocks have only {block}")
 
     rng = np.random.default_rng(config.rng_seed)
     # Node j of every type sits in block j // block.

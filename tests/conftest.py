@@ -17,21 +17,73 @@ def random_sparse_tensor(rng, dims, nnz):
     return from_tuples(dims, map(tuple, idx))
 
 
-def old_layout_snapshot(arrays):
-    """The arrays of a graph snapshot in the layout before `names`: strings as
-    UTF-8 bytes and end offsets, node counts and edge type signatures."""
-    type_names, nodes_by_type, edge_types = json.loads(arrays["names"].tobytes())
-    strings = [*type_names, *(n for ns in nodes_by_type for n in ns), *(et[0] for et in edge_types)]
+def damage_snapshot(path, damage):
+    """Rewrite the graph snapshot at `path` as `damage(arrays, data)` of its
+    arrays and its bytes gives it: bytes as they are, a dict of arrays as an
+    `.npz` and one array as an `.npy` file."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    damaged = damage(arrays, path.read_bytes())
+    with open(path, "wb") as fh:
+        if isinstance(damaged, bytes):
+            fh.write(damaged)
+        elif isinstance(damaged, dict):
+            np.savez(fh, **damaged)
+        else:
+            np.save(fh, damaged)
+
+
+def read_header(path):
+    """The JSON header of the graph snapshot at `path`."""
+    with np.load(path) as archive:
+        return json.loads(archive["header"].tobytes())
+
+
+def header_edited(edit):
+    """A damage for `damage_snapshot` that replaces the header with
+    `edit(header)`, written as is if bytes and as JSON otherwise."""
+    def damage(arrays, data):
+        doc = edit(json.loads(arrays["header"].tobytes()))
+        raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode("ascii")
+        return dict(arrays, header=np.frombuffer(raw, dtype=np.uint8))
+    return damage
+
+
+def as_bytes(text):
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def pre_names_layout(arrays, data):
+    """A damage for `damage_snapshot`: the graph alone in the layout before
+    its names were one JSON document, with strings as UTF-8 bytes and end
+    offsets, node counts and edge type signatures."""
+    h = json.loads(arrays["header"].tobytes())
+    strings = [*h["types"], *(n for ns in h["nodes"] for n in ns), *(et[0] for et in h["edge_types"])]
     encoded = [s.encode("utf-8") for s in strings]
     return {
-        "key": arrays["key"],
+        "key": as_bytes(h["key"]),
         "strings": np.frombuffer(b"".join(encoded), dtype=np.uint8),
         "ends": np.cumsum([len(b) for b in encoded], dtype=np.int64),
-        "nodes": np.array([len(ns) for ns in nodes_by_type], dtype=np.int64),
-        "edge_types": np.array([et[1:] for et in edge_types], dtype=np.int64).reshape(-1, 3),
+        "nodes": np.array([len(ns) for ns in h["nodes"]], dtype=np.int64),
+        "edge_types": np.array([et[1:] for et in h["edge_types"]], dtype=np.int64).reshape(-1, 3),
         "edges": arrays["edges"],
-        "duplicates": arrays["duplicates"],
+        "duplicates": np.array(h["duplicates"], dtype=np.int64),
     }
+
+
+def names_layout(arrays, data):
+    """A damage for `damage_snapshot`: the layout before the header, with
+    the keys, the names, the duplicate count and the tensor list each in an
+    array of its own."""
+    h = json.loads(arrays["header"].tobytes())
+    return dict(
+        {k: v for k, v in arrays.items() if k != "header"},
+        key=as_bytes(h["key"]),
+        names=as_bytes(json.dumps([h["types"], h["nodes"], h["edge_types"]])),
+        duplicates=np.array(h["duplicates"], dtype=np.int64),
+        motif_key=as_bytes(h["motif_key"]),
+        tensors=as_bytes(json.dumps(h["tensors"])),
+    )
 
 
 def random_state(rng, n_motifs=2, max_order=4, max_dim=12, max_clusters=4,

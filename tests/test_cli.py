@@ -16,7 +16,7 @@ from motifclust.cli import RunConfig, main
 from motifclust.model import Hyperparameters
 from motifclust.tensors import SparseTensor
 
-from conftest import old_layout_snapshot
+from conftest import damage_snapshot, header_edited, names_layout, pre_names_layout, read_header
 
 PAIR = {"name": "pair", "node_types": ["A", "B"], "edges": [[0, 1, "ab"]]}
 
@@ -48,17 +48,6 @@ def key_formula(data, *names, tag=None):
         h.update((data / name).read_bytes())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def edit_snapshot(snapshot, edit):
-    """Rewrite a graph snapshot with the arrays `edit(arrays)`."""
-    with np.load(snapshot) as archive:
-        arrays = dict(archive)
-    np.savez(snapshot, **edit(arrays))
-
-
-def as_bytes(text):
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def hand_dataset(tmp_path, nodes, edges, seeds, motifs):
@@ -345,6 +334,28 @@ class TestTranscribe:
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         assert not leftover.exists()
 
+    def test_rebuild_removes_exports_of_retired_motifs(self, tmp_path, capsys, enumerated):
+        """A rebuild for motifs {pair} after {pair, quad} leaves no quad export
+        beside the new snapshot, and keeps files that are not exports."""
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        out = tmp_path / "data"
+        assert run_cli(capsys, "gen-planted", "--params", str(params), "--out", str(out))[0] == 0
+        config, tensor_dir = out / "run.json", out / "tensors"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert sorted(p.name for p in tensor_dir.iterdir()) == [
+            "graph.npz", "manifest.json", "tensor_pair.tsv", "tensor_quad.tsv"]
+        pair = (tensor_dir / "tensor_pair.tsv").read_bytes()
+        (tensor_dir / "notes.txt").write_text("kept")
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), motifs=["motif_pair.json"])))
+        code, stdout, err = run_cli(capsys, "transcribe", "--config", str(config))
+        assert code == 0 and err == "" and list(json.loads(stdout)) == ["pair"]
+        assert enumerated == ["pair", "quad", "pair"]
+        assert sorted(p.name for p in tensor_dir.iterdir()) == [
+            "graph.npz", "manifest.json", "notes.txt", "tensor_pair.tsv"]
+        assert list(json.loads((tensor_dir / "manifest.json").read_text())) == ["pair"]
+        assert (tensor_dir / "tensor_pair.tsv").read_bytes() == pair
+
     def test_key_keeps_its_formula(self, planted_dir, capsys):
         """The graph key hashes the cache format tag, then the nodes and edges
         files; the motif key the tag, then the motif files in config order."""
@@ -355,25 +366,27 @@ class TestTranscribe:
                                          name="ab")))
         cfg_path.write_text(json.dumps(dict(config, motifs=["motif_pair.json", "motif_ab.json"])))
         assert run_cli(capsys, "transcribe", "--config", str(cfg_path))[0] == 0
-        with np.load(planted_dir / "tensors" / "graph.npz") as archive:
-            keys = [archive[name].tobytes().decode() for name in ("key", "motif_key")]
-        assert keys == [
+        header = read_header(planted_dir / "tensors" / "graph.npz")
+        assert [header["key"], header["motif_key"]] == [
             key_formula(planted_dir, "nodes.tsv", "edges.tsv"),
             key_formula(planted_dir, "motif_pair.json", "motif_ab.json"),
         ]
 
     def test_cache_written_by_an_earlier_version_is_rebuilt_once(self, planted_dir, capsys, enumerated):
         """The tensor directory as the TSV cache left it: a snapshot of the graph
-        alone under the `tsv-1` tag, and manifest entries with a content key and
-        the sha256 of their tensor file. It is refused once, with one warning,
-        and rewritten; the next run is warm."""
+        alone under the `tsv-1` tag, its key, names and duplicate count in
+        arrays of their own, and manifest entries with a content key and the
+        sha256 of their tensor file. It is refused once, with one warning, and
+        rewritten; the next run is warm."""
         config = str(planted_dir / "run.json")
         tensor_dir = planted_dir / "tensors"
+        snapshot = tensor_dir / "graph.npz"
         assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
         old_key = key_formula(planted_dir, "nodes.tsv", "edges.tsv", tag=b"tsv-1")
-        edit_snapshot(tensor_dir / "graph.npz", lambda arrays: dict(
-            key=as_bytes(old_key), **{k: arrays[k] for k in ("names", "edges", "duplicates")}
-        ))
+        damage_snapshot(snapshot, header_edited(lambda h: dict(h, key=old_key)))
+        damage_snapshot(snapshot, lambda arrays, data: {  # the graph alone
+            k: v for k, v in names_layout(arrays, data).items() if k in ("key", "names", "edges", "duplicates")
+        })
         manifest_file = tensor_dir / "manifest.json"
         manifest = json.loads(manifest_file.read_text())
         manifest["pair"].update(
@@ -383,7 +396,7 @@ class TestTranscribe:
         manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         code, _, err = run_cli(capsys, "transcribe", "--config", config)
         [warning] = err.splitlines()
-        assert code == 0 and "ignoring the graph snapshot: written for other graph files" in warning
+        assert code == 0 and "ignoring the graph snapshot: unreadable: 'header is not a file" in warning
         assert enumerated == ["pair", "pair"]
         assert set(json.loads(manifest_file.read_text())["pair"]) == {"file", "dims", "nnz", "wall_time_s"}
         code, _, err = run_cli(capsys, "transcribe", "--config", config)
@@ -395,11 +408,10 @@ class TestTranscribe:
         snapshot = planted_dir / "tensors" / "graph.npz"
         assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
         tagless = hashlib.sha256((planted_dir / "motif_pair.json").read_bytes() + b"\x00").hexdigest()
-        edit_snapshot(snapshot, lambda arrays: dict(arrays, motif_key=as_bytes(tagless)))
+        damage_snapshot(snapshot, header_edited(lambda h: dict(h, motif_key=tagless)))
         code, _, err = run_cli(capsys, "transcribe", "--config", config)
         assert code == 0 and err == "" and enumerated == ["pair", "pair"]
-        with np.load(snapshot) as archive:
-            assert archive["motif_key"].tobytes().decode() == key_formula(planted_dir, "motif_pair.json")
+        assert read_header(snapshot)["motif_key"] == key_formula(planted_dir, "motif_pair.json")
 
     @pytest.mark.parametrize(
         "damage",
@@ -479,8 +491,8 @@ class TestTranscribe:
         snapshot = planted_dir / "tensors" / "graph.npz"
 
         def keys():
-            with np.load(snapshot) as archive:
-                return archive["key"].tobytes(), archive["motif_key"].tobytes()
+            header = read_header(snapshot)
+            return header["key"], header["motif_key"]
 
         assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
         graph_key, motif_key = keys()
@@ -495,16 +507,6 @@ class TestTranscribe:
         code, _, err = run_cli(capsys, "transcribe", "--config", str(config))
         assert code == 0 and err == "" and enumerated == ["pair", "pair", "pair"]
         assert keys()[0] == edited_key and keys()[1] != motif_key
-
-
-def with_object_edges(snapshot):
-    """Rewrite a graph snapshot with its edges as an object array."""
-    edit_snapshot(snapshot, lambda arrays: dict(arrays, edges=arrays["edges"].astype(object)))
-
-
-def with_old_layout(snapshot):
-    """Rewrite a graph snapshot in the layout before its `names` array."""
-    edit_snapshot(snapshot, old_layout_snapshot)
 
 
 class TestGraphSnapshot:
@@ -558,10 +560,11 @@ class TestGraphSnapshot:
     @pytest.mark.parametrize(
         "damage, reason",
         [
-            pytest.param(lambda path: path.write_bytes(path.read_bytes()[:100]), "unreadable",
-                         id="truncated"),
-            pytest.param(with_object_edges, "allow_pickle=False", id="object_array"),
-            pytest.param(with_old_layout, "unreadable: 'names is not a file", id="old_layout"),
+            pytest.param(lambda arrays, data: data[:100], "unreadable", id="truncated"),
+            pytest.param(lambda arrays, data: dict(arrays, edges=arrays["edges"].astype(object)),
+                         "allow_pickle=False", id="object_array"),
+            pytest.param(pre_names_layout, "unreadable: 'header is not a file", id="old_layout"),
+            pytest.param(names_layout, "unreadable: 'header is not a file", id="names_layout"),
         ],
     )
     def test_damaged_snapshot_is_rebuilt(self, planted_dir, capsys, caplog, parses, damage, reason):
@@ -569,7 +572,7 @@ class TestGraphSnapshot:
         snapshot = planted_dir / "tensors" / "graph.npz"
         assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
         written = snapshot.read_bytes()
-        damage(snapshot)
+        damage_snapshot(snapshot, damage)
         with caplog.at_level(logging.WARNING, logger="motifclust"):
             assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
         [record] = caplog.records
@@ -609,9 +612,7 @@ class TestGraphSnapshot:
         config = str(planted_dir / "run.json")
         snapshot = planted_dir / "tensors" / "graph.npz"
         assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
-        edit_snapshot(snapshot, lambda arrays: dict(
-            arrays, tensors=as_bytes(json.dumps(edit(json.loads(arrays["tensors"].tobytes()))))
-        ))
+        damage_snapshot(snapshot, header_edited(lambda h: dict(h, tensors=edit(h["tensors"]))))
         code, _, err = run_cli(capsys, "fit", "--config", config)
         [warning] = err.splitlines()
         assert code in (0, 3) and f"{snapshot}: ignoring the snapshot's tensors" in warning

@@ -1,9 +1,12 @@
 import itertools
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motifclust.hin as hin_module
 from motifclust.hin import (
@@ -21,7 +24,7 @@ from motifclust.motifs import enumerate_instances, parse_motif, transcribe
 from motifclust.planted import PlantedConfig, default_templates, generate_planted_hin
 from motifclust.tensors import SparseTensor
 
-from conftest import TOY_EDGES, TOY_NODES, old_layout_snapshot
+from conftest import TOY_EDGES, TOY_NODES, damage_snapshot, header_edited, names_layout, pre_names_layout
 from oracles import admit_edges, adjacency_pairs, edge_rows, read_lines_by_iteration
 
 
@@ -384,21 +387,55 @@ class TestProperties:
         assert row(hin, e, True, 1) == row(hin, e, False, 1)
 
 
-def names_edited(edit, array="names"):
-    """A damage of `TestSnapshot` that replaces the JSON document of `array`
-    with `edit(document)`, written as is if bytes and as JSON otherwise."""
-    def damage(arrays, data):
-        doc = edit(json.loads(arrays[array].tobytes()))
-        raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode("ascii")
-        return dict(arrays, **{array: np.frombuffer(raw, dtype=np.uint8)})
-    return damage
-
-
 def planted_quad():
     """The tensor of the quad motif of the default planted graph."""
     hin = generate_planted_hin(PlantedConfig(rng_seed=3)).hin
     motif = parse_motif(json.dumps(default_templates()[1].motif_spec()), hin)
     return transcribe(hin, motif, enumerate_instances(hin, motif))
+
+
+# Text of ids and edge type names: any character but tab, CR and LF (the
+# file separators) or a lone surrogate, with NUL, U+2028 and non-ASCII
+# characters drawn often. Type names also hold no whitespace, as `#types` splits on it.
+LINE_TEXT = st.text(
+    st.one_of(st.sampled_from("\x00\u2028\u00e9\U0001f600"),
+              st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",))),
+    min_size=1, max_size=5,
+)
+TYPE_NAMES = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=3)
+
+
+@st.composite
+def graph_files(draw):
+    """The text of a nodes file and an edges file that `load_hin` accepts: an
+    empty `#types` type, directed types, undirected same-type types, and
+    edges repeated as written or the other way round."""
+    types = draw(st.lists(TYPE_NAMES, min_size=2, max_size=4, unique=True))
+    ids = draw(st.lists(LINE_TEXT.filter(lambda s: not s.startswith("#")), min_size=2, max_size=12, unique=True))
+    node_types = draw(st.lists(st.sampled_from(types[1:]), min_size=len(ids), max_size=len(ids)))
+    nodes = [f"#types {types[0]}"] + [f"{n}\t{t}" for n, t in zip(ids, node_types)]
+    by_type = {t: [n for n, nt in zip(ids, node_types) if nt == t] for t in types}
+    edge_types = draw(st.lists(LINE_TEXT, min_size=1, max_size=3, unique=True))
+    edges = []
+    for name in edge_types:
+        src = draw(st.sampled_from([t for t in types if by_type[t]]))
+        dst = draw(st.sampled_from([t for t in types if len(by_type[t]) > (t == src)]))
+        flag = draw(st.sampled_from("du"))
+        for _ in range(draw(st.integers(1, 6))):
+            a = draw(st.sampled_from(by_type[src]))
+            b = draw(st.sampled_from([n for n in by_type[dst] if n != a]))
+            edges.append((a, b, name, flag))
+            if draw(st.booleans()):  # a repeat, the other way round where that is the same edge
+                edges.append((b, a, name, flag) if flag == "u" and src == dst else (a, b, name, flag))
+    order = draw(st.permutations(range(len(edges))))
+    edges = [edges[k] for k in order]
+    # The first edge of a type fixes its signature, so the other edges of an
+    # undirected type may be written the other way round.
+    first = {}
+    for k, (a, b, name, flag) in enumerate(edges):
+        if first.setdefault(name, k) != k and flag == "u" and draw(st.booleans()):
+            edges[k] = (b, a, name, flag)
+    return "".join(line + "\n" for line in nodes), "".join("\t".join(e) + "\n" for e in edges)
 
 
 class TestSnapshot:
@@ -451,6 +488,26 @@ class TestSnapshot:
                 for a, b in zip(got.adjacency(k, forward), hin.adjacency(k, forward)):
                     assert np.array_equal(a, b) and a.dtype == b.dtype
 
+    @given(files=graph_files(), key=LINE_TEXT, motif_key=LINE_TEXT, motif=LINE_TEXT)
+    @settings(max_examples=150, deadline=None)
+    def test_header_round_trip(self, tmp_path_factory, files, key, motif_key, motif):
+        """Random graph files, ids and keys with any character the files allow
+        come back from the header as `load_hin` read them."""
+        folder = tmp_path_factory.mktemp("snapshot")
+        nodes, edges = folder / "n.tsv", folder / "e.tsv"
+        nodes.write_bytes(files[0].encode("utf-8"))
+        edges.write_bytes(files[1].encode("utf-8"))
+        tensors = {motif: SparseTensor((3, 2), [[2, 1]], [0.5])}
+        with mock.patch.object(hin_module.log, "warning") as warn:
+            hin = load_hin(nodes, edges)
+            parsed = warn.call_args_list
+            warn.reset_mock()
+            write_snapshot(hin, tensors, folder / "g.npz", key, motif_key)
+            got, got_tensors = read_snapshot(folder / "g.npz", key, motif_key, edges)
+            assert warn.call_args_list == parsed
+        assert got == hin and got_tensors == tensors
+        assert (got.node_index, got.duplicates) == (hin.node_index, hin.duplicates)
+
     def test_edge_cases_are_present(self, tmp_path):
         hin = load_hin(*write_pair(tmp_path, *self.EDGE_CASES))
         assert hin.nodes_by_type == [["a", "a\x00"], ["b1", "b2"], []]
@@ -468,9 +525,7 @@ class TestSnapshot:
         hin = load_hin(*toy_paths)
         path = tmp_path / "g.npz"
         write_snapshot(hin, self.PAIR, path, "key", "motif key")
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        np.savez(path, **dict(arrays, values0=arrays["values0"].astype(object)))
+        damage_snapshot(path, lambda arrays, data: dict(arrays, values0=arrays["values0"].astype(object)))
         assert read_snapshot(path, "key", "other", toy_paths[1]) == (hin, None)
 
     @pytest.mark.parametrize(
@@ -486,7 +541,7 @@ class TestSnapshot:
                 id="edges_edited",
             ),
             pytest.param(
-                lambda arrays, data: dict(arrays, names=np.array(["x"], dtype=object)),
+                lambda arrays, data: dict(arrays, header=np.array(["x"], dtype=object)),
                 "allow_pickle=False",
                 id="object_array",
             ),
@@ -495,37 +550,51 @@ class TestSnapshot:
                 "'edges' is float64",
                 id="float_edges",
             ),
-            pytest.param(names_edited(lambda doc: b'[["A"], '), "names do not read as JSON: Expecting",
+            pytest.param(header_edited(lambda h: b'{"key": '), "header does not read as JSON: Expecting",
                          id="names_not_json"),
-            pytest.param(names_edited(lambda doc: b'[["\xff"]]'), "names do not read as JSON: 'utf-8'",
+            pytest.param(header_edited(lambda h: b'{"\xff": 1}'), "header does not read as JSON: 'utf-8'",
                          id="names_not_utf8"),
-            pytest.param(names_edited(lambda doc: doc[:2]), "names are not", id="names_two_items"),
-            pytest.param(names_edited(lambda doc: "abc"), "names are not", id="names_a_string"),
+            pytest.param(header_edited(lambda h: [*h.values()][:2]), "header is not", id="names_two_items"),
+            pytest.param(header_edited(lambda h: "abc"), "header is not", id="names_a_string"),
             pytest.param(
-                names_edited(lambda doc: [doc[0], [[7, *doc[1][0][1:]], *doc[1][1:]], doc[2]]),
-                "names are not", id="names_node_id_number",
+                header_edited(lambda h: {k: v for k, v in h.items() if k != "duplicates"}),
+                "header is not", id="header_key_missing",
+            ),
+            pytest.param(header_edited(lambda h: dict(h, extra=1)), "header is not", id="header_extra_key"),
+            pytest.param(header_edited(lambda h: dict(h, key=7)), "header is not", id="header_key_number"),
+            pytest.param(
+                header_edited(lambda h: dict(h, duplicates=0.0)), "header is not", id="header_duplicates_float",
             ),
             pytest.param(
-                names_edited(lambda doc: [doc[0], doc[1], [[n, int(d), s, t] for n, d, s, t in doc[2]]]),
-                "names are not", id="names_directed_number",
+                header_edited(lambda h: dict(h, duplicates=True)), "header is not", id="header_duplicates_bool",
+            ),
+            pytest.param(header_edited(lambda h: dict(h, types="AB")), "header is not", id="header_types_a_string"),
+            pytest.param(
+                header_edited(lambda h: dict(h, nodes=[[7, *h["nodes"][0][1:]], *h["nodes"][1:]])),
+                "header is not", id="names_node_id_number",
             ),
             pytest.param(
-                names_edited(lambda doc: [doc[0], doc[1], [[n, d, str(s), t] for n, d, s, t in doc[2]]]),
-                "names are not", id="names_type_id_string",
+                header_edited(lambda h: dict(h, nodes=["a1", *h["nodes"][1:]])),
+                "header is not", id="names_node_ids_a_string",
             ),
             pytest.param(
-                names_edited(lambda doc: [doc[0], doc[1], [et[:3] for et in doc[2]]]),
-                "names are not", id="names_short_signature",
+                header_edited(lambda h: dict(h, edge_types=[[n, int(d), s, t] for n, d, s, t in h["edge_types"]])),
+                "header is not", id="names_directed_number",
             ),
             pytest.param(
-                names_edited(lambda doc: [doc[0], doc[1], [[n, d, 10**30, t] for n, d, s, t in doc[2]]]),
+                header_edited(lambda h: dict(h, edge_types=[[n, d, str(s), t] for n, d, s, t in h["edge_types"]])),
+                "header is not", id="names_type_id_string",
+            ),
+            pytest.param(
+                header_edited(lambda h: dict(h, edge_types=[et[:3] for et in h["edge_types"]])),
+                "header is not", id="names_short_signature",
+            ),
+            pytest.param(
+                header_edited(lambda h: dict(h, edge_types=[[n, d, 10**30, t] for n, d, s, t in h["edge_types"]])),
                 "joins node type ids", id="names_type_id_huge",
             ),
-            pytest.param(
-                lambda arrays, data: old_layout_snapshot(arrays),
-                "unreadable: .names is not a file",
-                id="old_layout",
-            ),
+            pytest.param(pre_names_layout, "unreadable: .header is not a file", id="old_layout"),
+            pytest.param(names_layout, "unreadable: .header is not a file", id="names_layout"),
             pytest.param(
                 lambda arrays, data: {k: v for k, v in arrays.items() if k != "edges"},
                 "edges is not a file",
@@ -538,9 +607,16 @@ class TestSnapshot:
             ),
             pytest.param(lambda arrays, data: arrays["edges"], "not an .npz", id="npy_file"),
             pytest.param(
-                lambda arrays, data: dict(arrays, duplicates=np.array(-5, dtype=np.int64)),
-                "duplicates count -5 is negative",
+                header_edited(lambda h: dict(h, duplicates=-5)), "duplicates count -5 is negative",
                 id="negative_duplicates",
+            ),
+            pytest.param(  # the graph key is checked first
+                header_edited(lambda h: dict(h, key="other", duplicates=-5, motif_key="other")),
+                "written for other graph files", id="other_key_first",
+            ),
+            pytest.param(  # then the duplicate count, before any tensor is read
+                header_edited(lambda h: dict(h, duplicates=-5, tensors=[["pair", [3]]])),
+                "duplicates count -5 is negative", id="duplicates_before_tensors",
             ),
             pytest.param(
                 lambda arrays, data: dict(arrays, indices0=arrays["indices0"] + np.int32(3)),
@@ -558,13 +634,17 @@ class TestSnapshot:
                 id="tensor_missing_indices",
             ),
             pytest.param(
-                names_edited(lambda doc: [[name, [*dims, 2]] for name, dims in doc], "tensors"),
+                header_edited(lambda h: dict(h, tensors=[[name, [*dims, 2]] for name, dims in h["tensors"]])),
                 r"'indices0' is int32 of shape \(2, 2\)",
                 id="tensor_dims_disagree_with_width",
             ),
             pytest.param(
-                names_edited(lambda doc: [name for name, _ in doc], "tensors"),
-                "tensors are not", id="tensors_without_dims",
+                header_edited(lambda h: dict(h, tensors=[name for name, _ in h["tensors"]])),
+                "header is not", id="tensors_without_dims",
+            ),
+            pytest.param(
+                header_edited(lambda h: dict(h, tensors=[[name, [3.0, 4]] for name, _ in h["tensors"]])),
+                "header is not", id="tensor_dims_float",
             ),
             pytest.param(
                 lambda arrays, data: data.replace(
@@ -578,15 +658,6 @@ class TestSnapshot:
     def test_damaged_snapshot_is_refused(self, toy_paths, tmp_path, damage, reason):
         path = tmp_path / "g.npz"
         write_snapshot(load_hin(*toy_paths), self.PAIR, path, "key", "motif key")
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        damaged = damage(arrays, path.read_bytes())
-        with open(path, "wb") as fh:
-            if isinstance(damaged, bytes):
-                fh.write(damaged)
-            elif isinstance(damaged, dict):
-                np.savez(fh, **damaged)
-            else:
-                np.save(fh, damaged)
+        damage_snapshot(path, damage)
         with pytest.raises(ValueError, match=reason):
             read_snapshot(path, "key", "motif key", toy_paths[1])

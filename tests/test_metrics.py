@@ -198,6 +198,33 @@ class TestGenerator:
         expected = generate_planted_hin(PlantedConfig(n_clusters=3, nodes_per_type=30, rng_seed=4))
         assert generate_planted_hin(config).hin == expected.hin
 
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal="false"),
+                         "signal must be True or False, got 'false'", id="signal_a_string"),
+            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal=0),
+                         "signal must be True or False, got 0", id="signal_an_integer"),
+            pytest.param(MotifTemplate("pair", ("A", "B"), ((0.0, 1, "ab"),)),
+                         r"an edge position must be an integer, got 0\.0", id="edge_position_a_float"),
+            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, True, "ab"),)),
+                         "an edge position must be an integer, got True", id="edge_position_a_bool"),
+            pytest.param(MotifTemplate("pair", "AB", ((0, 1, "ab"),)),
+                         "node_types must be a tuple of strings, got 'AB'", id="node_types_a_string"),
+            pytest.param(MotifTemplate("pair", ("A", 1), ((0, 1, "ab"),)),
+                         r"node_types must be a tuple of strings, got \('A', 1\)", id="node_type_an_integer"),
+        ],
+    )
+    def test_templates_refuse_other_types(self, template, message):
+        """The library refuses what `gen-planted` refuses in a template, naming it."""
+        with pytest.raises(ValueError, match=f"^template 'pair': {message}$"):
+            generate_planted_hin(PlantedConfig(templates=(template,)))
+
+    def test_numpy_integer_edge_positions_build_the_same_graph(self):
+        template = MotifTemplate("pair", ("A", "B"), ((np.int64(0), np.uint8(1), "ab"),))
+        expected = generate_planted_hin(PlantedConfig(templates=default_templates()[:1]))
+        assert generate_planted_hin(PlantedConfig(templates=(template,))).hin == expected.hin
+
     def test_infeasible_block_size(self):
         template = MotifTemplate("big", ("A",) * 25, tuple((i, i + 1, "aa") for i in range(24)))
         config = PlantedConfig(templates=(template,), type_names=("A",))
