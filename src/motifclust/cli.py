@@ -27,13 +27,14 @@ import io
 import json
 import logging
 import os
-import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .hin import _read_lines, load_hin, read_snapshot, write_hin, write_snapshot
+import numpy as np
+
+from .hin import _first_fault, _read_table, _repeats, load_hin, read_snapshot, write_hin, write_snapshot
 from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
@@ -250,21 +251,23 @@ def _ensure_tensors(config):
 
 
 def _read_labels_tsv(path, known=None):
+    """`{node id: cluster index}` from a two-column labels file; with `known`,
+    every id must be one of its keys. A bad line raises a ValueError naming it."""
     out = {}
-    for lineno, line in _read_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path} line {lineno}: expected 2 columns")
-        node_id, label = parts
-        if node_id in out:
-            raise ValueError(f"{path} line {lineno}: duplicate node id {node_id!r}")
-        if known is not None and node_id not in known:
-            raise ValueError(f"{path} line {lineno}: unknown node id {node_id!r}")
-        if not re.fullmatch("[0-9]+", label):
-            raise ValueError(f"{path} line {lineno}: cluster index {label!r} is not a non-negative integer")
-        out[node_id] = int(label)
+    for numbers, counts, (ids, labels), _ in _read_table(path, 2):
+        n = len(ids)
+        unknown = np.zeros(n, bool) if known is None else ~np.fromiter(map(known.__contains__, ids), bool, n)
+        # ASCII [0-9]+: `str.isdigit` alone also takes other digits, such as "\uff13".
+        digits = np.fromiter(map(str.isdigit, labels), bool, n) & np.fromiter(map(str.isascii, labels), bool, n)
+        fault = _first_fault([
+            (counts != 2, lambda k: "expected 2 columns"),
+            (_repeats(ids, out), lambda k: f"duplicate node id {ids[k]!r}"),
+            (unknown, lambda k: f"unknown node id {ids[k]!r}"),
+            (~digits, lambda k: f"cluster index {labels[k]!r} is not a non-negative integer"),
+        ])
+        if fault:
+            raise ValueError(f"{path} line {numbers[fault[0]]}: {fault[1]}")
+        out.update(zip(ids, map(int, labels)))
     return out
 
 

@@ -5,10 +5,12 @@ type, the dense index of a node is its first-appearance position in the nodes
 file. Edge types carry a fixed endpoint-type signature and directedness,
 inferred from the first edge of that type and enforced afterwards. `HIN`
 admits edges as `(edge type, src type, src index, dst type, dst index)` array
-rows, which `load_hin` streams from the edges file, and holds the edge set
-once, as `HIN.edges`: sorted `(edge type, src index, dst index)` int64 rows in
-`orient` order. The CSR adjacency per edge type and direction
-(`HIN.adjacency`) is built from it once. An `HIN` is immutable.
+rows, which `load_hin` parses from the edges file in columns, a block of
+lines at a time, and holds the edge set once, as `HIN.edges`: sorted
+`(edge type, src index, dst index)` int64 rows in `orient` order. The CSR
+adjacency per edge type and direction (`HIN.adjacency`) is built from it
+once. An `HIN` is immutable. `write_hin` refuses a graph that the files
+cannot hold.
 
 File formats (UTF-8, LF, `#` comment lines skipped):
   nodes TSV: ``node_id<TAB>type_name`` per line; an optional directive line
@@ -27,8 +29,10 @@ parsing text when the graph key matches, and the tensors through
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import re
 import zipfile
 from array import array
 from dataclasses import dataclass
@@ -39,7 +43,10 @@ from .tensors import SparseTensor, _first_of_runs, _packed
 
 log = logging.getLogger(__name__)
 
-READ_BLOCK_CHARS = 1 << 16  # `_read_lines` holds the lines of one block at a time
+# `_read_table` holds the lines of one block at a time. Blocks of 64 K characters
+# parse `planted-large`'s edges no faster and leave about 2 MB more heap behind.
+READ_BLOCK_CHARS = 1 << 14
+DIRECTED = {"d": 1, "u": 0}  # an edge line's direction flag -> whether it is directed
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,9 @@ class HIN:
             ((dj < 0) | (dj >= sizes[sig[1]]), lambda k: unknown.format(dj[k], dt[k])),
             ((st == dt) & (sj == dj), lambda k: f"self-loop on {self.node_name(st[k], sj[k])!r}"),
         ]
-        refused = np.logical_or.reduce([mask for mask, _ in faults], initial=False)
-        if refused.any():
-            k = int(np.argmax(refused))
-            raise EdgeError(k, next(reason(k) for mask, reason in faults if mask[k]))
+        fault = _first_fault(faults)
+        if fault:
+            raise EdgeError(*fault)
         keys = edges[:, [0, 2, 4]]
         cols = _packed(keys, (len(self.edge_types), *[int(sizes.max(initial=0))] * 2))
         order = np.lexsort(cols[::-1])
@@ -211,54 +217,109 @@ def _csr(rows, cols, n_rows, n_cols):
     return np.searchsorted(rows, np.arange(n_rows + 1)), cols.astype(np.int32)
 
 
-def _read_lines(path):
-    """(line number, line) pairs of a text file, newlines translated, by blocks split on "\n"."""
+def _first_fault(faults):
+    """`(k, reason)` for the first row k that a mask of `faults`, `(mask,
+    reason for row k)` pairs in checking order, refuses, with the first such
+    mask's reason; None when no row is refused."""
+    refused = np.logical_or.reduce([mask for mask, _ in faults], initial=False)
+    if not refused.any():
+        return None
+    k = int(np.argmax(refused))
+    return k, next(reason(k) for mask, reason in faults if mask[k])
+
+
+def _repeats(ids, seen):
+    """Mask over the list `ids`: the ids that are keys of `seen` or occur earlier in `ids`."""
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # id -> its first position
+    earlier = np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
+    return earlier | np.fromiter(map(seen.__contains__, ids), bool, len(ids))
+
+
+def _blocks(path):
+    """A text file, newlines translated, in blocks of whole lines of about
+    `READ_BLOCK_CHARS` characters, each ending in a newline."""
     with open(path, "r", encoding="utf-8") as fh:
-        count, tail = 0, ""
+        tail = ""
         while block := fh.read(READ_BLOCK_CHARS):
-            *lines, tail = (tail + block).split("\n")
-            yield from enumerate(lines, start=count + 1)
-            count += len(lines)
+            head, newline, tail = (tail + block).rpartition("\n")
+            if newline:
+                yield head + newline
     if tail:
-        yield count + 1, tail
+        yield tail + "\n"  # no final newline
+
+
+def _read_table(path, width, directive=None):
+    """The lines of a file of tab-separated fields, per block of `_blocks`:
+    `(line numbers, field counts, columns, directives)` of the lines that are
+    neither blank nor start with "#". `columns` holds `width` lists of
+    fields; the rows stop at the first line of another field count, whose
+    fields read as empty. A line whose first whitespace-separated word is
+    `directive` is no row: `directives` lists `(line number, its other
+    words)` of those before the rows stop."""
+    first = 1
+    for text in _blocks(path):
+        raw = text.encode("utf-8")  # a tab or a newline is one byte in UTF-8
+        data = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        counts = 1 + np.diff(np.searchsorted(np.flatnonzero(data == ord("\t")), ends), prepend=0)
+        keep = (starts < ends) & (data[starts] != ord("#"))
+        lines = text.split("\n")
+        directives = []
+        hits = [m.start() for m in re.finditer(re.escape(directive.encode()), raw)] if directive else []
+        # The lines holding a hit, once each (`np.unique` would import numpy.ma, 0.9 MB).
+        for i in dict.fromkeys(np.searchsorted(ends, hits).tolist()):
+            if lines[i].split()[:1] == [directive]:
+                directives.append((first + i, lines[i].split()[1:]))
+                keep[i] = False
+        wrong = np.flatnonzero(keep & (counts != width))
+        if wrong.size:
+            keep[wrong[0] + 1:] = False
+            directives = [d for d in directives if d[0] < first + wrong[0]]
+        kept = list(itertools.compress(lines, keep.tolist()))
+        if wrong.size:
+            kept[-1] = "\t" * (width - 1)
+        fields = "\t".join(kept).split("\t") if kept else []
+        rows = np.flatnonzero(keep)
+        yield first + rows, counts[rows], [fields[j::width] for j in range(width)], directives
+        if wrong.size:
+            return
+        first += len(ends)
 
 
 def load_hin(nodes_path, edges_path):
-    """Load and validate an HIN from the two TSV files.
+    """Load and validate an HIN from the two TSV files, checking each block
+    of `_read_table` at once.
 
     Malformed lines, duplicate node ids, and edges that reference unknown
     nodes or that `HIN` refuses raise ValueError naming the earliest bad line.
     """
-    type_names = []
-    type_ids = {}
-    nodes_by_type = []
+    type_ids = {}  # by first appearance, in node lines and `#types` lines
     node_index = {}  # node id -> its position in the nodes file
-    node_ends = []  # (type, index) of each node, by position
-
-    def intern_type(name):
-        if name not in type_ids:
-            type_ids[name] = len(type_names)
-            type_names.append(name)
-            nodes_by_type.append([])
-        return type_ids[name]
-
-    for lineno, line in _read_lines(nodes_path):
-        if line.split()[:1] == ["#types"]:
-            for name in line.split()[1:]:
-                intern_type(name)
-            continue
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{nodes_path} line {lineno}: expected 2 columns, got {len(parts)}")
-        node_id, tname = parts
-        if node_id in node_index:
-            raise ValueError(f"{nodes_path} line {lineno}: duplicate node id {node_id!r}")
-        t = intern_type(tname)
-        node_index[node_id] = len(node_ends)
-        node_ends.append((t, len(nodes_by_type[t])))
-        nodes_by_type[t].append(node_id)
+    node_types = [np.empty(0, dtype=np.int64)]  # type id of each node, by position
+    for numbers, counts, (ids, tnames), directives in _read_table(nodes_path, 2, "#types"):
+        fault = _first_fault([
+            (counts != 2, lambda k: f"expected 2 columns, got {counts[k]}"),
+            (_repeats(ids, node_index), lambda k: f"duplicate node id {ids[k]!r}"),
+        ])
+        if fault:
+            raise ValueError(f"{nodes_path} line {numbers[fault[0]]}: {fault[1]}")
+        at = 0  # the rows before each directive name their types before its words do
+        places = [(np.searchsorted(numbers, lineno), words) for lineno, words in directives]
+        for row, words in [*places, (len(ids), [])]:
+            for name in dict.fromkeys(tnames[at:row] + words):
+                type_ids.setdefault(name, len(type_ids))
+            at = row
+        node_index.update(zip(ids, range(len(node_index), len(node_index) + len(ids))))
+        node_types.append(np.fromiter(map(type_ids.__getitem__, tnames), np.int64, len(ids)))
+    t = np.concatenate(node_types)
+    order = np.argsort(t, kind="stable")  # the nodes by type, each type in file order
+    sizes = np.bincount(t, minlength=len(type_ids))
+    starts = np.cumsum(sizes) - sizes
+    ends = np.column_stack([t, np.empty_like(t)])  # (type, index) of each node, by position
+    ends[order, 1] = np.arange(len(t)) - np.repeat(starts, sizes)
+    ids = np.array(list(node_index), dtype=object)[order]
+    nodes_by_type = [ids[a:a + size].tolist() for a, size in zip(starts, sizes)]
 
     edge_types = []
     edge_type_ids = {}
@@ -266,36 +327,39 @@ def load_hin(nodes_path, edges_path):
 
     def admit():  # the HIN of the edges read so far
         table = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4)
-        ends = np.array(node_ends, dtype=np.int64).reshape(-1, 2)
         edges = np.column_stack([table[:, 0], ends[table[:, 1]], ends[table[:, 2]]])
         try:
-            return HIN(type_names, nodes_by_type, edge_types, edges)
+            return HIN(list(type_ids), nodes_by_type, edge_types, edges)
         except EdgeError as exc:
             raise ValueError(f"{edges_path} line {table[exc.index, 3]}: {exc.reason}") from None
 
-    def refuse(lineno, reason):
-        admit()  # the earliest bad line wins, so a refused edge above comes first
-        raise ValueError(f"{edges_path} line {lineno}: {reason}")
-
-    for lineno, line in _read_lines(edges_path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            refuse(lineno, f"expected 4 columns, got {len(parts)}")
-        src_id, dst_id, etname, flag = parts
-        if flag not in ("d", "u"):
-            refuse(lineno, "direction must be 'd' or 'u'")
-        src, dst = node_index.get(src_id), node_index.get(dst_id)
-        if src is None or dst is None:
-            refuse(lineno, f"unknown node id {src_id if src is None else dst_id!r}")
-        if etname not in edge_type_ids:
-            edge_type_ids[etname] = len(edge_types)
-            edge_types.append(EdgeType(etname, flag == "d", node_ends[src][0], node_ends[dst][0]))
-        et_id = edge_type_ids[etname]
-        if edge_types[et_id].directed != (flag == "d"):
-            refuse(lineno, f"edge type {etname!r} used with inconsistent direction flag")
-        rows.extend((et_id, src, dst, lineno))
+    for numbers, counts, (src_ids, dst_ids, names, flags), _ in _read_table(edges_path, 4):
+        n = len(numbers)
+        src, dst = (np.fromiter(map(node_index.get, col, itertools.repeat(-1)), np.int64, n)
+                    for col in (src_ids, dst_ids))
+        flag = np.fromiter(map(DIRECTED.get, flags, itertools.repeat(-1)), np.int8, n)
+        known = len(edge_type_ids)
+        for name in dict.fromkeys(names):  # edge type ids by first appearance
+            edge_type_ids.setdefault(name, len(edge_type_ids))
+        etype = np.fromiter(map(edge_type_ids.__getitem__, names), np.int64, n)
+        new, heads = np.unique(etype, return_index=True)
+        heads = heads[new >= known]  # the first edge of each new type fixes its direction and ends
+        directed = np.array([et.directed for et in edge_types] + (flag[heads] == 1).tolist(), dtype=bool)
+        fault = _first_fault([
+            (counts != 4, lambda k: f"expected 4 columns, got {counts[k]}"),
+            (flag < 0, lambda k: "direction must be 'd' or 'u'"),
+            (src < 0, lambda k: f"unknown node id {src_ids[k]!r}"),
+            (dst < 0, lambda k: f"unknown node id {dst_ids[k]!r}"),
+            (directed[etype] != (flag == 1),
+             lambda k: f"edge type {names[k]!r} used with inconsistent direction flag"),
+        ])
+        k = n if fault is None else fault[0]
+        edge_types += [EdgeType(names[i], flags[i] == "d", int(ends[src[i], 0]), int(ends[dst[i], 0]))
+                       for i in heads[heads < k].tolist()]
+        rows.frombytes(np.column_stack([etype, src, dst, numbers])[:k].tobytes())
+        if fault:
+            admit()  # the earliest bad line wins, so a refused edge above comes first
+            raise ValueError(f"{edges_path} line {numbers[k]}: {fault[1]}")
 
     hin = admit()
     _warn_duplicates(hin, edges_path)
@@ -309,12 +373,28 @@ def _warn_duplicates(hin, edges_path):
 
 def write_hin(hin, nodes_path, edges_path):
     """Serialize back to the TSV formats, edges in `hin.edges` order;
-    reloading reproduces the HIN."""
+    reloading reproduces the HIN. A graph that the files cannot hold raises
+    a ValueError naming the name at fault, before anything is written: a type
+    name that is empty or holds whitespace (the `#types` line splits on it),
+    a name that holds a tab, LF or CR, a node whose line would read as a
+    comment or as the `#types` directive, or an edge type without edges."""
+    for name in hin.type_names:
+        if name.split() != [name]:
+            raise ValueError(f"type name {name!r} is empty or holds whitespace")
+    for name in itertools.chain(*hin.nodes_by_type, (et.name for et in hin.edge_types)):
+        if re.search("[\t\n\r]", name):
+            raise ValueError(f"name {name!r} holds a tab, LF or CR")
+    lines = [(name, f"{name}\t{tname}\n") for tname, names in zip(hin.type_names, hin.nodes_by_type)
+             for name in names]
+    for name, line in lines:
+        if line.startswith("#") or line.split()[:1] == ["#types"]:
+            raise ValueError(f"node id {name!r} would read as a comment or as the #types line")
+    for et, count in zip(hin.edge_types, np.bincount(hin.edges[:, 0], minlength=len(hin.edge_types))):
+        if count == 0:
+            raise ValueError(f"edge type {et.name!r} has no edges, and the edges file cannot hold it")
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("#types " + " ".join(hin.type_names) + "\n")
-        for t in range(hin.num_types()):
-            for name in hin.nodes_by_type[t]:
-                fh.write(f"{name}\t{hin.type_names[t]}\n")
+        fh.writelines(line for _, line in lines)
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         for etype, src, dst in hin.edges.tolist():
             et = hin.edge_types[etype]

@@ -171,11 +171,16 @@ def generate_planted_hin(config):
             raise ValueError(f"{where}: signal must be True or False, got {template.signal!r}")
         if not isinstance(node_types, (tuple, list)) or any(type(t) is not str for t in node_types):
             raise ValueError(f"{where}: node_types must be a tuple of strings, got {node_types!r}")
+        if not node_types:
+            raise ValueError(f"{where}: node_types must not be empty")
         for t in node_types:
             if t not in config.type_names:
                 raise ValueError(f"{where} uses unknown type {t!r}")
         positions = range(len(node_types))
-        for i, j, etname in template.edges:
+        for edge in template.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 3 or type(edge[2]) is not str:
+                raise ValueError(f"{where}: edge {edge!r} is not a (position, position, edge type name) triple")
+            i, j, etname = edge
             for p in (i, j):
                 if isinstance(p, bool) or not isinstance(p, Integral):
                     raise ValueError(f"{where}: an edge position must be an integer, got {p!r}")
@@ -187,6 +192,11 @@ def generate_planted_hin(config):
             if ends != first_ends:
                 raise ValueError(f"edge type {etname!r} joins {'-'.join(ends)} in {where} "
                                  f"but {'-'.join(first_ends)} in template {first!r}")
+        reached = {0}  # the positions the edges join to position 0, for a motif that is connected
+        for _ in positions:
+            reached |= {q for i, j, _ in template.edges for p, q in ((i, j), (j, i)) if p in reached}
+        if len(reached) < len(positions):
+            raise ValueError(f"{where}: its edges do not connect every position, and a motif must be connected")
         worst = max(Counter(node_types).values())
         if worst > block:
             raise ValueError(f"{where} needs {worst} distinct nodes of one type but blocks have only {block}")

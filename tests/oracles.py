@@ -4,8 +4,11 @@ They materialize full arrays or draw bulk samples, so they suit small-scale
 verification only and are not part of the package.
 """
 
+from array import array
+
 import numpy as np
 
+from motifclust.hin import HIN, EdgeError, EdgeType, _warn_duplicates
 from motifclust.model import EPS_DIV, ModelState, objective, update_factor
 from motifclust.planted import _sample_tuples
 from motifclust.tensors import (
@@ -258,11 +261,103 @@ def init_model_two_pass(hin, motifs, tensors, seeds, hyper):
 
 
 def read_lines_by_iteration(path):
-    """`hin._read_lines` as iteration over the open text file, one line at a
-    time, with its newline stripped."""
+    """The (line number, line) pairs of iterating over the open text file, one
+    line at a time, with its newline stripped."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             yield lineno, raw.rstrip("\n")
+
+
+def read_table_by_lines(path, width, directive=None):
+    """`hin._read_table` of a file, its blocks joined, by iterating over the
+    lines: `[(line number, field count, fields)]` of the rows and the
+    `[(line number, other words)]` of the directives."""
+    rows, directives = [], []
+    for lineno, line in read_lines_by_iteration(path):
+        if directive is not None and line.split()[:1] == [directive]:
+            directives.append((lineno, line.split()[1:]))
+        elif line and not line.startswith("#"):
+            fields = line.split("\t")
+            if len(fields) != width:
+                rows.append((lineno, len(fields), ("",) * width))
+                break
+            rows.append((lineno, width, tuple(fields)))
+    return rows, directives
+
+
+def load_hin_by_lines(nodes_path, edges_path):
+    """`hin.load_hin` as a loop over the lines of each file, one line at a time."""
+    type_names = []
+    type_ids = {}
+    nodes_by_type = []
+    node_index = {}  # node id -> its position in the nodes file
+    node_ends = []  # (type, index) of each node, by position
+
+    def intern_type(name):
+        if name not in type_ids:
+            type_ids[name] = len(type_names)
+            type_names.append(name)
+            nodes_by_type.append([])
+        return type_ids[name]
+
+    for lineno, line in read_lines_by_iteration(nodes_path):
+        if line.split()[:1] == ["#types"]:
+            for name in line.split()[1:]:
+                intern_type(name)
+            continue
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{nodes_path} line {lineno}: expected 2 columns, got {len(parts)}")
+        node_id, tname = parts
+        if node_id in node_index:
+            raise ValueError(f"{nodes_path} line {lineno}: duplicate node id {node_id!r}")
+        t = intern_type(tname)
+        node_index[node_id] = len(node_ends)
+        node_ends.append((t, len(nodes_by_type[t])))
+        nodes_by_type[t].append(node_id)
+
+    edge_types = []
+    edge_type_ids = {}
+    rows = array("q")  # per edge: edge type id, src position, dst position, line
+
+    def admit():  # the HIN of the edges read so far
+        table = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4)
+        ends = np.array(node_ends, dtype=np.int64).reshape(-1, 2)
+        edges = np.column_stack([table[:, 0], ends[table[:, 1]], ends[table[:, 2]]])
+        try:
+            return HIN(type_names, nodes_by_type, edge_types, edges)
+        except EdgeError as exc:
+            raise ValueError(f"{edges_path} line {table[exc.index, 3]}: {exc.reason}") from None
+
+    def refuse(lineno, reason):
+        admit()  # the earliest bad line wins, so a refused edge above comes first
+        raise ValueError(f"{edges_path} line {lineno}: {reason}")
+
+    for lineno, line in read_lines_by_iteration(edges_path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            refuse(lineno, f"expected 4 columns, got {len(parts)}")
+        src_id, dst_id, etname, flag = parts
+        if flag not in ("d", "u"):
+            refuse(lineno, "direction must be 'd' or 'u'")
+        src, dst = node_index.get(src_id), node_index.get(dst_id)
+        if src is None or dst is None:
+            refuse(lineno, f"unknown node id {src_id if src is None else dst_id!r}")
+        if etname not in edge_type_ids:
+            edge_type_ids[etname] = len(edge_types)
+            edge_types.append(EdgeType(etname, flag == "d", node_ends[src][0], node_ends[dst][0]))
+        et_id = edge_type_ids[etname]
+        if edge_types[et_id].directed != (flag == "d"):
+            refuse(lineno, f"edge type {etname!r} used with inconsistent direction flag")
+        rows.extend((et_id, src, dst, lineno))
+
+    hin = admit()
+    _warn_duplicates(hin, edges_path)
+    return hin
 
 
 def coupling_terms(state, mu):

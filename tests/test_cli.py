@@ -220,6 +220,15 @@ class TestGenPlanted:
             ({"clusters": 1}, "n_clusters must be at least 2"),
             ({"nodes_per_type": 0}, "nodes_per_type must be at least 1"),
             ({"templates": []}, "templates must not be empty"),
+            (  # planted 1,260 instances and wrote 0 edges
+                {"templates": [dict(PAIR, edges=[])]},
+                "template 'pair': its edges do not connect every position",
+            ),
+            (  # `transcribe` then found the pattern not connected
+                {"templates": [dict(PAIR, node_types=["A", "B", "C"])]},
+                "template 'pair': its edges do not connect every position",
+            ),
+            ({"templates": [dict(PAIR, node_types=[], edges=[])]}, "template 'pair': node_types must not be empty"),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):

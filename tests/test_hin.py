@@ -13,7 +13,7 @@ from motifclust.hin import (
     HIN,
     EdgeError,
     EdgeType,
-    _read_lines,
+    _read_table,
     load_hin,
     orient,
     read_snapshot,
@@ -25,7 +25,17 @@ from motifclust.planted import PlantedConfig, default_templates, generate_plante
 from motifclust.tensors import SparseTensor
 
 from conftest import TOY_EDGES, TOY_NODES, damage_snapshot, header_edited, names_layout, pre_names_layout
-from oracles import admit_edges, adjacency_pairs, edge_rows, read_lines_by_iteration
+from oracles import admit_edges, adjacency_pairs, edge_rows, load_hin_by_lines, read_table_by_lines
+
+
+def read_table(path, width, directive=None):
+    """`_read_table` of a file as `read_table_by_lines` gives it."""
+    rows, directives = [], []
+    for numbers, counts, columns, found in _read_table(path, width, directive):
+        assert len(numbers) == len(counts) and all(len(c) == len(numbers) for c in columns)
+        rows += zip(numbers.tolist(), counts.tolist(), zip(*columns))
+        directives += found
+    return rows, directives
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
@@ -36,14 +46,30 @@ from oracles import admit_edges, adjacency_pairs, edge_rows, read_lines_by_itera
     ids=["empty", "newline", "crlf", "lone_cr", "no_final_newline", "blank_lines", "mixed", "other_breaks"],
 )
 def test_read_lines_equals_line_iteration(tmp_path, monkeypatch, data, block):
-    """Reading in blocks and splitting on newlines gives the (line number,
-    line) pairs of iterating the file: universal newlines, also where a
+    """Reading in blocks and cutting them into lines and fields gives the
+    rows of iterating over the file's lines: universal newlines, also where a
     block ends between CR and LF, no line for a final newline, and Unicode
     line breaks other than newlines kept inside a line."""
     path = tmp_path / "f.tsv"
     path.write_bytes(data)
     monkeypatch.setattr(hin_module, "READ_BLOCK_CHARS", block)
-    assert list(_read_lines(path)) == list(read_lines_by_iteration(path))
+    for width in (1, 2):
+        assert read_table(path, width) == read_table_by_lines(path, width)
+
+
+@given(
+    text=st.lists(st.sampled_from(["a", "\t", "\n", "\r", "\r\n", "#", " ", "\x0b", "\u2028", "\u00e9",
+                                   "#types"]), max_size=40).map("".join),
+    width=st.integers(1, 3),
+    block=st.one_of(st.integers(1, 7), st.just(1 << 16)),
+    directive=st.sampled_from([None, "#types"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_read_lines_equals_line_iteration_on_any_text(tmp_path_factory, text, width, block, directive):
+    path = tmp_path_factory.mktemp("table") / "f.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(hin_module, "READ_BLOCK_CHARS", block):
+        assert read_table(path, width, directive) == read_table_by_lines(path, width, directive)
 
 
 def write_pair(tmp_path, nodes, edges):
@@ -192,6 +218,75 @@ class TestLoadErrors:
             hin = load_hin(*write_pair(tmp_path, "a1\tA\np1\tP\n", edges))
         assert len(hin.edges) == 1
         assert any("duplicate" in rec.message for rec in caplog.records)
+
+
+# Ids and type names with spaces, non-ASCII characters and "#", so that some
+# lines read as comments or as `#types` directives.
+NAME = st.text(st.sampled_from("ab \u00e9#\x0b\u2028"), max_size=3)
+
+
+@st.composite
+def faulty_graph_files(draw):
+    """The text of a nodes file and an edges file, and a block size: node and
+    edge lines of random ids and types, comment, blank and `#types` lines
+    anywhere, bad node lines, the bad edge lines of `TestLoadErrors.FAULTS`
+    and lines with two faults, CRLF line ends and no final newline."""
+    types = draw(st.lists(NAME, min_size=1, max_size=3, unique=True))
+    type_of = {"a1": "A", "p1": "P"} if draw(st.booleans()) else {}
+    for node in draw(st.lists(NAME, max_size=8, unique=True)):
+        type_of[node] = draw(st.sampled_from(types))
+    by_type = {}
+    for node, t in type_of.items():
+        by_type.setdefault(t, []).append(node)
+    nodes = [f"{node}\t{t}" for node, t in type_of.items()]
+    node_extras = ["", "# c", "#types", " #types A Z", "#types\tP Q", "#typesX A", "x #types",
+                   "broken", "a\tb\tc", "a1\tB"]
+    signatures, edges = {}, []
+    for _ in range(draw(st.integers(0, 10)) if type_of else 0):
+        name = draw(st.sampled_from(["w", "v", "\u00e9 x"]))
+        if name not in signatures:
+            ends = [type_of[draw(st.sampled_from(sorted(type_of)))] for _ in range(2)]
+            signatures[name] = (*ends, draw(st.sampled_from("du")))
+        src_type, dst_type, flag = signatures[name]
+        a, b = (draw(st.sampled_from(by_type[t])) for t in (src_type, dst_type))
+        if a != b:
+            pair = (b, a) if flag == "u" and draw(st.booleans()) else (a, b)
+            edges.append("\t".join(pair) + f"\t{name}\t{flag}")
+    edge_extras = ["", "# c", " # c", "#types w", "a1\tp1\tw\tu", "zz\tp1\tw\tx", "a1\tzz\tv\td"]
+    edge_extras += [line.rstrip("\n") for line, _ in TestLoadErrors.FAULTS.values()]
+    files = []
+    for lines, extras in ((nodes, node_extras), (edges, edge_extras)):
+        for extra in draw(st.lists(st.sampled_from(extras), max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        files.append(end.join(lines) + draw(st.sampled_from([end, ""])))
+    return files, draw(st.one_of(st.integers(1, 7), st.just(1 << 16)))
+
+
+def load_outcome(load, paths):
+    """What `load` makes of the graph files: the HIN's fields and the
+    warnings logged, or the type and message of the error raised."""
+    with mock.patch.object(hin_module.log, "warning") as warn:
+        try:
+            hin = load(*paths)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return type(exc), str(exc)
+    return (hin.type_names, hin.nodes_by_type, hin.edge_types, hin.edges.tolist(), hin.duplicates,
+            hin.node_index, warn.call_args_list)
+
+
+@given(case=faulty_graph_files())
+@settings(max_examples=400, deadline=None)
+def test_load_equals_load_by_lines(tmp_path_factory, case):
+    """Parsing the graph files in columns, by blocks of any size, gives the
+    HIN and warnings of the line-by-line loader, or the same error."""
+    (nodes, edges), block = case
+    folder = tmp_path_factory.mktemp("graph")
+    paths = folder / "n.tsv", folder / "e.tsv"
+    for path, text in zip(paths, (nodes, edges)):
+        path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(hin_module, "READ_BLOCK_CHARS", block):
+        assert load_outcome(load_hin, paths) == load_outcome(load_hin_by_lines, paths)
 
 
 class TestAdmission:
@@ -385,6 +480,79 @@ class TestProperties:
         e = hin.edge_type_id("rel")
         assert row(hin, e, True, 1) == [0, 2]
         assert row(hin, e, True, 1) == row(hin, e, False, 1)
+
+
+# Names, one in eight with characters that the graph files cannot hold in
+# some places.
+WRITE_NAME = st.sampled_from([False] * 7 + [True]).flatmap(lambda odd: st.one_of(
+    st.sampled_from(["#types", " #types", "a b", "#a", ""]),
+    st.text(st.sampled_from("a #\t\n\r\x0b\u2028\u00e9"), max_size=3),
+) if odd else st.text("ab\u00e9\x00", min_size=1, max_size=3))
+
+
+@st.composite
+def hins(draw):
+    """An HIN of random names: types with or without nodes, and directed and
+    undirected edge types between any two types with nodes."""
+    types = draw(st.lists(WRITE_NAME, min_size=1, max_size=3, unique=True))
+    nodes_by_type = [[] for _ in types]
+    for node in draw(st.lists(WRITE_NAME, min_size=2, max_size=6, unique=True)):
+        nodes_by_type[draw(st.integers(0, len(types) - 1))].append(node)
+    edge_types, rows = [], []
+    for k, name in enumerate(draw(st.lists(WRITE_NAME, min_size=1, max_size=3, unique=True))):
+        s = draw(st.sampled_from([t for t, nodes in enumerate(nodes_by_type) if nodes]))
+        d = draw(st.sampled_from([t for t, nodes in enumerate(nodes_by_type) if len(nodes) > (t == s)] or [s]))
+        edge_types.append(EdgeType(name, draw(st.booleans()), s, d))
+        if nodes_by_type[s] and nodes_by_type[d]:
+            for _ in range(draw(st.integers(1, 4))):
+                i, j = (draw(st.integers(0, len(nodes_by_type[t]) - 1)) for t in (s, d))
+                if (s, i) != (d, j):
+                    rows.append((k, s, i, d, j))
+    return HIN(types, nodes_by_type, edge_types, np.array(rows, dtype=np.int64).reshape(-1, 5))
+
+
+class TestWriteHin:
+    """`write_hin` writes only graphs that `load_hin` reads back equal."""
+
+    @pytest.mark.parametrize(
+        "types, nodes, edge_types, edges, message",
+        [
+            # Read back without the node and its edge: the line was a comment.
+            (["A", "B"], [["#a"], ["b"]], [EdgeType("w", False, 0, 1)], [(0, 0, 0, 1, 0)], "node id '#a'"),
+            # Read back as the types "my", "type" and "my type".
+            (["my type"], [["a"]], [], [], "type name 'my type'"),
+            # Read back with the type ids swapped.
+            (["", "B"], [["a"], ["b"]], [], [], "type name ''"),
+            (["A"], [["a\tb"]], [], [], r"name 'a\\tb' holds a tab, LF or CR"),
+            (["A"], [["a\rb"]], [], [], r"name 'a\\rb' holds a tab, LF or CR"),
+            (["A"], [["a", "b"]], [EdgeType("w\nx", True, 0, 0)], [(0, 0, 0, 0, 1)], r"name 'w\\nx'"),
+            (["A"], [[" #types"]], [], [], "node id ' #types' would read as a comment or as the #types line"),
+            (["#types"], [[""]], [], [], "node id '' would read as a comment or as the #types line"),
+            (["A"], [["a"]], [EdgeType("w", True, 0, 0)], [], "edge type 'w' has no edges"),
+        ],
+        ids=["hash_id", "space_in_type", "empty_type", "tab", "cr", "lf_in_edge_type", "directive_id",
+             "directive_type", "edge_type_without_edges"],
+    )
+    def test_refuses_what_the_files_cannot_hold(self, tmp_path, types, nodes, edge_types, edges, message):
+        hin = HIN(types, nodes, edge_types, np.array(edges, dtype=np.int64).reshape(-1, 5))
+        paths = tmp_path / "n.tsv", tmp_path / "e.tsv"
+        with pytest.raises(ValueError, match=message):
+            write_hin(hin, *paths)
+        assert not any(path.exists() for path in paths)
+
+    @given(hin=hins())
+    @settings(max_examples=300, deadline=None)
+    def test_what_is_written_reads_back_equal(self, tmp_path_factory, hin):
+        folder = tmp_path_factory.mktemp("written")
+        paths = folder / "n.tsv", folder / "e.tsv"
+        try:
+            write_hin(hin, *paths)
+        except ValueError as exc:
+            names = [*hin.type_names, *itertools.chain(*hin.nodes_by_type), *(et.name for et in hin.edge_types)]
+            assert any(repr(name) in str(exc) for name in names)
+            return
+        got = load_hin(*paths)
+        assert got == hin and got.node_index == hin.node_index
 
 
 def planted_quad():

@@ -213,6 +213,16 @@ class TestGenerator:
                          "node_types must be a tuple of strings, got 'AB'", id="node_types_a_string"),
             pytest.param(MotifTemplate("pair", ("A", 1), ((0, 1, "ab"),)),
                          r"node_types must be a tuple of strings, got \('A', 1\)", id="node_type_an_integer"),
+            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1),)),
+                         r"edge \(0, 1\) is not a \(position, position, edge type name\) triple",
+                         id="edge_of_two_entries"),
+            pytest.param(MotifTemplate("pair", (), ()), "node_types must not be empty", id="no_node_types"),
+            pytest.param(MotifTemplate("pair", ("A", "B"), ()),
+                         "its edges do not connect every position, and a motif must be connected",
+                         id="no_edges"),
+            pytest.param(MotifTemplate("pair", ("A", "B", "C"), ((0, 1, "ab"),)),
+                         "its edges do not connect every position, and a motif must be connected",
+                         id="edges_not_connected"),
         ],
     )
     def test_templates_refuse_other_types(self, template, message):
