@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hin import _first_fault, _read_table, _repeats, load_hin, read_snapshot, write_hin, write_snapshot
+from .hin import _first_fault, _node_lines, _read_table, _repeats, load_hin, read_snapshot, write_hin, write_snapshot
 from .metrics import accuracy_micro_f1, macro_f1, nmi
 from .model import Hyperparameters, assign_clusters, fit, init_model
 from .motifs import enumerate_instances, load_motif, transcribe
@@ -150,6 +150,12 @@ def _typed(path, key, value, kind):
 
 def _fmt(x):
     return format(float(x), ".12g")
+
+
+def _fmt_rows(matrix):
+    """`_fmt` of each entry of the 2-D `matrix`, tab-joined, one format per row."""
+    row = "\t".join(["%.12g"] * matrix.shape[1])
+    return [row % tuple(entries) for entries in matrix.tolist()]
 
 
 def _key(paths):
@@ -292,10 +298,10 @@ def cmd_fit(args):
 
     consensus, labels = [], []
     for t, assign in sorted(assignments.items()):
-        for j, node in enumerate(hin.nodes_of_type(t)):
-            row = "\t".join(_fmt(x) for x in assign.consensus[:, j])
+        rows = _fmt_rows(assign.consensus.T)
+        for node, row, label in zip(hin.nodes_of_type(t), rows, assign.labels.tolist()):
             consensus.append(f"{hin.type_names[t]}\t{node}\t{row}\n")
-            labels.append(f"{node}\t{int(assign.labels[j])}\n")
+            labels.append(f"{node}\t{label}\n")
     _write_text(config.out_dir / "consensus.tsv", "".join(consensus))
     _write_text(config.out_dir / "labels.tsv", "".join(labels))
     weights = (f"{name}\t{_fmt(w)}\n" for name, w in zip(state.motif_names, state.mu))
@@ -389,6 +395,7 @@ def cmd_gen_planted(args):
     config = PlantedConfig(**kwargs)
     try:
         data = generate_planted_hin(config)
+        _node_lines(data.hin)  # the graph files can hold it, before --out is made
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
     out = Path(args.out)

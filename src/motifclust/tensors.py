@@ -13,6 +13,7 @@ MTTKRP and Gram product; `residual_fro_sq` applies it to mode 0.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +24,7 @@ MAX_INDEX = np.iinfo(np.int32).max
 # objects it holds at once; each block formats its distinct values once, by bit
 # pattern so -0.0 is not written as 0 (index cells: once per call).
 WRITE_BLOCK_ROWS = 1 << 14
+DENSE_SPAN = 4  # `_groups` ranks keys in a table of their range up to this many slots a row
 
 
 class SparseTensor:
@@ -52,14 +54,15 @@ class SparseTensor:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         # Both paths copy, so freezing the arrays below never freezes the caller's.
-        cols = _packed(indices, dims)
-        if np.all(cols[0][1:] > cols[0][:-1]):  # a rising prefix: sorted and unique
+        lead = _packed(indices, dims)[0]
+        if np.all(lead[1:] > lead[:-1]):  # a rising prefix: sorted and unique
             indices, values = indices.copy(), values.copy()
         else:
-            order = np.lexsort(cols[::-1])
-            indices, values = indices[order], values[order]
-            if not np.all(_first_of_runs([col[order] for col in cols])):
+            rank, indices = _groups(indices, dims)
+            if len(indices) < len(rank):
                 raise ValueError("duplicate index tuples")
+            values, unsorted = np.empty_like(values), values
+            values[rank] = unsorted
         # Read-only: an in-place write would make `norm_sq` and `tree` stale.
         indices.flags.writeable = values.flags.writeable = False
         self.dims = dims
@@ -95,7 +98,7 @@ class SparseTensor:
         each child key covers one contiguous run of parent rows; `starts`
         holds the first parent row of each run and `lengths` its row count.
         Its right child (mid, hi) takes the suffix, and `group` holds the
-        child row of every parent row (int32).
+        child row of every parent row (int32), both from `_groups`.
         """
         tree = {(0, self.order): (self.indices, None, None, None)}
         ranges = [(0, self.order)]
@@ -107,13 +110,9 @@ class SparseTensor:
             keys = tree[lo, hi][0]
             head, tail = keys[:, : mid - lo], keys[:, mid - lo :]
             starts = np.flatnonzero(_first_of_runs(_packed(head, self.dims[lo:mid])))
-            cols = _packed(tail, self.dims[mid:hi])
-            order = np.lexsort(cols[::-1])
-            first = _first_of_runs([col[order] for col in cols])
-            group = np.empty(len(order), dtype=np.int32)
-            group[order] = np.cumsum(first, dtype=np.int32) - 1
+            group, distinct = _groups(tail, self.dims[mid:hi])
             tree[lo, mid] = head[starts], starts, np.diff(starts, append=len(keys)), None
-            tree[mid, hi] = tail[order[first]], None, None, group
+            tree[mid, hi] = distinct, None, None, group
             ranges += [(lo, mid), (mid, hi)]
         return tree
 
@@ -190,6 +189,26 @@ def _packed(keys, dims):
             cols.append(col.astype(np.int64))
             width = d
     return cols
+
+
+def _groups(keys, dims):
+    """`(group, distinct)` of the (n, k) integer `keys`, column j below dims[j]:
+    the sorted distinct rows, a new array of their dtype, and each row's int32
+    rank among them. Rising rows are copied, keys of a packed range up to
+    `DENSE_SPAN` * n are ranked in a table over it, and others sorted."""
+    cols = _packed(keys, dims)
+    if np.all(cols[0][1:] > cols[0][:-1]):
+        return np.arange(len(keys), dtype=np.int32), keys.copy()
+    if len(cols) == 1 and (span := math.prod(dims)) <= DENSE_SPAN * len(keys):
+        present = np.zeros(span, dtype=bool)
+        present[cols[0]] = True
+        distinct = np.column_stack(np.unravel_index(np.flatnonzero(present), dims)).astype(keys.dtype)
+        return np.cumsum(present, dtype=np.int32)[cols[0]] - 1, distinct
+    order = np.lexsort(cols[::-1])
+    first = _first_of_runs([col[order] for col in cols])
+    group = np.empty(len(order), dtype=np.int32)
+    group[order] = np.cumsum(first, dtype=np.int32) - 1
+    return group, keys[order[first]]
 
 
 def _index_cells(col, d):

@@ -8,12 +8,14 @@ from array import array
 
 import numpy as np
 
-from motifclust.hin import HIN, EdgeError, EdgeType, _warn_duplicates
+from motifclust.hin import HIN, EdgeError, EdgeType, _first_fault, _warn_duplicates
 from motifclust.model import EPS_DIV, ModelState, objective, update_factor
 from motifclust.planted import _sample_tuples
 from motifclust.tensors import (
     WRITE_BLOCK_ROWS,
     SparseTensor,
+    _first_of_runs,
+    _packed,
     gram_hadamard,
     mttkrp_sparse,
     residual_fro_sq,
@@ -458,3 +460,78 @@ def adjacency_pairs(edge_types, rows, etype, forward):
     if not et.directed and et.src_type == et.dst_type:
         pairs |= {(d, s) for s, d in pairs}
     return pairs if forward else {(d, s) for s, d in pairs}
+
+
+def groups_by_lexsort(keys, dims):
+    """`tensors._groups` by one lexsort over the packed keys, the form each
+    of its callers used before it: `(group, distinct)`."""
+    cols = _packed(keys, dims)
+    order = np.lexsort(cols[::-1])
+    first = _first_of_runs([col[order] for col in cols])
+    group = np.empty(len(order), dtype=np.int32)
+    group[order] = np.cumsum(first, dtype=np.int32) - 1
+    return group, keys[order[first]]
+
+
+def orient_one_type(et, src, dst):
+    """`hin.orient` as it was before it took per-edge signatures: the
+    `(2, m)` endpoint arrays of m edges of the one edge type `et`."""
+    (st, sj), (dt, dj) = src, dst
+    if et.directed:
+        return src, dst
+    if et.src_type == et.dst_type:
+        swap = (st > dt) | ((st == dt) & (sj > dj))
+    else:
+        swap = (st == et.dst_type) & (dt == et.src_type)
+    return np.where(swap, dst, src), np.where(swap, src, dst)
+
+
+def admit_per_edge_type(nodes_by_type, edge_types, edges):
+    """`HIN` edge admission as a loop over the edge types, each orienting its
+    own rows by masked gather and scatter: `(HIN.edges, HIN.duplicates)` of
+    the (n, 5) `edges`, or the `EdgeError` that `HIN` raises."""
+    edges = np.asarray(edges).astype(np.int64)
+    etype = edges[:, 0]
+    known = (etype >= 0) & (etype < len(edge_types))
+    sig = np.array([(et.src_type, et.dst_type) for et in edge_types] + [(-1, -1)])
+    sig = sig[np.where(known, etype, -1)].T
+    for k, et in enumerate(edge_types):
+        rows = etype == k
+        src, dst = orient_one_type(et, edges[rows, 1:3].T, edges[rows, 3:].T)
+        edges[rows, 1:] = np.vstack([src, dst]).T
+    st, sj, dt, dj = edges[:, 1:].T
+    sizes = np.array([len(names) for names in nodes_by_type] + [0], dtype=np.int64)
+    fault = _first_fault([
+        (~known, lambda k: f"unknown edge type id {etype[k]}"),
+        ((st != sig[0]) | (dt != sig[1]),
+         lambda k: f"edge type {edge_types[etype[k]].name!r} used between incompatible node types"),
+        ((sj < 0) | (sj >= sizes[sig[0]]), lambda k: f"edge references unknown node index {sj[k]} of type {st[k]}"),
+        ((dj < 0) | (dj >= sizes[sig[1]]), lambda k: f"edge references unknown node index {dj[k]} of type {dt[k]}"),
+        ((st == dt) & (sj == dj), lambda k: f"self-loop on {nodes_by_type[st[k]][sj[k]]!r}"),
+    ])
+    if fault:
+        raise EdgeError(*fault)
+    keys = edges[:, [0, 2, 4]]
+    _, distinct = groups_by_lexsort(keys, (len(edge_types), *[int(sizes.max(initial=0))] * 2))
+    return distinct, len(keys) - len(distinct)
+
+
+def csr_by_sort(rows, cols, n_rows, n_cols):
+    """CSR arrays of the pairs (rows[k], cols[k]), columns ascending per row,
+    by one sort of their keys row * n_cols + col."""
+    rows, cols = np.divmod(np.sort(rows * n_cols + cols), n_cols)
+    return np.searchsorted(rows, np.arange(n_rows + 1)), cols.astype(np.int32)
+
+
+def eager_adjacency(hin):
+    """Every CSR array pair of `hin`, `{(edge type, forward): (indptr,
+    indices)}`, built at once as `HIN.__init__` built them before
+    `HIN.adjacency` built each on first use."""
+    adj = {}
+    for k, et in enumerate(hin.edge_types):
+        src, dst = hin.edges[hin.edges[:, 0] == k, 1:].T
+        if not et.directed and et.src_type == et.dst_type:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        adj[k, True] = csr_by_sort(src, dst, hin.num_nodes(et.src_type), hin.num_nodes(et.dst_type))
+        adj[k, False] = csr_by_sort(dst, src, hin.num_nodes(et.dst_type), hin.num_nodes(et.src_type))
+    return adj

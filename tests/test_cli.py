@@ -6,6 +6,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,12 @@ DEFAULT_OUTPUT_SHA256 = {
     "seeds.tsv": "5a3683fd6d108444d5eec786922c4faad4bcdb0302212c8acb4d8ead10d9b43a",
     "truth.tsv": "4fa7c5a82814f1b2750bdd8168ef3a9c6d5ab3c8216612c8c2f61cb5292d33c4",
 }
+
+# What the default gen-planted -> fit run gives, whatever the numpy or BLAS
+# build: `labels.tsv`'s sha256, and the iteration and reason it stops at. The
+# float bytes of the other outputs may differ between builds, so no pin holds them.
+DEFAULT_FIT_LABELS_SHA256 = "0c7352a9e4cab4066b68bbf6b805053c932a662c8e8bb1b013e8ebc0d08b7423"
+DEFAULT_FIT_STOP = {"outer_iterations": 32, "stop_reason": "stable_labels"}
 
 # sha256 of the tensor exports of transcribe for default gen-planted params;
 # refactors of the enumeration or of the export format must leave them unchanged.
@@ -229,6 +237,11 @@ class TestGenPlanted:
                 "template 'pair': its edges do not connect every position",
             ),
             ({"templates": [dict(PAIR, node_types=[], edges=[])]}, "template 'pair': node_types must not be empty"),
+            (  # the graph files cannot hold the type name: refused before --out is made
+                {"types": ["A B", "B", "C"],
+                 "templates": [{"name": "p", "node_types": ["A B", "B"], "edges": [[0, 1, "x"]]}]},
+                "type name 'A B' is empty or holds whitespace",
+            ),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -739,6 +752,35 @@ class TestFit:
         assert code == 3 and json.loads(stdout)["stop_reason"] == "max_iters"
         assert (data / "out" / "labels.tsv").read_bytes() == (data / "out_cap" / "labels.tsv").read_bytes()
 
+    def test_default_planted_run_is_pinned(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        data = tmp_path / "data"
+        assert run_cli(capsys, "gen-planted", "--params", str(params), "--out", str(data))[0] == 0
+        code, stdout, _ = run_cli(capsys, "fit", "--config", str(data / "run.json"))
+        summary = json.loads(stdout)
+        assert code == 0 and {key: summary[key] for key in DEFAULT_FIT_STOP} == DEFAULT_FIT_STOP
+        assert hashlib.sha256((data / "out" / "labels.tsv").read_bytes()).hexdigest() == DEFAULT_FIT_LABELS_SHA256
+
+    def test_transcribe_and_fit_do_not_import_numpy_ma(self, planted_dir):
+        """`numpy.ma` (0.9 MB) is a module that none of these steps needs, and
+        importing it moves the heap layout that a run's peak RSS depends on
+        (63.2 against 70.5 MB on the `planted-large` benchmark); run both
+        steps in a fresh interpreter and look."""
+        config = str(planted_dir / "run.json")
+        script = (
+            "import sys\n"
+            "from motifclust.cli import main\n"
+            f"codes = [main(['transcribe', '--config', {config!r}]), main(['fit', '--config', {config!r}])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, imported = proc.stdout.splitlines()[-1].rsplit(" ", 1)
+        assert codes in ("[0, 0]", "[0, 3]") and imported == "False"
+
     def test_recovers_planted_partition(self, planted_dir, capsys):
         config = json.loads((planted_dir / "run.json").read_text())
         config["seed_boost"] = 10.0
@@ -839,6 +881,22 @@ class TestFit:
 
 def enospc(fd, offset, length):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# Values whose `.12g` text is awkward: a signed zero, the least subnormal, a
+# value with more digits than the format keeps, and both sides of the two
+# points where `g` switches to an exponent (below 1e-4, at 1e12 once rounded).
+AWKWARD_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-5, 1e-4, np.nextafter(1e-4, 0.0), 1e12,
+    np.nextafter(1e12, 0.0), 999999999999.4, 999999999999.5, -123456789.123456789, 1.0,
+]
+
+
+@pytest.mark.parametrize("c", range(2, 11))
+def test_row_formatter_is_fmt_of_each_entry(c):
+    values = np.array(AWKWARD_FLOATS)
+    matrix = np.column_stack([np.roll(values, -j) for j in range(c)])
+    assert cli._fmt_rows(matrix) == ["\t".join(cli._fmt(x) for x in row) for row in matrix]
 
 
 class TestWriteText:

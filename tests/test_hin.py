@@ -25,7 +25,15 @@ from motifclust.planted import PlantedConfig, default_templates, generate_plante
 from motifclust.tensors import SparseTensor
 
 from conftest import TOY_EDGES, TOY_NODES, damage_snapshot, header_edited, names_layout, pre_names_layout
-from oracles import admit_edges, adjacency_pairs, edge_rows, load_hin_by_lines, read_table_by_lines
+from oracles import (
+    admit_edges,
+    admit_per_edge_type,
+    adjacency_pairs,
+    eager_adjacency,
+    edge_rows,
+    load_hin_by_lines,
+    read_table_by_lines,
+)
 
 
 def read_table(path, width, directive=None):
@@ -444,6 +452,82 @@ class TestAdmission:
             (st, sj), (dt, dj) = orient(et, tuple(src), tuple(dst))
             got = [((a, b), (c, d)) for a, b, c, d in zip(st.tolist(), sj.tolist(), dt.tolist(), dj.tolist())]
             assert got == [orient(et, a, b) for a, b in pairs]
+
+
+@st.composite
+def admission_cases(draw):
+    """`(nodes_by_type, edge_types, rows)` for `HIN`: up to three node types
+    of 1 to 4 nodes and up to four edge types between any two of them,
+    directed or not. The rows fit the edge types, undirected ones either way
+    round (same-type swaps and reversed cross-type rows). In half of the
+    cases, about one row in eight is drawn from anything instead: unknown edge
+    type ids, endpoint types or indices outside the graph, and self-loops."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    types = st.integers(0, len(sizes) - 1)
+    edge_types = [EdgeType(f"e{k}", draw(st.booleans()), draw(types), draw(types))
+                  for k in range(draw(st.integers(0, 4)))]
+    faulty = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        if faulty and draw(st.integers(0, 7)) == 0:
+            rows.append(draw(st.tuples(st.integers(-2, len(edge_types) + 1), st.integers(-1, len(sizes)),
+                                       st.integers(-1, 4), st.integers(-1, len(sizes)), st.integers(-1, 4))))
+        elif edge_types:
+            k = draw(st.integers(0, len(edge_types) - 1))
+            et = edge_types[k]
+            ends = [(t, draw(st.integers(0, sizes[t] - 1))) for t in (et.src_type, et.dst_type)]
+            if not et.directed and draw(st.booleans()):
+                ends.reverse()
+            if faulty or ends[0] != ends[1]:
+                rows.append((k, *ends[0], *ends[1]))
+    nodes = [[f"T{t}n{j}" for j in range(n)] for t, n in enumerate(sizes)]
+    return nodes, edge_types, np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+class TestOnePassAdmission:
+    """`HIN` orients every row in one pass, and builds each CSR adjacency on
+    first use, as the loops over edge types did."""
+
+    @given(case=admission_cases(), order=st.randoms(use_true_random=False))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_per_edge_type_loop(self, case, order):
+        nodes, edge_types, rows = case
+        names = [f"T{t}" for t in range(len(nodes))]
+        try:
+            want, duplicates = admit_per_edge_type(nodes, edge_types, rows)
+        except EdgeError as exc:
+            with pytest.raises(EdgeError) as info:
+                HIN(names, nodes, edge_types, rows)
+            assert (info.value.index, info.value.reason) == (exc.index, exc.reason)
+            return
+        hin = HIN(names, nodes, edge_types, rows)
+        assert hin.edges.dtype == want.dtype and np.array_equal(hin.edges, want)
+        assert hin.duplicates == duplicates
+        eager = eager_adjacency(hin)
+        keys = list(eager)
+        order.shuffle(keys)  # built in any order, each on its first request
+        for key in keys + keys:
+            got = hin.adjacency(*key)
+            assert [a.dtype for a in got] == [a.dtype for a in eager[key]]
+            assert all(np.array_equal(a, b) for a, b in zip(got, eager[key]))
+
+    @pytest.mark.parametrize("etype", [-1, -3, 2, 7, np.int64(-1), np.int64(2)])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_adjacency_of_an_unknown_edge_type_is_a_key_error(self, etype, forward):
+        edge_types = [EdgeType("d", True, 0, 0), EdgeType("u", False, 0, 0)]
+        hin = HIN(["A"], [["a0", "a1"]], edge_types, edge_rows([(0, (0, 0), (0, 1)), (1, (0, 1), (0, 0))]))
+        with pytest.raises(KeyError):  # neither an IndexError nor edge type etype % 2
+            hin.adjacency(etype, forward)
+
+    def test_enumeration_builds_the_adjacency_of_its_edge_types_only(self, toy_paths):
+        hin = load_hin(*toy_paths)
+        assert not hin._adj
+        motif = parse_motif(json.dumps({
+            "name": "w", "nodes": [{"id": "a", "type": "A"}, {"id": "p", "type": "P"}],
+            "edges": [{"src": "a", "dst": "p", "etype": "writes", "dir": "u"}],
+        }), hin)
+        enumerate_instances(hin, motif)
+        assert {etype for etype, _ in hin._adj} == {hin.edge_type_id("writes")}
 
 
 class TestProperties:

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from motifclust import tensors
 from motifclust.hin import HIN, EdgeType
 from motifclust.motifs import Motif, PatternEdge, _visit_order, enumerate_instances, transcribe
 from motifclust.tensors import (
+    DENSE_SPAN,
     MAX_INDEX,
     WRITE_BLOCK_ROWS,
     SparseTensor,
+    _groups,
     _packed,
     gram_hadamard,
     mttkrp_sparse,
@@ -31,6 +34,7 @@ from oracles import (
     dense_reconstruct,
     edge_rows,
     from_tuples,
+    groups_by_lexsort,
     matricize,
     mttkrp_nonzero_major,
     mttkrp_tree_nonzero_major,
@@ -225,6 +229,69 @@ class TestSortedFastPath:
         assert rows.tolist() != sorted(rows.tolist())  # so the constructor must sort
         x = transcribe(hin, motif, rows)
         assert x.indices.tolist() == sorted(rows.tolist()) == hin.edges[:, 1:].tolist()
+
+
+@st.composite
+def group_keys(draw):
+    """`(keys, dims)` for `_groups`: 0 to 40 int32 or int64 rows of 1 to 3
+    columns, drawn from a pool so rows repeat, sorted or not. Columns are
+    small, or MAX_INDEX-sized with indices at both ends, so that up to three
+    columns pack into one or two."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        cells = [st.integers(0, d - 1) for d in dims]
+    else:
+        dims = draw(st.lists(st.integers(MAX_INDEX - 2, MAX_INDEX), min_size=k, max_size=k))
+        cells = [st.integers(0, 2) | st.integers(d - 3, d - 1) for d in dims]
+    pool = draw(st.lists(st.tuples(*cells), min_size=1, max_size=12))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    if draw(st.booleans()):
+        rows.sort()
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(rows, dtype=dtype).reshape(len(rows), k), tuple(dims)
+
+
+class TestGroups:
+    """`_groups` copies rising rows, ranks keys of a small packed range in a
+    table and sorts the others, and every path equals one lexsort."""
+
+    @staticmethod
+    def assert_groups_equal_lexsort(keys, dims):
+        group, distinct = _groups(keys, dims)
+        want_group, want_distinct = groups_by_lexsort(keys, dims)
+        assert group.dtype == np.int32 and np.array_equal(group, want_group)
+        assert distinct.dtype == keys.dtype and np.array_equal(distinct, want_distinct)
+        assert not np.shares_memory(distinct, keys)
+
+    @given(case=group_keys())
+    @settings(max_examples=400, deadline=None)
+    @example(case=(np.empty((0, 2), dtype=np.int32), (3, 4)))
+    @example(case=(np.empty((0, 1), dtype=np.int64), (0,)))
+    @example(case=(np.array([[2, 1]], dtype=np.int64), (3, 4)))
+    def test_equals_lexsort(self, case):
+        self.assert_groups_equal_lexsort(*case)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows", [2, 7, 30])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_table_up_to_dense_span_rows_each(self, rows, past, dtype):
+        """A range of exactly DENSE_SPAN slots a row is ranked in a table, in
+        one column or three, and one slot more is sorted."""
+        span = DENSE_SPAN * rows + past
+        rng = np.random.default_rng(rows)
+        flat = np.concatenate([[span - 1, 0], rng.integers(0, span, size=rows - 2)])  # not rising
+        for dims in [(span,), (1, span, 1)] + ([(2, span // 2)] if span % 2 == 0 else []):
+            keys = np.column_stack(np.unravel_index(flat, dims)).astype(dtype)
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                self.assert_groups_equal_lexsort(keys, dims)
+            assert lexsort.call_count == 1 + past  # the oracle's call, and `_groups`'s past the span
+
+    def test_rising_rows_are_not_ranked(self):
+        keys = np.array([[0, 5], [1, 0], [1, 3]], dtype=np.int32)
+        with mock.patch.object(np, "cumsum", side_effect=AssertionError("ranked")):
+            group, distinct = _groups(keys, (2, 6))
+        assert group.tolist() == [0, 1, 2] and distinct.tolist() == keys.tolist()
 
 
 def tsv_text(x):
