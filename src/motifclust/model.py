@@ -345,14 +345,14 @@ def update_factor(state, m, i, mttkrp, gram):
     return state.set_factor(m, i, updated)
 
 
-def _sweep(state, m):
+def _sweep(state, m, cache):
     """Update every factor of motif m once, in position order, and return
-    m's residual afterwards. The MTTKRPs share one cache dict, fresh per
-    sweep, and each update installs a new factor object, so each node of the
-    tensor's dimension tree is computed once per sweep. The residual comes
-    from the MTTKRP and Gram product of the last update, after which no
-    factor of m moves."""
-    x, cache = state.tensors[m], {}
+    m's residual afterwards. The MTTKRPs share `cache`, m's dict for the
+    whole fit, and each update installs a new factor object, so each node of
+    the tensor's dimension tree is computed at most once per sweep. The
+    residual comes from the MTTKRP and Gram product of the last update,
+    after which no factor of m moves."""
+    x = state.tensors[m]
     for i in range(x.order):
         factors = state.factors[m]  # each update installs a new tuple
         mttkrp, gram = mttkrp_sparse(x, factors, i, cache=cache), gram_hadamard(factors, i)
@@ -434,10 +434,12 @@ def fit(state):
     at the weights it reaches. A sweep of motif m moves only m's factors, so
     m's residual, cached per motif from one pass over the nonzeros at the
     start, is replaced by the one the sweep's own kernels give, while no
-    other motif's goes stale."""
+    other motif's goes stale. That pass and m's sweeps share one MTTKRP
+    cache, so the first sweep's mode 0 computes no tree node."""
     h = state.hyper
     history = []
-    residuals = [residual_fro_sq(x, fs) for x, fs in zip(state.tensors, state.factors)]
+    caches = [{} for _ in state.tensors]
+    residuals = [residual_fro_sq(x, fs, cache=c) for x, fs, c in zip(state.tensors, state.factors, caches)]
     terms = objective(state, sum(residuals))
     current = terms.total
 
@@ -451,7 +453,7 @@ def fit(state):
         for m in range(state.n_motifs()):
             inner_prev = current
             for _ in range(h.max_inner_iters):
-                residuals[m] = _sweep(state, m)
+                residuals[m] = _sweep(state, m, caches[m])
                 terms = objective(state, sum(residuals))
                 current = terms.total
                 if abs(inner_prev - current) <= h.inner_tol * max(inner_prev, 1e-300):

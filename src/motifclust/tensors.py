@@ -48,7 +48,7 @@ class SparseTensor:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise ValueError("indices and values disagree on nnz")
-        if indices.size and (indices.min() < 0 or np.any(indices >= np.asarray(dims, dtype=np.int64))):
+        if indices.size and (indices.min() < 0 or any(col.max() >= d for col, d in zip(indices.T, dims))):
             raise ValueError("index out of bounds")
         indices = indices.astype(np.int32, copy=False)  # in bounds, so narrowing is exact
         if not np.all(np.isfinite(values)):
@@ -86,6 +86,11 @@ class SparseTensor:
         return float(np.einsum("i,i->", self.values, self.values))
 
     @cached_property
+    def binary(self):
+        """Whether every value is exactly 1.0, as in every motif tensor."""
+        return bool(np.all(self.values == 1.0))
+
+    @cached_property
     def tree(self):
         """The static binary dimension tree that `mttkrp_sparse` walks, built
         on first use and kept.
@@ -98,7 +103,8 @@ class SparseTensor:
         each child key covers one contiguous run of parent rows; `starts`
         holds the first parent row of each run and `lengths` its row count.
         Its right child (mid, hi) takes the suffix, and `group` holds the
-        child row of every parent row (int32), both from `_groups`.
+        child row of every parent row (intp, so `take` and `bincount` need
+        no cast per call), both from `_groups`.
         """
         tree = {(0, self.order): (self.indices, None, None, None)}
         ranges = [(0, self.order)]
@@ -112,7 +118,7 @@ class SparseTensor:
             starts = np.flatnonzero(_first_of_runs(_packed(head, self.dims[lo:mid])))
             group, distinct = _groups(tail, self.dims[mid:hi])
             tree[lo, mid] = head[starts], starts, np.diff(starts, append=len(keys)), None
-            tree[mid, hi] = distinct, None, None, group
+            tree[mid, hi] = distinct, None, None, group.astype(np.intp)
             ranges += [(lo, mid), (mid, hi)]
         return tree
 
@@ -183,7 +189,8 @@ def _packed(keys, dims):
     cols, width = [], 0
     for col, d in zip(keys.T, dims):
         if cols and width * d <= np.iinfo(np.int64).max:
-            cols[-1] = cols[-1] * d + col
+            cols[-1] *= d  # in place: `astype` below made the column a copy
+            cols[-1] += col
             width *= d
         else:
             cols.append(col.astype(np.int64))
@@ -204,7 +211,7 @@ def _groups(keys, dims):
         present[cols[0]] = True
         distinct = np.column_stack(np.unravel_index(np.flatnonzero(present), dims)).astype(keys.dtype)
         return np.cumsum(present, dtype=np.int32)[cols[0]] - 1, distinct
-    order = np.lexsort(cols[::-1])
+    order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])  # ties are equal rows
     first = _first_of_runs([col[order] for col in cols])
     group = np.empty(len(order), dtype=np.int32)
     group[order] = np.cumsum(first, dtype=np.int32) - 1
@@ -254,7 +261,8 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     factors' columns; factors[mode] is ignored. The call walks `x.tree` from
     the root to the leaf of `mode`: each node on the way gets a (C, n)
     partial product over its n keys from its parent's (`_descend`), and the
-    leaf's partial holds the result's nonzero rows.
+    leaf's partial holds the result's nonzero rows. The root's partial is the
+    values, or None on a `binary` tensor, whose multiply by 1.0 changes nothing.
 
     `cache` is a dict that calls may share. It keeps each node's partial
     with its inputs, the tensor and the factor objects outside the node's
@@ -270,7 +278,7 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     if x.nnz == 0:
         return out.T
     cache = {} if cache is None else cache
-    lo, hi, partial = 0, x.order, x.values
+    lo, hi, partial = 0, x.order, None if x.binary and x.order > 1 else x.values
     while hi - lo > 1:
         mid = (lo + hi) // 2
         node, sibling = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
@@ -293,10 +301,10 @@ def _descend(tree, node, sibling, partial, factors):
     The product of the factor columns of the `sibling` range is taken once
     per sibling key (in ascending mode order), spread over the parent's rows
     by the sibling's run lengths or group index, and multiplied by the
-    parent's partial; it is then summed onto the node's n keys, by
-    `np.add.reduceat` over runs for a left child and by one `bincount` per
-    cluster, in parent row order, for a right child. The (C, parent rows)
-    product lives only in this call."""
+    parent's partial unless that is None (all ones); it is then summed onto
+    the node's n keys, by `np.add.reduceat` over runs for a left child and
+    by one `bincount` per cluster, in parent row order, for a right child.
+    The (C, parent rows) product lives only in this call."""
     keys, starts, _, group = tree[node]
     sib_keys, _, sib_lengths, sib_group = tree[sibling]
     lo = sibling[0]
@@ -307,10 +315,10 @@ def _descend(tree, node, sibling, partial, factors):
         prod = np.repeat(spread, sib_lengths, axis=1)
     else:
         prod = spread.take(sib_group, axis=1)
-    prod *= partial
+    if partial is not None:
+        prod *= partial
     if starts is not None:
         return np.add.reduceat(prod, starts, axis=1)
-    group = group.astype(np.intp)
     return np.stack([np.bincount(group, weights=row, minlength=len(keys)) for row in prod])
 
 
@@ -332,9 +340,9 @@ def gram_hadamard(factors, mode):
     return out
 
 
-def residual_fro_sq(x, factors):
-    """||X - [[V]]||^2, by `residual_from_mode` on mode 0's kernels."""
-    return residual_from_mode(x, factors[0], mttkrp_sparse(x, factors, 0), gram_hadamard(factors, 0))
+def residual_fro_sq(x, factors, cache=None):
+    """||X - [[V]]||^2, by `residual_from_mode` on mode 0's kernels (`cache`: `mttkrp_sparse`'s)."""
+    return residual_from_mode(x, factors[0], mttkrp_sparse(x, factors, 0, cache=cache), gram_hadamard(factors, 0))
 
 
 def residual_from_mode(x, factor, mttkrp, gram):

@@ -269,14 +269,16 @@ class TestFactorStacks:
     is a read-only view of it and `set_factor` the one writer."""
 
     def test_sweep_equals_cache_free_updates(self):
-        """A sweep's shared MTTKRP cache keeps old view objects, which share
-        memory with the rows written since; its updates must still equal
-        those made with cache-free MTTKRPs bit for bit, on repeated types."""
+        """A motif's MTTKRP cache, shared by its sweeps as in `fit`, keeps
+        old view objects, which share memory with the rows written since; its
+        updates must still equal those made with cache-free MTTKRPs bit for
+        bit, on repeated types."""
         state = repeated_type_state(np.random.default_rng(12), with_mask=True)
         ref = state.copy()
+        caches = [{} for _ in state.tensors]
         for _ in range(3):
             for m in range(state.n_motifs()):
-                model._sweep(state, m)
+                model._sweep(state, m, caches[m])
                 for i in range(len(ref.motif_types[m])):
                     update_factor_fresh(ref, m, i)
                 for f, want in zip(state.factors[m], ref.factors[m]):

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motifclust.model as model
+from motifclust import tensors
 from motifclust.model import (
     Hyperparameters,
     ModelState,
@@ -31,6 +32,7 @@ from motifclust.model import (
 from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
 from conftest import random_sparse_tensor, random_state
+from test_tensors import tree_ranges
 from oracles import (
     consensus_loop, coupling_terms, dense_reconstruct, from_tuples, neg_part,
     objective_from_scratch, pos_part, update_factor_fresh, update_factor_loop,
@@ -521,9 +523,10 @@ def sweep_cases():
 
 @pytest.mark.parametrize("state", sweep_cases())
 def test_sweep_residual_equals_full_pass(state):
+    caches = [{} for _ in state.tensors]
     for _ in range(3):
         for m in range(state.n_motifs()):
-            got = model._sweep(state, m)
+            got = model._sweep(state, m, caches[m])
             want = residual_fro_sq(state.tensors[m], state.factors[m])
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -540,8 +543,9 @@ def test_sweep_residual_near_exact_fit():
     state = single_motif_state(
         x, [f.copy() for f in factors], consensus_weight=0.0, mask_penalty=0.0, l1_weight=0.0
     )
+    cache = {}
     for _ in range(3):
-        got = model._sweep(state, 0)
+        got = model._sweep(state, 0, cache)
         want = residual_fro_sq(x, state.factors[0])
         assert 0.0 <= got <= 1e-9 * x.norm_sq
         assert 0.0 <= want <= 1e-9 * x.norm_sq
@@ -588,9 +592,9 @@ def test_fit_evaluates_each_state_once(monkeypatch):
         calls["mttkrp"] += 1
         return real_mttkrp(x, factors, mode, **kwargs)
 
-    def counting_residual(x, factors):
+    def counting_residual(x, factors, **kwargs):
         calls["residual"] += 1
-        return real_residual(x, factors)
+        return real_residual(x, factors, **kwargs)
 
     monkeypatch.setattr(model, "objective", counting_objective)
     monkeypatch.setattr(model, "update_factor", counting_update)
@@ -602,6 +606,36 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     assert calls["objective"] == 1 + calls["sweeps"]
     assert calls["mttkrp"] == calls["updates"]
     assert calls["residual"] == state.n_motifs()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_sweep_reuses_the_initial_residuals_nodes(seed, monkeypatch):
+    """Each motif's initial residual and its sweeps share one MTTKRP cache:
+    in a two-motif fit of one sweep each, the first sweep's mode-0 call
+    computes no node of the tensor's dimension tree, and each node is
+    computed once across that residual and that sweep."""
+    state = random_state(np.random.default_rng(seed), n_motifs=2,
+                         hyper_overrides={"max_outer_iters": 1, "max_inner_iters": 1})
+    motif_of = {id(x.tree): m for m, x in enumerate(state.tensors)}
+    log, real_descend, real_mttkrp = [], tensors._descend, model.mttkrp_sparse
+
+    def counted_descend(tree, node, *args):
+        log.append(("node", motif_of[id(tree)], node))
+        return real_descend(tree, node, *args)
+
+    def marked_mttkrp(x, factors, mode, **kwargs):
+        log.append(("mttkrp", motif_of[id(x.tree)], mode))
+        return real_mttkrp(x, factors, mode, **kwargs)
+
+    monkeypatch.setattr(tensors, "_descend", counted_descend)
+    monkeypatch.setattr(model, "mttkrp_sparse", marked_mttkrp)
+    fit(state)
+    for m, x in enumerate(state.tensors):
+        entries = [entry for entry in log if entry[1] == m]
+        at = entries.index(("mttkrp", m, 0))  # the residual's MTTKRP is not the model's
+        assert entries[at + 1] == ("mttkrp", m, 1)  # mode 0 computed no node
+        nodes = [node for kind, _, node in entries if kind == "node"]
+        assert sorted(nodes) == sorted(child for _, child in tree_ranges(0, x.order))
 
 
 def test_weight_step_takes_the_gram_rows_of_its_terms(monkeypatch):

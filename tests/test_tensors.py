@@ -150,12 +150,24 @@ class TestSparseTensor:
             ([[0.9, 2.5]], r"not \(nnz, 2\) integers"),
             ([0, 1, 2, 2], r"not \(nnz, 2\) integers"),  # two rows once reshaped
             ([[True, False]], r"not \(nnz, 2\) integers"),
+            (np.array([[0, 0], [2, 3]], dtype=np.int32), "out of bounds"),
+            (np.array([[1, 2], [0, 3], [2, 0]], dtype=np.int64), "out of bounds"),
+            (np.array([[3, 0]], dtype=np.int64), "out of bounds"),
+            (np.array([[0, 2**63]], dtype=np.uint64), "out of bounds"),
         ],
-        ids=["int64-wraps", "python-int", "fractions", "flat", "bool"],
+        ids=["int64-wraps", "python-int", "fractions", "flat", "bool", "int32-second-column",
+             "int64-second-column", "int64-first-column", "uint64-second-column"],
     )
     def test_indices_checked_before_narrowing(self, indices, message):
         with pytest.raises(ValueError, match=message):
             SparseTensor((3, 3), indices, np.ones(np.size(indices) // 2))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
+    def test_wide_indices_in_bounds_are_narrowed(self, dtype):
+        rows = [[2, 0, 4], [0, 1, 4], [2, 0, 3]]
+        x = SparseTensor((3, 2, 5), np.array(rows, dtype=dtype), [1.0, 2.0, 3.0])
+        assert x.indices.dtype == np.int32 and x.indices.tolist() == sorted(rows)
+        assert x.values.tolist() == [2.0, 3.0, 1.0]
 
     @pytest.mark.parametrize(
         "dims",
@@ -277,15 +289,16 @@ class TestGroups:
     @pytest.mark.parametrize("past", [0, 1])
     def test_table_up_to_dense_span_rows_each(self, rows, past, dtype):
         """A range of exactly DENSE_SPAN slots a row is ranked in a table, in
-        one column or three, and one slot more is sorted."""
+        one column or three, and one slot more is sorted, by one argsort of
+        its one packed column."""
         span = DENSE_SPAN * rows + past
         rng = np.random.default_rng(rows)
         flat = np.concatenate([[span - 1, 0], rng.integers(0, span, size=rows - 2)])  # not rising
         for dims in [(span,), (1, span, 1)] + ([(2, span // 2)] if span % 2 == 0 else []):
             keys = np.column_stack(np.unravel_index(flat, dims)).astype(dtype)
-            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
                 self.assert_groups_equal_lexsort(keys, dims)
-            assert lexsort.call_count == 1 + past  # the oracle's call, and `_groups`'s past the span
+            assert argsort.call_count == past  # `_groups`'s sort past the span; the oracle lexsorts
 
     def test_rising_rows_are_not_ranked(self):
         keys = np.array([[0, 5], [1, 0], [1, 3]], dtype=np.int32)
@@ -509,6 +522,33 @@ class TestClusterMajorBitIdentity:
             assert np.array_equal(got, mttkrp_tree_nonzero_major(x, f, mode))
             np.testing.assert_allclose(got, mttkrp_nonzero_major(x, f, mode), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("odd", [None, 2.0, -0.0], ids=["ones", "one-two", "one-negative-zero"])
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_binary_root_skips_the_values(self, order, c, odd, monkeypatch):
+        """The root's children of an all-ones tensor skip the multiply by
+        its values; one value that is not 1.0 makes the tensor non-binary
+        and keeps it. Both equal the oracle bit for bit, signed zeros too."""
+        x, f = self.case(order, c, "binary", seed=10 * order + c)
+        if odd is not None:
+            values = x.values.copy()
+            values[x.nnz // 2] = odd
+            x = SparseTensor(x.dims, x.indices, values)
+        assert x.binary is (odd is None)
+        root_partials, descend = [], tensors._descend
+
+        def recorded(tree, node, sibling, partial, factors):
+            if node[1] - node[0] + sibling[1] - sibling[0] == order:
+                root_partials.append(partial)
+            return descend(tree, node, sibling, partial, factors)
+
+        monkeypatch.setattr(tensors, "_descend", recorded)
+        for mode in range(order):
+            got = mttkrp_sparse(x, f, mode)
+            assert got.tobytes() == mttkrp_tree_nonzero_major(x, f, mode).tobytes()
+        assert len(root_partials) == (order if order > 1 else 0)  # each call descends from the root
+        assert all((p is None) is (odd is None) for p in root_partials)
+
     @pytest.mark.parametrize("c", [2, 3, 8, 12])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_empty_tensor(self, order, c):
@@ -557,7 +597,7 @@ def assert_tree_matches_unique(x):
             assert np.array_equal(lengths, np.diff(starts, append=len(cols)))
             rows = np.repeat(np.arange(len(keys)), lengths)
         else:
-            assert starts is None and lengths is None and group.dtype == np.int32
+            assert starts is None and lengths is None and group.dtype == np.intp
             rows = group
         assert np.array_equal(keys[rows], cols)
 
