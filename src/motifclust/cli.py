@@ -41,12 +41,13 @@ from .motifs import enumerate_instances, load_motif, transcribe
 from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 
 EXIT_MAX_ITERS = 3
+INT64_MAX = np.iinfo(np.int64).max  # the largest cluster index a labels file may hold
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters")
 # Dataclass fields read from run.json or params under another key.
 FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
 # Hashed into both keys of the snapshot: a change to its layout, or to what a
 # tensor means, must change this, so no older file is served.
-CACHE_FORMAT = b"npz-2"
+CACHE_FORMAT = b"npz-3"
 GRAPH_SNAPSHOT = "graph.npz"  # in the tensor directory, its one cache file
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
@@ -265,11 +266,13 @@ def _read_labels_tsv(path, known=None):
         unknown = np.zeros(n, bool) if known is None else ~np.fromiter(map(known.__contains__, ids), bool, n)
         # ASCII [0-9]+: `str.isdigit` alone also takes other digits, such as "\uff13".
         digits = np.fromiter(map(str.isdigit, labels), bool, n) & np.fromiter(map(str.isascii, labels), bool, n)
+        wide = np.fromiter((ok and len(s) > 18 and int(s) > INT64_MAX for ok, s in zip(digits, labels)), bool, n)
         fault = _first_fault([
             (counts != 2, lambda k: "expected 2 columns"),
             (_repeats(ids, out), lambda k: f"duplicate node id {ids[k]!r}"),
             (unknown, lambda k: f"unknown node id {ids[k]!r}"),
             (~digits, lambda k: f"cluster index {labels[k]!r} is not a non-negative integer"),
+            (wide, lambda k: f"cluster index {labels[k]} does not fit in int64"),
         ])
         if fault:
             raise ValueError(f"{path} line {numbers[fault[0]]}: {fault[1]}")

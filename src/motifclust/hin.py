@@ -21,8 +21,8 @@ File formats (UTF-8, LF, `#` comment lines skipped):
 `write_snapshot` stores a loaded HIN and the tensors of its motifs in one
 numpy `.npz` file: one JSON header (the two keys that name the files they
 came from, the graph's names, its duplicate count and each tensor's motif
-name and dims), the `HIN.edges` array, and each tensor's index and value
-arrays. `read_snapshot` rebuilds the HIN through `HIN.__init__` without
+name and dims), the `HIN.edges` array, and each tensor's index array.
+`read_snapshot` rebuilds the HIN through `HIN.__init__` without
 parsing text when the graph key matches, and the tensors through
 `SparseTensor` when the motif key matches too.
 """
@@ -398,7 +398,7 @@ def write_hin(hin, nodes_path, edges_path):
 
 # The arrays of a snapshot: name -> (dtype, shape), None for any length:
 # `header`, the ASCII bytes of one JSON object, and `HIN.edges`. The k-th
-# tensor of the header adds `indices{k}` and `values{k}`.
+# tensor of the header adds `indices{k}`, its index tuples.
 SNAPSHOT_ARRAYS = {"header": (np.uint8, (None,)), "edges": (np.int64, (None, 3))}
 # The header's keys -> the type of their values: the graph key and the motif
 # key it was written under, the type names, the node ids of each type,
@@ -424,7 +424,7 @@ def write_snapshot(hin, tensors, path, key, motif_key):
     })
     arrays = {"header": np.frombuffer(header.encode("ascii"), dtype=np.uint8), "edges": hin.edges}
     for k, t in enumerate(tensors.values()):
-        arrays[f"indices{k}"], arrays[f"values{k}"] = t.indices, t.values
+        arrays[f"indices{k}"] = t.indices
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -476,11 +476,9 @@ def read_snapshot(path, key, motif_key, edges_path):
                 if h["motif_key"] == motif_key:
                     tensors = {}
                     for k, (name, dims) in enumerate(h["tensors"]):
-                        indices, values = _read_arrays(archive, {
-                            f"indices{k}": (np.int32, (None, len(dims))), f"values{k}": (np.float64, (None,))
-                        }).values()
+                        (indices,) = _read_arrays(archive, {f"indices{k}": (np.int32, (None, len(dims)))}).values()
                         try:
-                            tensors[name] = SparseTensor(dims, indices, values)
+                            tensors[name] = SparseTensor(dims, indices)
                         except ValueError as exc:
                             raise ValueError(f"tensor {name!r}: {exc}") from None
     except (zipfile.BadZipFile, EOFError, KeyError) as exc:

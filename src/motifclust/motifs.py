@@ -224,6 +224,5 @@ def _has_edge(csr, width, rows, cols):
 
 def transcribe(hin, motif, tuples):
     """Binary sparse tensor of the motif's instance rows: one mode per motif
-    position, mode i sized |V_t| for the position's type, value 1.0 at each."""
-    dims = tuple(hin.num_nodes(t) for t in motif.node_types)
-    return SparseTensor(dims, tuples, np.ones(len(tuples)))
+    position, mode i sized |V_t| for the position's type, 1 at each row."""
+    return SparseTensor(tuple(hin.num_nodes(t) for t in motif.node_types), tuples)

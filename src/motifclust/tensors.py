@@ -1,4 +1,5 @@
-"""Coordinate-format sparse tensors and the factorization kernels built on them.
+"""Binary sparse tensors, sets of index tuples, and the factorization kernels
+built on them.
 
 Factor matrices are plain numpy arrays of shape ``(C, d)`` where ``C`` is the
 cluster count and column ``j`` holds the soft cluster membership of node ``j``.
@@ -21,21 +22,19 @@ import numpy as np
 # Indices are stored as int32; any mode larger than this cannot be addressed.
 MAX_INDEX = np.iinfo(np.int32).max
 # `write_tsv` writes this many rows per write call, the bound on the Python
-# objects it holds at once; each block formats its distinct values once, by bit
-# pattern so -0.0 is not written as 0 (index cells: once per call).
+# objects it holds at once (index cells: formatted once per call).
 WRITE_BLOCK_ROWS = 1 << 14
 DENSE_SPAN = 4  # `_groups` ranks keys in a table of their range up to this many slots a row
 
 
 class SparseTensor:
-    """N-th order tensor stored as sorted unique (index tuple, value) pairs.
+    """N-th order binary tensor: the set of index tuples where it is 1.
 
-    indices: (nnz, N) int32 array, rows sorted lexicographically, no duplicates
-    values:  (nnz,) float64 array
-    Both are read-only.
+    indices: (nnz, N) int32 array, rows sorted lexicographically, no
+    duplicates, read-only. ||X||^2 is `nnz`.
     """
 
-    def __init__(self, dims, indices, values):
+    def __init__(self, dims, indices):
         dims = tuple(dims)  # Python or numpy integers: a bool's dtype is not np.integer
         if not dims or any(not np.issubdtype(type(d), np.integer) or d < 0 for d in dims):
             raise ValueError(f"invalid dims {dims}")
@@ -45,29 +44,16 @@ class SparseTensor:
         indices = np.asarray(indices) if np.size(indices) else np.empty((0, len(dims)), np.int32)
         if indices.ndim != 2 or indices.shape[1] != len(dims) or indices.dtype.kind not in "iu":
             raise ValueError(f"indices are {indices.dtype} {indices.shape}, not (nnz, {len(dims)}) integers")
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if indices.shape[0] != values.shape[0]:
-            raise ValueError("indices and values disagree on nnz")
         if indices.size and (indices.min() < 0 or any(col.max() >= d for col, d in zip(indices.T, dims))):
             raise ValueError("index out of bounds")
-        indices = indices.astype(np.int32, copy=False)  # in bounds, so narrowing is exact
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        # Both paths copy, so freezing the arrays below never freezes the caller's.
-        lead = _packed(indices, dims)[0]
-        if np.all(lead[1:] > lead[:-1]):  # a rising prefix: sorted and unique
-            indices, values = indices.copy(), values.copy()
-        else:
-            rank, indices = _groups(indices, dims)
-            if len(indices) < len(rank):
-                raise ValueError("duplicate index tuples")
-            values, unsorted = np.empty_like(values), values
-            values[rank] = unsorted
-        # Read-only: an in-place write would make `norm_sq` and `tree` stale.
-        indices.flags.writeable = values.flags.writeable = False
+        # In bounds, so narrowing is exact; `_groups` returns a copy, so
+        # freezing it never freezes the caller's array.
+        distinct = _groups(indices.astype(np.int32, copy=False), dims)[1]
+        if len(distinct) < len(indices):
+            raise ValueError("duplicate index tuples")
+        distinct.flags.writeable = False  # an in-place write would make `tree` stale
         self.dims = dims
-        self.indices = indices
-        self.values = values
+        self.indices = distinct
 
     @property
     def order(self):
@@ -75,20 +61,7 @@ class SparseTensor:
 
     @property
     def nnz(self):
-        return int(self.values.shape[0])
-
-    @cached_property
-    def norm_sq(self):
-        """||X||^2, computed on first use and kept. Not `values @ values`:
-        above 10,000 values OpenBLAS runs that on worker threads, which keep
-        spinning beside the caller and slow the rest of a fit, and its sum
-        then depends on the thread count."""
-        return float(np.einsum("i,i->", self.values, self.values))
-
-    @cached_property
-    def binary(self):
-        """Whether every value is exactly 1.0, as in every motif tensor."""
-        return bool(np.all(self.values == 1.0))
+        return int(self.indices.shape[0])
 
     @cached_property
     def tree(self):
@@ -124,22 +97,20 @@ class SparseTensor:
 
     @classmethod
     def empty(cls, dims):
-        return cls(dims, np.empty((0, len(dims)), dtype=np.int32), np.empty(0))
+        return cls(dims, np.empty((0, len(dims)), dtype=np.int32))
 
     def write_tsv(self, path):
-        """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>value`
-        rows; `%.17g` values read back bit-exactly. A block's rows are three
-        cells each: the first N-1 index cells, joined once per run of rows
-        sharing them, the last index and the value."""
-        cells = [_index_cells(col, d) for col, d in zip(self.indices.T, self.dims)]
+        """One `#dims d1 .. dN` header line, then `j1<TAB>..<TAB>jN<TAB>1`
+        rows, the 1 being each entry's value. A block's rows are two cells
+        each: the first N-1 index cells, joined once per run of rows sharing
+        them, and the last index with the value."""
+        cells = [_index_cells(col, d, "\t") for col, d in zip(self.indices.T[:-1], self.dims)]
+        last = _index_cells(self.indices[:, -1], self.dims[-1], "\t1\n")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("#dims " + " ".join(map(str, self.dims)) + "\n")
             for start in range(0, self.nnz, WRITE_BLOCK_ROWS):
-                block = slice(start, start + WRITE_BLOCK_ROWS)
-                idx = self.indices[block]
-                keys, where = np.unique(self.values[block].view(np.int64), return_inverse=True)
-                text = np.array(["%.17g\n" % v for v in keys.view(np.float64).tolist()], dtype=object)
-                row = [cells[-1](idx[:, -1]), text[where]]
+                idx = self.indices[start : start + WRITE_BLOCK_ROWS]
+                row = [last(idx[:, -1])]
                 if self.order > 1:
                     starts = np.flatnonzero(_first_of_runs(_packed(idx[:, :-1], self.dims[:-1])))
                     heads = [cell(col) for cell, col in zip(cells, idx[starts, :-1].T)]
@@ -149,8 +120,8 @@ class SparseTensor:
     @classmethod
     def read_tsv(cls, path):
         """Read a `write_tsv` file, the format `transcribe` exports tensors in
-        (no command reads them back); anything malformed raises a ValueError
-        that names `path`."""
+        (no command reads them back); anything malformed, a value other than
+        1 included, raises a ValueError that names `path`."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 tokens = fh.readline().split()
@@ -165,18 +136,18 @@ class SparseTensor:
                 if char:  # loadtxt warns on a body without rows
                     fh.seek(body)
                     rows = np.loadtxt(fh, row, delimiter="\t", comments=None, ndmin=1)
-            return cls(dims, rows["index"], rows["value"])
+            x = cls(dims, rows["index"])
+            other = rows["value"][rows["value"] != 1.0]
+            if other.size:
+                raise ValueError(f"value {other[0]} is not 1")
+            return x
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
             return NotImplemented
-        return (
-            self.dims == other.dims
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
+        return self.dims == other.dims and np.array_equal(self.indices, other.indices)
 
     def __repr__(self):
         return f"SparseTensor(dims={self.dims}, nnz={self.nnz})"
@@ -218,18 +189,18 @@ def _groups(keys, dims):
     return group, keys[order[first]]
 
 
-def _index_cells(col, d):
-    """A function from a block of the indices `col` to their `f"{j}\t"` cells,
-    each index formatted once. If d <= len(col) they sit in a table over
-    range(d), else they are found by binary search: a huge mode with few
-    nonzeros allocates nothing of size d."""
+def _index_cells(col, d, end):
+    """A function from a block of the indices `col` to their `f"{j}{end}"`
+    cells, each index formatted once. If d <= len(col) they sit in a table
+    over range(d), else they are found by binary search: a huge mode with
+    few nonzeros allocates nothing of size d."""
     if d <= len(col):
         keys = np.flatnonzero(np.bincount(col, minlength=d))
         table = np.empty(d, dtype=object)
-        table[keys] = [f"{j}\t" for j in keys.tolist()]
+        table[keys] = [f"{j}{end}" for j in keys.tolist()]
         return table.take
     keys = np.unique(col)
-    table = np.array([f"{j}\t" for j in keys.tolist()], dtype=object)
+    table = np.array([f"{j}{end}" for j in keys.tolist()], dtype=object)
     return lambda block: table.take(np.searchsorted(keys, block))
 
 
@@ -257,12 +228,12 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     """Matricized-tensor-times-factors product along `mode`, nonzeros only.
 
     Returns the (d_mode, C) matrix whose row j accumulates, over nonzeros whose
-    mode-th index equals j, value times the elementwise product of the other
-    factors' columns; factors[mode] is ignored. The call walks `x.tree` from
-    the root to the leaf of `mode`: each node on the way gets a (C, n)
-    partial product over its n keys from its parent's (`_descend`), and the
-    leaf's partial holds the result's nonzero rows. The root's partial is the
-    values, or None on a `binary` tensor, whose multiply by 1.0 changes nothing.
+    mode-th index equals j, the elementwise product of the other factors'
+    columns; factors[mode] is ignored. The call walks `x.tree` from the root
+    to the leaf of `mode`: each node on the way gets a (C, n) partial product
+    over its n keys from its parent's (`_descend`), and the leaf's partial
+    holds the result's nonzero rows. The root's partial, its ones, is None,
+    so an order-1 tensor's result is 1.0 at its nonzeros.
 
     `cache` is a dict that calls may share. It keeps each node's partial
     with its inputs, the tensor and the factor objects outside the node's
@@ -278,7 +249,7 @@ def mttkrp_sparse(x, factors, mode, cache=None):
     if x.nnz == 0:
         return out.T
     cache = {} if cache is None else cache
-    lo, hi, partial = 0, x.order, None if x.binary and x.order > 1 else x.values
+    lo, hi, partial = 0, x.order, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         node, sibling = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
@@ -291,7 +262,7 @@ def mttkrp_sparse(x, factors, mode, cache=None):
             partial = _descend(x.tree, node, sibling, partial, factors)
             cache[node] = inputs, partial
         lo, hi = node
-    out[:, x.tree[lo, hi][0][:, 0]] = partial
+    out[:, x.tree[lo, hi][0][:, 0]] = 1.0 if partial is None else partial
     return out.T
 
 
@@ -301,9 +272,9 @@ def _descend(tree, node, sibling, partial, factors):
     The product of the factor columns of the `sibling` range is taken once
     per sibling key (in ascending mode order), spread over the parent's rows
     by the sibling's run lengths or group index, and multiplied by the
-    parent's partial unless that is None (all ones); it is then summed onto
-    the node's n keys, by `np.add.reduceat` over runs for a left child and
-    by one `bincount` per cluster, in parent row order, for a right child.
+    parent's partial unless that is None (the root's ones); it is then summed
+    onto the node's n keys, by `np.add.reduceat` over runs for a left child
+    and by one `bincount` per cluster, in parent row order, for a right child.
     The (C, parent rows) product lives only in this call."""
     keys, starts, _, group = tree[node]
     sib_keys, _, sib_lengths, sib_group = tree[sibling]
@@ -357,7 +328,7 @@ def residual_from_mode(x, factor, mttkrp, gram):
     """
     cross = float(np.sum(mttkrp.T * factor))
     recon = float((gram * (factor @ factor.T)).sum())
-    res = x.norm_sq - 2.0 * cross + recon
-    if res < -1e-6 * (1.0 + x.norm_sq + recon):
+    res = x.nnz - 2.0 * cross + recon  # ||X||^2 is nnz
+    if res < -1e-6 * (1.0 + x.nnz + recon):
         raise FloatingPointError(f"residual {res} is negative beyond roundoff")
     return max(res, 0.0)

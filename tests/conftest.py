@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from motifclust.model import Hyperparameters, ModelState
+from motifclust.tensors import SparseTensor
 
-from oracles import from_tuples
+from oracles import dense_reconstruct, from_tuples
 
 
 def random_sparse_tensor(rng, dims, nnz):
@@ -15,6 +16,18 @@ def random_sparse_tensor(rng, dims, nnz):
     flat = rng.choice(total, size=nnz, replace=False)
     idx = np.stack(np.unravel_index(flat, dims), axis=1)
     return from_tuples(dims, map(tuple, idx))
+
+
+def block_factorization(rng, dims, c):
+    """An exactly factorable binary tensor and its (C, d) factors, equal up
+    to roundoff: each mode's nodes fall in C random blocks, cluster k's row
+    of each factor is a random positive scale on block k, the scales of each
+    cluster multiply to 1, and the tensor is 1 on each cluster's blocks."""
+    scales = rng.uniform(0.5, 2.0, size=(len(dims), c))
+    scales[-1] = 1.0 / scales[:-1].prod(axis=0)
+    blocks = [rng.permutation(np.arange(d) % c) for d in dims]  # none empty while d >= C
+    factors = [s[:, None] * (b == np.arange(c)[:, None]) for s, b in zip(scales, blocks)]
+    return SparseTensor(dims, np.argwhere(dense_reconstruct(factors) > 0)), factors
 
 
 def damage_snapshot(path, damage):

@@ -24,10 +24,10 @@ from motifclust.tensors import (
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
 
-def from_tuples(dims, tuples, value=1.0):
-    """Constant-valued tensor on the distinct index tuples of an iterable."""
+def from_tuples(dims, tuples):
+    """Tensor of the distinct index tuples of an iterable."""
     arr = np.asarray(sorted(set(map(tuple, tuples))), dtype=np.int32)
-    return SparseTensor(dims, arr.reshape(-1, len(dims)), np.full(arr.shape[0], float(value)))
+    return SparseTensor(dims, arr.reshape(-1, len(dims)))
 
 
 def todense(x, max_size=10**7):
@@ -37,12 +37,12 @@ def todense(x, max_size=10**7):
     if size > max_size:
         raise ValueError(f"dense volume {size} exceeds guard {max_size}")
     out = np.zeros(x.dims)
-    out[tuple(x.indices.T)] = x.values
+    out[tuple(x.indices.T)] = 1.0
     return out
 
 
 def mttkrp_nonzero_major(x, factors, mode):
-    """`mttkrp_sparse` as one flat pass in the (nnz, C) layout: the values
+    """`mttkrp_sparse` as one flat pass in the (nnz, C) layout: ones
     times the other factors' columns gathered per nonzero, summed per
     cluster by `bincount` in nonzero order. The library's dimension tree
     groups these sums differently, so it equals this up to roundoff."""
@@ -50,7 +50,7 @@ def mttkrp_nonzero_major(x, factors, mode):
     out = np.zeros((x.dims[mode], c))
     if x.nnz == 0:
         return out
-    prod = np.broadcast_to(x.values[:, None], (x.nnz, c)).copy()
+    prod = np.ones((x.nnz, c))
     for i, f in enumerate(factors):
         if i != mode:
             prod *= f.T[x.indices[:, i], :]
@@ -77,7 +77,7 @@ def mttkrp_tree_nonzero_major(x, factors, mode):
     out = np.zeros((x.dims[mode], c))
     if x.nnz == 0:
         return out
-    lo, hi, keys, partial = 0, x.order, x.indices, x.values[:, None]
+    lo, hi, keys, partial = 0, x.order, x.indices, np.ones((x.nnz, 1))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         half, sib = ((lo, mid), (mid, hi)) if mode < mid else ((mid, hi), (lo, mid))
@@ -107,15 +107,15 @@ def mttkrp_tree_nonzero_major(x, factors, mode):
 def write_tsv_reference(x, path):
     """`SparseTensor.write_tsv` one column at a time: each block of
     WRITE_BLOCK_ROWS rows formats each distinct cell of each column once,
-    found by `np.unique` (values by bit pattern), and joins N+1 cells per
-    row. The library's writer must write the same bytes."""
+    found by `np.unique`, and joins N+1 cells per row, the last `%.17g` of
+    the value 1.0. The library's writer must write the same bytes."""
     formats = ["%d\t"] * x.order + ["%.17g\n"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("#dims " + " ".join(map(str, x.dims)) + "\n")
         for start in range(0, x.nnz, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
             cells = []
-            for col, fmt in zip([*x.indices[block].T, x.values[block]], formats):
+            for col, fmt in zip([*x.indices[block].T, np.ones(len(x.indices[block]))], formats):
                 keys, where = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
                 text = [fmt % key for key in keys.view(col.dtype).tolist()]
                 cells.append(np.array(text, dtype=object)[where])
@@ -141,8 +141,8 @@ def residual_nonzero_major(x, factors):
         prod = np.ones((x.nnz, c))
         for i, f in enumerate(factors):
             prod *= f.T[x.indices[:, i], :]
-        cross = float(x.values @ prod.sum(axis=1))
-    return max(x.norm_sq - 2.0 * cross + reconstruction_norm_sq(factors), 0.0)
+        cross = float(prod.sum(axis=1).sum())
+    return max(x.nnz - 2.0 * cross + reconstruction_norm_sq(factors), 0.0)
 
 
 def objective_from_scratch(state):

@@ -424,6 +424,29 @@ class TestTranscribe:
         code, _, err = run_cli(capsys, "transcribe", "--config", config)
         assert code == 0 and err == "" and enumerated == ["pair", "pair"]
 
+    def test_npz2_snapshot_is_rebuilt_once(self, planted_dir, capsys, enumerated):
+        """A snapshot in the `npz-2` layout: its keys hashed under that tag,
+        and a `values{k}` member of ones beside each `indices{k}`. It is
+        refused once, with the usual warning, and rewritten without values;
+        the next run is warm."""
+        config = str(planted_dir / "run.json")
+        snapshot = planted_dir / "tensors" / "graph.npz"
+        assert run_cli(capsys, "transcribe", "--config", config)[0] == 0
+        keys = {
+            "key": key_formula(planted_dir, "nodes.tsv", "edges.tsv", tag=b"npz-2"),
+            "motif_key": key_formula(planted_dir, "motif_pair.json", tag=b"npz-2"),
+        }
+        damage_snapshot(snapshot, header_edited(lambda h: dict(h, **keys)))
+        damage_snapshot(snapshot, lambda arrays, data: dict(arrays, values0=np.ones(len(arrays["indices0"]))))
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        [warning] = err.splitlines()
+        assert code == 0 and f"{snapshot}: ignoring the graph snapshot: written for other graph files" in warning
+        assert enumerated == ["pair", "pair"]
+        with np.load(snapshot) as archive:
+            assert sorted(archive.files) == ["edges", "header", "indices0"]
+        code, _, err = run_cli(capsys, "transcribe", "--config", config)
+        assert code == 0 and err == "" and enumerated == ["pair", "pair"]
+
     def test_tagless_key_is_rebuilt(self, planted_dir, capsys, enumerated):
         """Tensors stored under a motif key hashed without the cache format tag are not served."""
         config = str(planted_dir / "run.json")
@@ -507,6 +530,8 @@ class TestTranscribe:
             for p in (out / "tensors").glob("*.tsv")
         }
         assert got == DEFAULT_TENSOR_SHA256
+        with np.load(out / "tensors" / "graph.npz") as archive:
+            assert sorted(archive.files) == ["edges", "header", "indices0", "indices1"]
 
     def test_cache_invalidated_by_input_change(self, planted_dir, capsys, enumerated):
         config = planted_dir / "run.json"
@@ -1047,6 +1072,20 @@ class TestEvaluate:
         assert json.loads(err)["error"] == (
             f"{pred} line 2: cluster index {label!r} is not a non-negative integer"
         )
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "99999999999999999999"])
+    def test_label_must_fit_in_int64(self, tmp_path, capsys, label):
+        pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", label)])
+        truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
+        code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
+        assert code == 1
+        assert json.loads(err)["error"] == f"{pred} line 2: cluster index {label} does not fit in int64"
+
+    def test_largest_int64_label_is_read(self, tmp_path, capsys):
+        pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", "0009223372036854775807")])
+        truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
+        code, stdout, _ = run_cli(capsys, "evaluate", "--pred", str(pred), "--truth", str(truth))
+        assert code == 0 and json.loads(stdout)["nmi"] == pytest.approx(1.0)  # a relabelling
 
     def test_id_mismatch_errors(self, tmp_path, capsys):
         pred = self.write(tmp_path / "p.tsv", [("a", 0)])

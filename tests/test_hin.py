@@ -698,11 +698,11 @@ class TestSnapshot:
     # order 1, with a name that is not ASCII, and of the planted quad.
     TENSORS = {
         "empty": SparseTensor.empty((8, 8, 8)),
-        "order_1_\u00e9": SparseTensor((5,), [[1], [4]], [0.5, 2.0]),
+        "order_1_\u00e9": SparseTensor((5,), [[1], [4]]),
         "quad": planted_quad(),
     }
     # The tensors of the damages below.
-    PAIR = {"pair": SparseTensor((3, 4), [[0, 1], [2, 3]], [0.25, 0.75])}
+    PAIR = {"pair": SparseTensor((3, 4), [[0, 1], [2, 3]])}
 
     # An empty `#types` type, ids equal but for a trailing NUL, undirected
     # same-type edges and two duplicate edges, each written the other way round.
@@ -731,7 +731,7 @@ class TestSnapshot:
             got, tensors = read_snapshot(tmp_path / "g.npz", "key", "motif key", graph_paths[1])
         assert got == hin
         assert list(tensors) == list(self.TENSORS) and tensors == self.TENSORS
-        assert all((t.indices.dtype, t.values.dtype) == (np.int32, np.float64) for t in tensors.values())
+        assert all(t.indices.dtype == np.int32 for t in tensors.values())
         assert (got.node_index, got.edge_type_ids) == (hin.node_index, hin.edge_type_ids)
         assert got.duplicates == hin.duplicates
         assert [rec.getMessage() for rec in caplog.records] == parsed_warnings
@@ -749,7 +749,7 @@ class TestSnapshot:
         nodes, edges = folder / "n.tsv", folder / "e.tsv"
         nodes.write_bytes(files[0].encode("utf-8"))
         edges.write_bytes(files[1].encode("utf-8"))
-        tensors = {motif: SparseTensor((3, 2), [[2, 1]], [0.5])}
+        tensors = {motif: SparseTensor((3, 2), [[2, 1]])}
         with mock.patch.object(hin_module.log, "warning") as warn:
             hin = load_hin(nodes, edges)
             parsed = warn.call_args_list
@@ -777,7 +777,7 @@ class TestSnapshot:
         hin = load_hin(*toy_paths)
         path = tmp_path / "g.npz"
         write_snapshot(hin, self.PAIR, path, "key", "motif key")
-        damage_snapshot(path, lambda arrays, data: dict(arrays, values0=arrays["values0"].astype(object)))
+        damage_snapshot(path, lambda arrays, data: dict(arrays, indices0=arrays["indices0"].astype(object)))
         assert read_snapshot(path, "key", "other", toy_paths[1]) == (hin, None)
 
     @pytest.mark.parametrize(
@@ -900,7 +900,7 @@ class TestSnapshot:
             ),
             pytest.param(
                 lambda arrays, data: data.replace(
-                    arrays["values0"].tobytes(), (arrays["values0"] + 1).tobytes()
+                    arrays["indices0"].tobytes(), (arrays["indices0"] ^ 1).tobytes()
                 ),
                 "Bad CRC-32",
                 id="tensor_value_edited",

@@ -19,9 +19,9 @@ from motifclust.model import (
     project_simplex,
 )
 from motifclust.motifs import enumerate_instances, parse_motif, transcribe
-from motifclust.tensors import SparseTensor, mttkrp_sparse
+from motifclust.tensors import mttkrp_sparse
 
-from conftest import random_state
+from conftest import block_factorization, random_state
 from oracles import (
     coupling_terms, dense_reconstruct, from_tuples, init_model_per_seed, init_model_two_pass,
     neg_part, objective_from_scratch, pos_part, todense, update_factor_fresh,
@@ -454,12 +454,7 @@ class TestObjective:
 
 class TestUpdateFactor:
     def test_fixed_point_at_exact_factorization(self):
-        rng = np.random.default_rng(8)
-        dims = (4, 3, 5)
-        factors = [rng.uniform(0.1, 1.1, (2, d)) for d in dims]
-        dense = dense_reconstruct(factors)
-        idx = np.argwhere(dense > 0)
-        x = SparseTensor(dims, idx, dense[tuple(idx.T)])
+        x, factors = block_factorization(np.random.default_rng(8), (4, 3, 5), 2)
         state = ModelState(
             motif_names=["m"],
             motif_types=[(0, 1, 2)],
@@ -478,11 +473,7 @@ class TestUpdateFactor:
     def test_reduces_to_matrix_factorization(self):
         # exactly factorable matrix, no coupling terms: residual is driven to ~0
         rng = np.random.default_rng(2)
-        a = rng.uniform(0.1, 1.0, (2, 4))
-        b = rng.uniform(0.1, 1.0, (2, 5))
-        dense = a.T @ b
-        idx = np.argwhere(dense > 0)
-        x = SparseTensor((4, 5), idx, dense[tuple(idx.T)])
+        x, _ = block_factorization(rng, (4, 5), 2)
         state = ModelState(
             motif_names=["m"],
             motif_types=[(0, 1)],

@@ -31,10 +31,10 @@ from motifclust.model import (
 )
 from motifclust.tensors import SparseTensor, gram_hadamard, mttkrp_sparse, residual_fro_sq
 
-from conftest import random_sparse_tensor, random_state
+from conftest import block_factorization, random_sparse_tensor, random_state
 from test_tensors import tree_ranges
 from oracles import (
-    consensus_loop, coupling_terms, dense_reconstruct, from_tuples, neg_part,
+    consensus_loop, coupling_terms, from_tuples, neg_part,
     objective_from_scratch, pos_part, update_factor_fresh, update_factor_loop,
 )
 
@@ -535,11 +535,7 @@ def test_sweep_residual_near_exact_fit():
     """An exactly factorable tensor fit by its own factors: the residual
     cancels to roundoff, and both forms clamp it the same way, without
     raising."""
-    rng = np.random.default_rng(32)
-    factors = [rng.uniform(0.1, 1.1, (2, d)) for d in (4, 3, 5)]
-    dense = dense_reconstruct(factors)
-    idx = np.argwhere(dense > 0)
-    x = SparseTensor(dense.shape, idx, dense[tuple(idx.T)])
+    x, factors = block_factorization(np.random.default_rng(32), (4, 3, 5), 2)
     state = single_motif_state(
         x, [f.copy() for f in factors], consensus_weight=0.0, mask_penalty=0.0, l1_weight=0.0
     )
@@ -547,8 +543,8 @@ def test_sweep_residual_near_exact_fit():
     for _ in range(3):
         got = model._sweep(state, 0, cache)
         want = residual_fro_sq(x, state.factors[0])
-        assert 0.0 <= got <= 1e-9 * x.norm_sq
-        assert 0.0 <= want <= 1e-9 * x.norm_sq
+        assert 0.0 <= got <= 1e-9 * x.nnz
+        assert 0.0 <= want <= 1e-9 * x.nnz
 
 
 @pytest.mark.parametrize("state", states())
