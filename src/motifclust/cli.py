@@ -41,7 +41,9 @@ from .motifs import enumerate_instances, load_motif, transcribe
 from .planted import MotifTemplate, PlantedConfig, generate_planted_hin
 
 EXIT_MAX_ITERS = 3
-INT64_MAX = np.iinfo(np.int64).max  # the largest cluster index a labels file may hold
+# The largest cluster index a labels file may hold, as digits: compared as
+# text, since `int` refuses a string of more than 4,300 digits.
+INT64_MAX = str(np.iinfo(np.int64).max)
 RUN_KEYS = ("nodes", "edges", "motifs", "seeds", "out_dir", "tensor_dir", "clusters")
 # Dataclass fields read from run.json or params under another key.
 FIELD_KEYS = {"n_clusters": "clusters", "type_names": "types"}
@@ -266,7 +268,11 @@ def _read_labels_tsv(path, known=None):
         unknown = np.zeros(n, bool) if known is None else ~np.fromiter(map(known.__contains__, ids), bool, n)
         # ASCII [0-9]+: `str.isdigit` alone also takes other digits, such as "\uff13".
         digits = np.fromiter(map(str.isdigit, labels), bool, n) & np.fromiter(map(str.isascii, labels), bool, n)
-        wide = np.fromiter((ok and len(s) > 18 and int(s) > INT64_MAX for ok, s in zip(digits, labels)), bool, n)
+        wide = np.fromiter(
+            (ok and (len(t := s.lstrip("0")), t) > (len(INT64_MAX), INT64_MAX) for ok, s in zip(digits, labels)),
+            bool,
+            n,
+        )
         fault = _first_fault([
             (counts != 2, lambda k: "expected 2 columns"),
             (_repeats(ids, out), lambda k: f"duplicate node id {ids[k]!r}"),

@@ -1073,7 +1073,9 @@ class TestEvaluate:
             f"{pred} line 2: cluster index {label!r} is not a non-negative integer"
         )
 
-    @pytest.mark.parametrize("label", ["9223372036854775808", "99999999999999999999"])
+    @pytest.mark.parametrize(
+        "label", ["9223372036854775808", "99999999999999999999", pytest.param("1" * 5000, id="5000-digits")]
+    )
     def test_label_must_fit_in_int64(self, tmp_path, capsys, label):
         pred = self.write(tmp_path / "p.tsv", [("a", 0), ("b", label)])
         truth = self.write(tmp_path / "t.tsv", [("a", 0), ("b", 1)])
