@@ -222,8 +222,10 @@ def _ensure_tensors(config):
         log.debug("graph parsed from %s and %s", config.nodes, config.edges)
     motifs = [load_motif(p, hin) for p in config.motifs]
     names = [m.name for m in motifs]
-    if len(set(names)) != len(names):
-        raise ValueError("motif names must be unique")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"{config.motifs[k]}: motif {name!r} has the name of the motif in "
+                             f"{config.motifs[names.index(name)]}, and motif names must be unique")
     if stored is not None:
         want = [(m.name, tuple(hin.num_nodes(t) for t in m.node_types)) for m in motifs]
         got = [(name, t.dims) for name, t in stored.items()]
@@ -234,11 +236,9 @@ def _ensure_tensors(config):
         log.warning("%s: ignoring the snapshot's tensors: it holds %s, the motifs are %s",
                     snapshot, got, want)
     config.tensor_dir.mkdir(parents=True, exist_ok=True)
-    snapshot.unlink(missing_ok=True)  # so no snapshot sits beside exports it did not write
-    exports = {f"tensor_{name}.tsv" for name in names}
-    for stale in [*config.tensor_dir.glob("*.tmp"), *config.tensor_dir.glob("tensor_*.tsv")]:
-        if stale.name not in exports:
-            stale.unlink()  # left by a run killed mid-write, or a retired motif's export
+    # The snapshot first, so none sits beside exports it did not write; no export rename replaces a file.
+    for stale in [snapshot, *config.tensor_dir.glob("*.tmp"), *config.tensor_dir.glob("tensor_*.tsv")]:
+        stale.unlink(missing_ok=True)
     tensors, manifest = {}, {}
     for motif in motifs:
         start = time.perf_counter()
@@ -362,47 +362,27 @@ def cmd_evaluate(args):
     return 0
 
 
-def _template_from_dict(path, k, raw):
-    where = f"{path}: template {k}"
+def _template_from_dict(k, raw):
+    """`MotifTemplate(**raw)` of the k-th template object, once it has the
+    required keys and no other; `generate_planted_hin` checks the values."""
     missing = [key for key in ("name", "node_types", "edges") if key not in raw]
     if missing:
-        raise ValueError(f"{where}: missing template key(s) {missing}")
-    if type(raw["name"]) is not str or not raw["name"]:
-        raise ValueError(f"{where}: name must be a non-empty string, got {json.dumps(raw['name'])}")
-    where = f"{path}: template {raw['name']!r}"
-    if "/" in raw["name"] or "\\" in raw["name"]:
-        raise ValueError(f"{where}: name must not contain '/' or '\\'")
-    _check_keys(where, raw, "template", MotifTemplate)
-    if type(raw["edges"]) is not list:
-        raise ValueError(f"{where}: edges must be a list, got {json.dumps(raw['edges'])}")
-    if not isinstance(raw.get("signal", True), bool):
-        raise ValueError(f"{where}: signal must be true or false")
-    edges = []
-    for edge in raw["edges"]:
-        if type(edge) is not list or len(edge) != 3 or type(edge[2]) is not str:
-            raise ValueError(f"{where}: edge {json.dumps(edge)} is not [int, int, edge type name]")
-        edges.append((*(_typed(where, "an edge position", i, int) for i in edge[:2]), edge[2]))
-    return MotifTemplate(
-        name=raw["name"],
-        node_types=_typed(where, "node_types", raw["node_types"], tuple),
-        edges=tuple(edges),
-        signal=raw.get("signal", True),
-        instances_per_block=raw.get("instances_per_block"),
-    )
+        raise ValueError(f"template {k}: missing template key(s) {missing}")
+    _check_keys(f"template {k}", raw, "template", MotifTemplate)
+    return MotifTemplate(**raw)
 
 
 def cmd_gen_planted(args):
     raw = _read_object(args.params)
     _check_keys(args.params, raw, "params", PlantedConfig)
     kwargs = _read_fields(args.params, raw, PlantedConfig)
-    if "templates" in raw:
-        ts = raw["templates"]
-        if type(ts) is not list or not all(type(t) is dict for t in ts):
-            raise ValueError(f"{args.params}: templates must be a list of objects, "
-                             f"got {json.dumps(ts)}")
-        kwargs["templates"] = tuple(_template_from_dict(args.params, *kt) for kt in enumerate(ts))
-    config = PlantedConfig(**kwargs)
     try:
+        if "templates" in raw:
+            ts = raw["templates"]
+            if type(ts) is not list or not all(type(t) is dict for t in ts):
+                raise ValueError(f"templates must be a list of objects, got {json.dumps(ts)}")
+            kwargs["templates"] = tuple(_template_from_dict(*kt) for kt in enumerate(ts))
+        config = PlantedConfig(**kwargs)
         data = generate_planted_hin(config)
         _node_lines(data.hin)  # the graph files can hold it, before --out is made
     except ValueError as exc:

@@ -8,6 +8,7 @@ nodes.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ import numpy as np
 
 from .hin import HIN, EdgeType
 from .model import check_number_fields
+from .motifs import parse_motif
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,12 @@ def generate_planted_hin(config):
     number of instances drawn uniformly with no block structure at all. The
     union of instance edges forms the graph; per block, a seed_fraction share
     of nodes (at least one, when the fraction is positive) is exported as
-    seeds."""
+    seeds.
+
+    The one home of the rules on a config's values: each refusal is a
+    ValueError that names the template when it concerns one. Template names
+    must be unique, and each template must parse (`parse_motif`, on the built
+    graph) as the motif of its `motif_spec`: connected, with no edge twice."""
     check_number_fields(config)
     c = config.n_clusters
     size = config.nodes_per_type
@@ -152,6 +159,10 @@ def generate_planted_hin(config):
         raise ValueError("n_clusters must be at least 2")
     if size < 1:
         raise ValueError("nodes_per_type must be at least 1")
+    if not isinstance(config.type_names, (tuple, list)) or any(type(t) is not str for t in config.type_names):
+        raise ValueError(f"type_names must be a list of strings, got {config.type_names!r}")
+    if not isinstance(config.templates, (tuple, list)) or not all(isinstance(t, MotifTemplate) for t in config.templates):
+        raise ValueError(f"templates must be a list of MotifTemplate, got {config.templates!r}")
     if not config.templates:
         raise ValueError("templates must not be empty")
     if size % c != 0:
@@ -161,25 +172,35 @@ def generate_planted_hin(config):
         raise ValueError("noise must be non-negative and finite")
     if not 0 <= config.seed_fraction <= 1:
         raise ValueError("seed_fraction must be in [0, 1]")
-    edge_type_uses = {}  # edge type name -> (first template, its sorted end types)
-    for template in config.templates:
-        where, count = f"template {template.name!r}", template.instances_per_block
-        node_types = template.node_types
+    type_ids = {t: i for i, t in enumerate(config.type_names)}
+    edge_types = {}  # edge type name -> (its EdgeType, the first template to use it, its sorted end types)
+    names = {}  # template name -> its index
+    for k, template in enumerate(config.templates):
+        name, node_types, count = template.name, template.node_types, template.instances_per_block
+        if type(name) is not str or not name:
+            raise ValueError(f"template {k}: name must be a non-empty string, got {name!r}")
+        where = f"template {name!r}"
+        if "/" in name or "\\" in name:
+            raise ValueError(f"{where}: name must not contain '/' or '\\'")
+        if names.setdefault(name, k) != k:
+            raise ValueError(f"{where}: templates {names[name]} and {k} share this name, and names must be unique")
         if count is not None and (type(count) is not int or count < 0):
             raise ValueError(f"{where}: instances_per_block must be a non-negative integer or null")
         if type(template.signal) is not bool:
-            raise ValueError(f"{where}: signal must be True or False, got {template.signal!r}")
+            raise ValueError(f"{where}: signal must be true or false, got {template.signal!r}")
         if not isinstance(node_types, (tuple, list)) or any(type(t) is not str for t in node_types):
-            raise ValueError(f"{where}: node_types must be a tuple of strings, got {node_types!r}")
+            raise ValueError(f"{where}: node_types must be a list of strings, got {node_types!r}")
         if not node_types:
             raise ValueError(f"{where}: node_types must not be empty")
         for t in node_types:
-            if t not in config.type_names:
+            if t not in type_ids:
                 raise ValueError(f"{where} uses unknown type {t!r}")
+        if not isinstance(template.edges, (tuple, list)):
+            raise ValueError(f"{where}: edges must be a list, got {template.edges!r}")
         positions = range(len(node_types))
         for edge in template.edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 3 or type(edge[2]) is not str:
-                raise ValueError(f"{where}: edge {edge!r} is not a (position, position, edge type name) triple")
+                raise ValueError(f"{where}: edge {edge!r} is not [int, int, edge type name]")
             i, j, etname = edge
             for p in (i, j):
                 if isinstance(p, bool) or not isinstance(p, Integral):
@@ -188,15 +209,11 @@ def generate_planted_hin(config):
                 raise ValueError(f"{where}: edge ({i}, {j}) must join two distinct positions in "
                                  f"0..{len(positions) - 1}")
             ends = tuple(sorted((node_types[i], node_types[j])))
-            first, first_ends = edge_type_uses.setdefault(etname, (template.name, ends))
+            edge_type = EdgeType(etname, False, type_ids[node_types[i]], type_ids[node_types[j]])
+            _, first, first_ends = edge_types.setdefault(etname, (edge_type, name, ends))
             if ends != first_ends:
                 raise ValueError(f"edge type {etname!r} joins {'-'.join(ends)} in {where} "
                                  f"but {'-'.join(first_ends)} in template {first!r}")
-        reached = {0}  # the positions the edges join to position 0, for a motif that is connected
-        for _ in positions:
-            reached |= {q for i, j, _ in template.edges for p, q in ((i, j), (j, i)) if p in reached}
-        if len(reached) < len(positions):
-            raise ValueError(f"{where}: its edges do not connect every position, and a motif must be connected")
         worst = max(Counter(node_types).values())
         if worst > block:
             raise ValueError(f"{where} needs {worst} distinct nodes of one type but blocks have only {block}")
@@ -207,69 +224,56 @@ def generate_planted_hin(config):
 
     instances = {}
     for template in config.templates:
-        possible_block = math.prod(
-            math.perm(block, k) for k in Counter(template.node_types).values()
-        )
-        per_block = (
-            possible_block if template.instances_per_block is None
-            else min(template.instances_per_block, possible_block)
-        )
+        count = template.instances_per_block
+        possible_block = math.prod(math.perm(block, k) for k in Counter(template.node_types).values())
+        per_block = possible_block if count is None else min(count, possible_block)
         if template.signal:
             tuples = set()
             for nodes in blocks:
                 if per_block == possible_block:
-                    tuples.update(
-                        tup for tup in itertools.product(nodes, repeat=len(template.node_types))
-                        if _distinct_within_type(template, tup)
-                    )
+                    product = itertools.product(nodes, repeat=len(template.node_types))
+                    tuples.update(tup for tup in product if _distinct_within_type(template, tup))
                 else:
                     tuples.update(_sample_tuples(rng, template, nodes, per_block))
             # Patch coverage: every block node of a covered type joins >= 1 tuple.
             for t in sorted(set(template.node_types)):
                 positions = [p for p, tt in enumerate(template.node_types) if tt == t]
                 covered = {tup[p] for tup in tuples for p in positions}
-                for nodes in blocks:
-                    for node in nodes:
-                        if node not in covered:
-                            tuples.update(_sample_tuples(
-                                rng, template, nodes, 1, exclude=tuples,
-                                require=(positions[0], node),
-                            ))
+                for node in range(size):
+                    if node not in covered:
+                        tuples.update(_sample_tuples(rng, template, blocks[node // block], 1, exclude=tuples,
+                                                     require=(positions[0], node)))
             # Cross-block noise: uniform draws that do not land inside one block.
-            tuples.update(_sample_tuples(
-                rng, template, range(size), int(round(config.noise * len(tuples))),
-                exclude=tuples, accept=lambda tup: len({j // block for j in tup}) > 1,
-            ))
+            tuples.update(_sample_tuples(rng, template, range(size), int(round(config.noise * len(tuples))),
+                                         exclude=tuples, accept=lambda tup: len({j // block for j in tup}) > 1))
         else:
             tuples = _sample_tuples(rng, template, range(size), c * per_block)
         instances[template.name] = np.asarray(sorted(tuples), dtype=np.int32)
 
     # Every instance edge as `HIN` rows; HIN orients and sorts them and drops the repeats.
-    type_ids = {t: i for i, t in enumerate(config.type_names)}
     nodes_by_type = [[f"{t}{j}" for j in range(size)] for t in config.type_names]
-    edge_types = []
-    edge_type_ids = {}
+    edge_type_ids = {etname: k for k, etname in enumerate(edge_types)}
     edges = [np.empty((0, 5), dtype=np.int64)]
     for template in config.templates:
         types = [type_ids[t] for t in template.node_types]
         tuples = instances[template.name].reshape(-1, len(types))
         for i, j, etname in template.edges:
-            if etname not in edge_type_ids:
-                edge_type_ids[etname] = len(edge_types)
-                edge_types.append(EdgeType(etname, False, types[i], types[j]))
             ends = [edge_type_ids[etname], types[i], tuples[:, i], types[j], tuples[:, j]]
             edges.append(np.column_stack(np.broadcast_arrays(*ends)))
-    hin = HIN(list(config.type_names), nodes_by_type, edge_types, np.concatenate(edges))
+    hin = HIN(list(config.type_names), nodes_by_type, [et for et, _, _ in edge_types.values()],
+              np.concatenate(edges))
+    for template in config.templates:  # so every motif file written from a template parses
+        try:
+            parse_motif(json.dumps(template.motif_spec()), hin)
+        except ValueError as exc:
+            raise ValueError(f"template {template.name!r}: its edges do not make a motif: {exc}") from None
 
-    labels = {
-        f"{t}{j}": j // block for t in config.type_names for j in range(size)
-    }
+    labels = {f"{t}{j}": j // block for t in config.type_names for j in range(size)}
     seeds = {}
     if config.seed_fraction > 0:
         per_block_seeds = max(1, int(round(config.seed_fraction * block)))
         for t in config.type_names:
             for b in range(c):
                 chosen = rng.choice(blocks[b], size=per_block_seeds, replace=False)
-                for j in sorted(int(x) for x in chosen):
-                    seeds[f"{t}{j}"] = b
+                seeds.update((f"{t}{j}", b) for j in sorted(chosen.tolist()))
     return PlantedData(hin, labels, seeds, instances)

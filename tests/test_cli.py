@@ -230,11 +230,11 @@ class TestGenPlanted:
             ({"templates": []}, "templates must not be empty"),
             (  # planted 1,260 instances and wrote 0 edges
                 {"templates": [dict(PAIR, edges=[])]},
-                "template 'pair': its edges do not connect every position",
+                "template 'pair': its edges do not make a motif: motif 'pair': pattern is not connected",
             ),
             (  # `transcribe` then found the pattern not connected
                 {"templates": [dict(PAIR, node_types=["A", "B", "C"])]},
-                "template 'pair': its edges do not connect every position",
+                "template 'pair': its edges do not make a motif: motif 'pair': pattern is not connected",
             ),
             ({"templates": [dict(PAIR, node_types=[], edges=[])]}, "template 'pair': node_types must not be empty"),
             (  # the graph files cannot hold the type name: refused before --out is made
@@ -242,6 +242,15 @@ class TestGenPlanted:
                  "templates": [{"name": "p", "node_types": ["A B", "B"], "edges": [[0, 1, "x"]]}]},
                 "type name 'A B' is empty or holds whitespace",
             ),
+            (  # exited 0 with the second template's tuples on the first's edge type, and `transcribe` then failed
+                {"templates": [PAIR, dict(PAIR, node_types=["B", "C"], edges=[[0, 1, "bc"]])]},
+                "template 'pair': templates 0 and 1 share this name, and names must be unique",
+            ),
+            (  # `transcribe` then found a duplicate pattern edge
+                {"templates": [dict(PAIR, edges=[[0, 1, "ab"], [1, 0, "ab"]])]},
+                "template 'pair': its edges do not make a motif: motif 'pair' edge n1-n0: duplicate pattern edge",
+            ),
+            ({"templates": [dict(PAIR, unknown=1)]}, r"template 0: unknown template key\(s\) \['unknown'\]"),
         ],
     )
     def test_invalid_params_rejected(self, tmp_path, capsys, params, message):
@@ -327,15 +336,16 @@ class TestTranscribe:
                 fh.write("partial")
             raise OSError("disk full")
 
-        crashes = [  # mid-export, then with the exports of inputs B written
-            (SparseTensor, "write_tsv", lambda tensor, path: die_mid_write(path)),
-            (cli, "write_snapshot", lambda hin, tensors, path, *keys: die_mid_write(path)),
+        crashes = [  # mid-export (the old export already removed), then with the exports of inputs B written
+            (SparseTensor, "write_tsv", lambda tensor, path: die_mid_write(path), ["manifest.json"]),
+            (cli, "write_snapshot", lambda hin, tensors, path, *keys: die_mid_write(path),
+             ["manifest.json", "tensor_pair.tsv"]),
         ]
-        for owner, name, crash in crashes:
+        for owner, name, crash, left in crashes:
             with monkeypatch.context() as m:
                 m.setattr(owner, name, crash)
                 assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 1
-            assert sorted(p.name for p in tensor_dir.iterdir()) == ["manifest.json", "tensor_pair.tsv"]
+            assert sorted(p.name for p in tensor_dir.iterdir()) == left
         assert tensor_file.read_bytes() != tensor_a
         edges.write_text(edges_a)  # back to inputs A
         del enumerated[:]
@@ -377,6 +387,46 @@ class TestTranscribe:
             "graph.npz", "manifest.json", "notes.txt", "tensor_pair.tsv"]
         assert list(json.loads((tensor_dir / "manifest.json").read_text())) == ["pair"]
         assert (tensor_dir / "tensor_pair.tsv").read_bytes() == pair
+
+    def test_rebuild_renames_no_export_over_a_file(self, planted_dir, capsys, monkeypatch):
+        """A rebuild over a populated tensor directory removes the exports
+        first, so each export's rename lands on a free name (on ext4 a rename
+        over a file waits for write-out), and it ends with exactly the
+        configured exports."""
+        config = planted_dir / "run.json"
+        tensor_dir = planted_dir / "tensors"
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        (tensor_dir / "tensor_retired.tsv").write_text("a retired motif's export")
+        (tensor_dir / "tensor_pair.tsv.tmp").write_text("partial")
+        edges = planted_dir / "edges.tsv"
+        edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+        replaced, real_replace = [], os.replace
+
+        def replace(src, dst):
+            if Path(dst).name.startswith("tensor_"):
+                assert not Path(dst).exists(), f"{dst} replaced"
+                replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run_cli(capsys, "transcribe", "--config", str(config))[0] == 0
+        assert replaced == ["tensor_pair.tsv"]
+        assert sorted(p.name for p in tensor_dir.iterdir()) == ["graph.npz", "manifest.json", "tensor_pair.tsv"]
+
+    @pytest.mark.parametrize("second", ["motif_pair.json", "motif_copy.json"])
+    def test_repeated_motif_name_names_the_files(self, planted_dir, capsys, second):
+        """A run.json that lists one motif file twice, or two files of one
+        motif name, is refused with the name and both files."""
+        (planted_dir / "motif_copy.json").write_bytes((planted_dir / "motif_pair.json").read_bytes())
+        config = planted_dir / "run.json"
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), motifs=["motif_pair.json", second])))
+        code, stdout, err = run_cli(capsys, "transcribe", "--config", str(config))
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == (
+            f"{planted_dir / second}: motif 'pair' has the name of the motif in "
+            f"{planted_dir / 'motif_pair.json'}, and motif names must be unique"
+        )
+        assert not (planted_dir / "tensors").exists()
 
     def test_key_keeps_its_formula(self, planted_dir, capsys):
         """The graph key hashes the cache format tag, then the nodes and edges

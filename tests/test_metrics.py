@@ -199,36 +199,68 @@ class TestGenerator:
         assert generate_planted_hin(config).hin == expected.hin
 
     @pytest.mark.parametrize(
-        "template, message",
+        "templates, message",
         [
-            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal="false"),
-                         "signal must be True or False, got 'false'", id="signal_a_string"),
-            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal=0),
-                         "signal must be True or False, got 0", id="signal_an_integer"),
-            pytest.param(MotifTemplate("pair", ("A", "B"), ((0.0, 1, "ab"),)),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal="false"),),
+                         "signal must be true or false, got 'false'", id="signal_a_string"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),), signal=0),),
+                         "signal must be true or false, got 0", id="signal_an_integer"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0.0, 1, "ab"),)),),
                          r"an edge position must be an integer, got 0\.0", id="edge_position_a_float"),
-            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, True, "ab"),)),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0, True, "ab"),)),),
                          "an edge position must be an integer, got True", id="edge_position_a_bool"),
-            pytest.param(MotifTemplate("pair", "AB", ((0, 1, "ab"),)),
-                         "node_types must be a tuple of strings, got 'AB'", id="node_types_a_string"),
-            pytest.param(MotifTemplate("pair", ("A", 1), ((0, 1, "ab"),)),
-                         r"node_types must be a tuple of strings, got \('A', 1\)", id="node_type_an_integer"),
-            pytest.param(MotifTemplate("pair", ("A", "B"), ((0, 1),)),
-                         r"edge \(0, 1\) is not a \(position, position, edge type name\) triple",
+            pytest.param((MotifTemplate("pair", "AB", ((0, 1, "ab"),)),),
+                         "node_types must be a list of strings, got 'AB'", id="node_types_a_string"),
+            pytest.param((MotifTemplate("pair", ("A", 1), ((0, 1, "ab"),)),),
+                         r"node_types must be a list of strings, got \('A', 1\)", id="node_type_an_integer"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0, 1),)),),
+                         r"edge \(0, 1\) is not \[int, int, edge type name\]",
                          id="edge_of_two_entries"),
-            pytest.param(MotifTemplate("pair", (), ()), "node_types must not be empty", id="no_node_types"),
-            pytest.param(MotifTemplate("pair", ("A", "B"), ()),
-                         "its edges do not connect every position, and a motif must be connected",
+            pytest.param((MotifTemplate("pair", (), ()),), "node_types must not be empty", id="no_node_types"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ()),),
+                         "its edges do not make a motif: motif 'pair': pattern is not connected",
                          id="no_edges"),
-            pytest.param(MotifTemplate("pair", ("A", "B", "C"), ((0, 1, "ab"),)),
-                         "its edges do not connect every position, and a motif must be connected",
+            pytest.param((MotifTemplate("pair", ("A", "B", "C"), ((0, 1, "ab"),)),),
+                         "its edges do not make a motif: motif 'pair': pattern is not connected",
                          id="edges_not_connected"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"), (1, 0, "ab"))),),
+                         "its edges do not make a motif: motif 'pair' edge n1-n0: duplicate pattern edge",
+                         id="edge_twice"),
+            pytest.param((MotifTemplate("pair", ("A", "B"), 3),), "edges must be a list, got 3", id="edges_an_integer"),
+            pytest.param(  # `instances` is keyed by name: the second template's tuples went into the first's edges
+                (MotifTemplate("pair", ("A", "B"), ((0, 1, "ab"),)), MotifTemplate("pair", ("B", "C"), ((0, 1, "bc"),))),
+                "templates 0 and 1 share this name, and names must be unique", id="name_repeated"),
         ],
     )
-    def test_templates_refuse_other_types(self, template, message):
+    def test_templates_refuse_other_types(self, templates, message):
         """The library refuses what `gen-planted` refuses in a template, naming it."""
         with pytest.raises(ValueError, match=f"^template 'pair': {message}$"):
-            generate_planted_hin(PlantedConfig(templates=(template,)))
+            generate_planted_hin(PlantedConfig(templates=templates))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param({"type_names": "ABC"}, "type_names must be a list of strings, got 'ABC'", id="types_a_string"),
+            pytest.param({"type_names": ("A", 1)}, "type_names must be a list of strings", id="type_an_integer"),
+            pytest.param({"templates": default_templates()[0]}, "templates must be a list of MotifTemplate",
+                         id="templates_one_template"),
+            pytest.param({"templates": (default_templates()[0], "pair")}, "templates must be a list of MotifTemplate",
+                         id="template_a_string"),
+            pytest.param({"templates": (MotifTemplate(7, ("A", "B"), ((0, 1, "ab"),)),)},
+                         "template 0: name must be a non-empty string, got 7", id="name_an_integer"),
+            pytest.param({"templates": (MotifTemplate("", ("A", "B"), ((0, 1, "ab"),)),)},
+                         "template 0: name must be a non-empty string, got ''", id="name_empty"),
+            pytest.param({"templates": (MotifTemplate("a/b", ("A", "B"), ((0, 1, "ab"),)),)},
+                         r"template 'a/b': name must not contain '/' or '\\'", id="name_with_a_slash"),
+            pytest.param({"templates": (MotifTemplate("a\\b", ("A", "B"), ((0, 1, "ab"),)),)},
+                         r"template 'a\\\\b': name must not contain", id="name_with_a_backslash"),
+        ],
+    )
+    def test_config_values_refused(self, fields, message):
+        """A config value that only `gen-planted`'s JSON reader used to refuse
+        is a ValueError of the library, not a TypeError or a wrong graph."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            generate_planted_hin(PlantedConfig(**fields))
 
     def test_numpy_integer_edge_positions_build_the_same_graph(self):
         template = MotifTemplate("pair", ("A", "B"), ((np.int64(0), np.uint8(1), "ab"),))
